@@ -110,9 +110,7 @@ class HistorySlice:
 
 
 def predict_step(model, history: HistorySlice) -> float:
-    """One next-day prediction from whatever the model kind needs."""
-    if isinstance(model, NeuralModelArtifact):
-        return predict_next(model, history.last_closes(model.topology.window))
+    """One next-day prediction from whatever a non-neural model kind needs."""
     if isinstance(model, ForestModel):
         return model.predict_row(history.feature_row())
     if isinstance(model, LinearModel):
@@ -180,7 +178,8 @@ def walk_forward(
     Target dates must be strictly increasing panel dates with at least one
     earlier row each, all falling after the model's training range (the
     boundary check is relaxed for in-sample diagnostics). When `audit` is
-    given, (target_row, max_row_read) pairs are appended per step.
+    given, (target_row, max_row_read) pairs are appended per step. A
+    neural model predicts all steps in one batched forward pass.
     """
     if len(target_dates) == 0:
         raise RangeError("validation range is empty")
@@ -201,14 +200,16 @@ def walk_forward(
             f"validation starts {target_dates[0]} but training ran through {train_end}"
         )
 
-    predicted = np.empty(len(indices))
-    actual = np.empty(len(indices))
-    for k, j in enumerate(indices):
-        history = HistorySlice(panel, end=j - 1)
-        predicted[k] = predict_step(model, history)
-        actual[k] = panel.close[j]
-        if audit is not None:
-            audit.append((j, history.max_row_read))
+    histories = [HistorySlice(panel, end=j - 1) for j in indices]
+    if isinstance(model, NeuralModelArtifact):
+        # no step reads a prediction, so the steps are independent
+        window = model.topology.window
+        predicted = predict_next(model, np.stack([h.last_closes(window) for h in histories]))
+    else:
+        predicted = np.array([predict_step(model, h) for h in histories], dtype=np.float64)
+    actual = panel.close[indices]
+    if audit is not None:
+        audit.extend((j, h.max_row_read) for j, h in zip(indices, histories))
 
     metrics = MetricSet(
         rmse=rmse(predicted, actual), mape=mape(predicted, actual), n=len(indices)

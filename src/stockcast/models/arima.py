@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import SeriesTooShort, ShapeMismatch
 
@@ -174,6 +173,9 @@ def arima_fit(series: np.ndarray, spec: ArimaSpec = ArimaSpec(), train_end=None)
             spec=spec, train_series=series, converged=True, n_evals=0, css=css,
             train_end=train_end, **params,
         )
+
+    # scipy costs most of the package's import time; only fitting needs it
+    from scipy import optimize
 
     evals = 0
 

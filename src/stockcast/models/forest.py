@@ -2,11 +2,12 @@
 
 Greedy CART induction: at each node a seeded random feature subset is
 scanned, candidate thresholds are midpoints between consecutive distinct
-sorted values, and the split minimizing the summed child squared error is
-taken. Ties break on (cost, feature index, threshold), so the fitted tree
-is independent of scan order. Per-tree RNG streams are derived from the
-master seed by tree index, which makes the forest independent of thread
-scheduling.
+sorted values (the upper value when the midpoint of two adjacent doubles
+rounds onto the lower one, which would leave a child empty), and the
+split minimizing the summed child squared error is taken. Ties break on
+(cost, feature index, threshold), so the fitted tree is independent of
+scan order. Per-tree RNG streams are derived from the master seed by tree
+index, which makes the forest independent of thread scheduling.
 """
 
 from __future__ import annotations
@@ -110,7 +111,11 @@ def _best_split(
         )
         i = int(np.argmin(cost))
         k = int(ks[i])
-        candidate = (float(cost[i]), f, float((xs[k - 1] + xs[k]) / 2.0))
+        lo, hi = float(xs[k - 1]), float(xs[k])
+        threshold = (lo + hi) / 2.0
+        if not threshold > lo:  # adjacent doubles: the midpoint rounds onto lo
+            threshold = hi
+        candidate = (float(cost[i]), f, threshold)
         if best is None or candidate < best:
             best = candidate
     return best

@@ -5,6 +5,10 @@ matrices is [input, forget, cell, output]. The bidirectional variant runs
 a second parameter stack over the reversed window and concatenates the two
 final hidden states before the dense layers.
 
+Inference uses its own forward pass that keeps only the running hidden
+and cell states, so predicting many windows at once builds no BPTT cache;
+the cached forward pass serves the gradients alone.
+
 Training is mini-batch Adam with seeded shuffling and early stopping on
 validation RMSE; given identical data, topology, config, and seed, the
 returned artifact is bit-identical across runs.
@@ -23,6 +27,10 @@ from ..errors import DivergedLoss, ShapeMismatch, TooFewSamples
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Rows per inference pass. The (rows, W, 4H) input projection dominates
+# inference memory; this bounds it while keeping per-step numpy call
+# overhead small against the work of each step.
+_INFERENCE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -156,11 +164,11 @@ def init_params(topology: LstmTopology, seed: int) -> LstmParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Logistic function in the exact form 0.5 * (1 + tanh(z / 2)): one
+    elementwise pass, no masking, and no overflow for any finite z."""
+    out = np.tanh(0.5 * z)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -175,11 +183,19 @@ class _LayerCache:
     h_seq: np.ndarray       # (B, W, H) layer output
 
 
-def _layer_forward(layer: LayerParams, seq: np.ndarray) -> _LayerCache:
+def _input_projection(layer: LayerParams, seq: np.ndarray) -> np.ndarray:
+    """x_t @ W_x + b for every step at once, as a (B, W, 4H) array."""
     batch, steps, d_in = seq.shape
-    hidden = layer.w_h.shape[0]
     zx = seq.reshape(batch * steps, d_in) @ layer.w_x
-    zx = zx.reshape(batch, steps, 4 * hidden)
+    zx += layer.b
+    return zx.reshape(batch, steps, -1)
+
+
+def _layer_forward(layer: LayerParams, seq: np.ndarray) -> _LayerCache:
+    """One layer's forward pass, keeping everything BPTT needs."""
+    batch, steps, _ = seq.shape
+    hidden = layer.w_h.shape[0]
+    zx = _input_projection(layer, seq)
     cache = _LayerCache(
         inputs=seq,
         h_prev=np.empty((batch, steps, hidden)),
@@ -192,24 +208,41 @@ def _layer_forward(layer: LayerParams, seq: np.ndarray) -> _LayerCache:
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
     for t in range(steps):
-        z = zx[:, t] + h @ layer.w_h + layer.b
-        i = _sigmoid(z[:, :hidden])
-        f = _sigmoid(z[:, hidden : 2 * hidden])
-        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = _sigmoid(z[:, 3 * hidden :])
+        z = zx[:, t] + h @ layer.w_h
+        gates = cache.gates[:, t]
+        gates[:, : 2 * hidden] = _sigmoid(z[:, : 2 * hidden])
+        gates[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        gates[:, 3 * hidden :] = _sigmoid(z[:, 3 * hidden :])
+        i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
         cache.h_prev[:, t] = h
         cache.c_prev[:, t] = c
         c = f * c + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
-        cache.gates[:, t, :hidden] = i
-        cache.gates[:, t, hidden : 2 * hidden] = f
-        cache.gates[:, t, 2 * hidden : 3 * hidden] = g
-        cache.gates[:, t, 3 * hidden :] = o
         cache.c[:, t] = c
         cache.tanh_c[:, t] = tanh_c
         cache.h_seq[:, t] = h
     return cache
+
+
+def _layer_outputs(layer: LayerParams, seq: np.ndarray) -> np.ndarray:
+    """One layer's output sequence for inference: only the running h and c
+    are kept, so memory grows with the batch, not with a BPTT cache."""
+    batch, steps, _ = seq.shape
+    hidden = layer.w_h.shape[0]
+    zx = _input_projection(layer, seq)
+    out = np.empty((batch, steps, hidden))
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    for t in range(steps):
+        z = zx[:, t] + h @ layer.w_h
+        i_f = _sigmoid(z[:, : 2 * hidden])
+        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        o = _sigmoid(z[:, 3 * hidden :])
+        c = i_f[:, hidden:] * c + i_f[:, :hidden] * g
+        h = o * np.tanh(c)
+        out[:, t] = h
+    return out
 
 
 def _layer_backward(
@@ -255,7 +288,6 @@ class _ForwardCache:
     stacks: list[list[_LayerCache]]   # [forward, backward?] lists of layer caches
     dense_inputs: list[np.ndarray]
     dense_pre: list[np.ndarray]
-    final_h: np.ndarray
     dropout_masks: list[list[np.ndarray | None]]
     output: np.ndarray                # (B,)
 
@@ -289,6 +321,7 @@ def _forward_batch(
     inputs: np.ndarray,
     dropout_rng: np.random.Generator | None = None,
 ) -> _ForwardCache:
+    """Training forward pass that keeps every BPTT cache (for lstm_gradients)."""
     if inputs.ndim != 2:
         raise ShapeMismatch("expected a (batch, window) input array")
     seq = inputs[:, :, None]
@@ -305,8 +338,20 @@ def _forward_batch(
         stacks.append(bwd_caches)
         all_masks.append(bwd_masks)
         finals.append(bwd_out[:, -1])
-    final_h = np.concatenate(finals, axis=1)
+    dense_inputs, dense_pre, output = _dense_forward(params, topology, np.concatenate(finals, axis=1))
+    return _ForwardCache(
+        stacks=stacks,
+        dense_inputs=dense_inputs,
+        dense_pre=dense_pre,
+        dropout_masks=all_masks,
+        output=output,
+    )
 
+
+def _dense_forward(
+    params: LstmParams, topology: LstmTopology, final_h: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Dense head over the final hidden states: (inputs, pre-activations, (B,) output)."""
     a = final_h
     dense_inputs: list[np.ndarray] = []
     dense_pre: list[np.ndarray] = []
@@ -319,14 +364,35 @@ def _forward_batch(
             a = z
         else:
             a = np.maximum(z, 0.0)
-    return _ForwardCache(
-        stacks=stacks,
-        dense_inputs=dense_inputs,
-        dense_pre=dense_pre,
-        final_h=final_h,
-        dropout_masks=all_masks,
-        output=a[:, 0],
-    )
+    return dense_inputs, dense_pre, a[:, 0]
+
+
+def _stack_final(layers: Sequence[LayerParams], seq: np.ndarray) -> np.ndarray:
+    """Final hidden state of the top layer of one stack, without caches."""
+    for layer in layers:
+        seq = _layer_outputs(layer, seq)
+    return seq[:, -1]
+
+
+def lstm_batch_forward(params: LstmParams, topology: LstmTopology, inputs: np.ndarray) -> np.ndarray:
+    """Predict the scaled next value of each row of a (N, W) batch of scaled windows.
+
+    Inference only: no BPTT cache is built and dropout is never applied.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[1] != topology.window:
+        raise ShapeMismatch(f"expected (batch, {topology.window}) windows")
+    if topology.bidirectional and not params.backward_layers:
+        raise ShapeMismatch("bidirectional topology requires backward parameters")
+    out = np.empty(len(inputs))
+    for start in range(0, len(inputs), _INFERENCE_ROWS):
+        seq = inputs[start : start + _INFERENCE_ROWS, :, None]
+        finals = [_stack_final(params.layers, seq)]
+        if topology.bidirectional:
+            finals.append(_stack_final(params.backward_layers, seq[:, ::-1]))
+        _, _, head_out = _dense_forward(params, topology, np.concatenate(finals, axis=1))
+        out[start : start + len(seq)] = head_out
+    return out
 
 
 def lstm_forward(params: LstmParams, topology: LstmTopology, window: np.ndarray) -> float:
@@ -334,14 +400,7 @@ def lstm_forward(params: LstmParams, topology: LstmTopology, window: np.ndarray)
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1 or len(window) != topology.window:
         raise ShapeMismatch(f"expected a window of length {topology.window}")
-    return float(_forward_batch(params, topology, window[None, :]).output[0])
-
-
-def lstm_batch_forward(params: LstmParams, topology: LstmTopology, inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape[1] != topology.window:
-        raise ShapeMismatch(f"expected windows of length {topology.window}")
-    return _forward_batch(params, topology, inputs).output
+    return float(lstm_batch_forward(params, topology, window[None, :])[0])
 
 
 def lstm_gradients(
@@ -423,20 +482,21 @@ class NeuralModelArtifact:
     best_epoch: int
     train_end: object | None = None  # TradingDate of the last training row
 
-    def forward(self, scaled_window: np.ndarray) -> float:
-        return lstm_forward(self.params, self.topology, scaled_window)
 
+def predict_next(artifact: NeuralModelArtifact, recent_closes: np.ndarray) -> np.ndarray:
+    """Next closes for a (N, W) array of raw-close windows, as (N,).
 
-def predict_next(artifact: NeuralModelArtifact, recent_closes: np.ndarray) -> float:
-    """Scale the last W raw closes, run the network, and unscale the output."""
+    Each row is scaled, the network runs once over the whole batch, and
+    the outputs are unscaled.
+    """
     recent = np.asarray(recent_closes, dtype=np.float64)
-    if recent.ndim != 1 or len(recent) != artifact.topology.window:
-        raise ShapeMismatch(f"expected {artifact.topology.window} recent closes")
+    window = artifact.topology.window
+    if recent.ndim != 2 or recent.shape[1] != window:
+        raise ShapeMismatch(f"expected (N, {window}) recent closes")
     if artifact.scaler is None:
         raise ShapeMismatch("artifact has no scaler; cannot accept raw prices")
     scaled = artifact.scaler.apply(recent)
-    out = artifact.forward(scaled)
-    return float(artifact.scaler.inverse(np.array([out]))[0])
+    return artifact.scaler.inverse(lstm_batch_forward(artifact.params, artifact.topology, scaled))
 
 
 def lstm_train(

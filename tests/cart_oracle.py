@@ -30,6 +30,8 @@ def exhaustive_tree(
         values = np.unique(x[:, f])
         for lo, hi in zip(values, values[1:]):
             threshold = (lo + hi) / 2.0
+            if not threshold > lo:  # adjacent doubles: the midpoint rounds onto lo
+                threshold = hi
             mask = x[:, f] < threshold
             n_left = int(mask.sum())
             if n_left < min_leaf or len(y) - n_left < min_leaf:

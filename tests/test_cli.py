@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stockcast
 from stockcast.cli import main
 from stockcast.config import load_config
 from stockcast.errors import ConfigError
@@ -131,3 +136,14 @@ def test_gridsearch_window_with_fast_model(mini, tmp_path, capsys):
 def test_ticker_outside_universe_fails(mini, capsys):
     assert run("sentiment", "--config", mini, "--ticker", "ZZZ") == 1
     assert "universe" in capsys.readouterr().err
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    src = str(Path(stockcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, stockcast.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

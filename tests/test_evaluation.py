@@ -15,6 +15,8 @@ from stockcast.evaluation import (
     rmse,
     walk_forward,
 )
+from stockcast.dataset import fit_scaler
+from stockcast.models.lstm import LstmTopology, NeuralModelArtifact, init_params
 from stockcast.models.persistence import PersistenceModel
 from stockcast.models.trend import additive_trend_fit
 from stockcast.series import AlignedPanel
@@ -111,16 +113,50 @@ def test_history_slice_cannot_serve_the_future(small_panel: AlignedPanel):
         history.last_closes(12)
 
 
+def small_neural(panel: AlignedPanel, split_row: int, bidirectional: bool = False,
+                 seed: int = 0) -> NeuralModelArtifact:
+    """Untrained (seeded) LSTM artifact with a scaler fit on the training rows."""
+    topology = LstmTopology(layer_sizes=(3,), dense_sizes=(1,), window=5,
+                            bidirectional=bidirectional)
+    return NeuralModelArtifact(
+        kind="bilstm" if bidirectional else "lstm",
+        topology=topology,
+        params=init_params(topology, seed),
+        scaler=fit_scaler(panel.close[:split_row], ("close",)),
+        history=(),
+        seed=seed,
+        best_epoch=0,
+        train_end=panel.dates[split_row - 1],
+    )
+
+
 def test_walk_forward_leakage_audit_over_random_panels():
     for seed in range(25):
         panel = make_panel(n=30, seed=seed)
-        audit: list = []
-        model = additive_trend_fit(panel.close[:20], train_end=panel.dates[19])
-        walk_forward(model, panel, panel.dates[20:], audit=audit)
-        audit2: list = []
-        walk_forward(PersistenceModel(), panel, panel.dates[20:], audit=audit2)
-        for target_row, max_read in audit + audit2:
-            assert max_read <= target_row - 1
+        models = [
+            additive_trend_fit(panel.close[:20], train_end=panel.dates[19]),
+            PersistenceModel(),
+            small_neural(panel, 20, seed=seed),
+        ]
+        for model in models:
+            audit: list = []
+            walk_forward(model, panel, panel.dates[20:], audit=audit)
+            assert [row for row, _ in audit] == list(range(20, 30))
+            for target_row, max_read in audit:
+                assert max_read <= target_row - 1
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_single_date_neural_prediction_equals_full_range_element(bidirectional):
+    panel = make_panel(n=60, seed=3)
+    model = small_neural(panel, 40, bidirectional=bidirectional, seed=5)
+    targets = panel.dates[40:]
+    full = walk_forward(model, panel, targets)
+    for k in (0, 7, len(targets) - 1):
+        single = walk_forward(model, panel, [targets[k]])
+        assert single.predicted.shape == (1,)
+        np.testing.assert_allclose(single.predicted[0], full.predicted[k], rtol=1e-12, atol=0.0)
+        assert single.actual[0] == full.actual[k]
 
 
 # --- correlation ------------------------------------------------------------

@@ -57,6 +57,16 @@ def test_cart_oracle_with_min_leaf_constraint():
         assert_tree_equals_oracle(tree, oracle)
 
 
+def test_adjacent_doubles_split_without_an_empty_leaf():
+    # the midpoint of two adjacent doubles rounds onto the lower one
+    x = np.array([[1.0], [np.nextafter(1.0, 2.0)]])
+    y = np.array([3.0, 5.0])
+    tree = fit_tree(x, y)
+    assert not np.any(np.isnan(tree.value))
+    assert np.array_equal(tree.predict(x), y)
+    assert_tree_equals_oracle(tree, exhaustive_tree(x, y, max_depth=None))
+
+
 def test_depth_zero_single_tree_predicts_training_mean():
     table = small_table()
     split = chronological_split(len(table), 0.8)

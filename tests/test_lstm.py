@@ -11,6 +11,7 @@ from stockcast.models.lstm import (
     LstmTopology,
     NeuralModelArtifact,
     TrainConfig,
+    _INFERENCE_ROWS,
     _forward_batch,
     init_params,
     lstm_batch_forward,
@@ -165,6 +166,16 @@ def test_gate_activations_bounded_and_cells_finite():
         assert np.all(np.isfinite(layer_cache.c))
 
 
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_cache_free_forward_equals_training_forward(bidirectional):
+    topology = LstmTopology(layer_sizes=(4, 3), dense_sizes=(2, 1), window=8,
+                            bidirectional=bidirectional)
+    params = randomized_params(topology)
+    x = RNG.normal(0, 1, (11, 8))
+    assert np.array_equal(lstm_batch_forward(params, topology, x),
+                          _forward_batch(params, topology, x).output)
+
+
 def test_bidirectional_differs_on_non_palindromic_window():
     window = RNG.normal(0, 1, 10)
     uni = LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=10, bidirectional=False)
@@ -234,25 +245,49 @@ def test_train_rejects_batch_larger_than_train_slice():
 
 
 def test_predict_next_inverse_scaling_plumbing():
-    # stub network that copies the scaled last value back out
-    class CopyLast(NeuralModelArtifact):
-        def forward(self, scaled_window):
-            return float(scaled_window[-1])
-
+    # zero network whose output is the final dense bias: 0.75 scaled -> 175 raw
     topology = LstmTopology(layer_sizes=(2,), dense_sizes=(1,), window=3)
+    params = init_params(topology, 0)
+    params.unflatten(np.zeros(params.flatten().size))
+    params.dense[-1].b[0] = 0.75
     scaler = fit_scaler(np.array([100.0, 200.0]))
-    artifact = CopyLast(
+    artifact = NeuralModelArtifact(
         kind="lstm",
         topology=topology,
-        params=init_params(topology, 0),
+        params=params,
         scaler=scaler,
         history=(),
         seed=0,
         best_epoch=0,
     )
-    assert predict_next(artifact, np.array([120.0, 150.0, 175.0])) == 175.0
+    out = predict_next(artifact, np.array([[120.0, 150.0, 175.0], [101.0, 102.0, 103.0]]))
+    assert out.shape == (2,)
+    assert np.array_equal(out, [175.0, 175.0])
     with pytest.raises(ShapeMismatch):
-        predict_next(artifact, np.array([1.0, 2.0]))
+        predict_next(artifact, np.array([[1.0, 2.0]]))
+    with pytest.raises(ShapeMismatch):
+        predict_next(artifact, np.array([120.0, 150.0, 175.0]))
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_batched_predict_next_matches_one_window_at_a_time(bidirectional):
+    topology = LstmTopology(layer_sizes=(5, 3), dense_sizes=(4, 1), window=9,
+                            bidirectional=bidirectional, dense_activation="relu")
+    artifact = NeuralModelArtifact(
+        kind="bilstm" if bidirectional else "lstm",
+        topology=topology,
+        params=randomized_params(topology, seed=21),
+        scaler=fit_scaler(np.array([80.0, 140.0])),
+        history=(),
+        seed=21,
+        best_epoch=0,
+    )
+    n = 2 * _INFERENCE_ROWS + 37  # spans several inference passes
+    closes = RNG.uniform(70.0, 150.0, (n, 9))
+    batched = predict_next(artifact, closes)
+    one_by_one = np.array([predict_next(artifact, row[None, :])[0] for row in closes])
+    assert batched.shape == (n,)
+    np.testing.assert_allclose(batched, one_by_one, rtol=1e-12, atol=0.0)
 
 
 def test_dropout_training_runs_and_is_deterministic():
