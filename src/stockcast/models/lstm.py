@@ -28,8 +28,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Rows per inference pass. The (rows, W, 4H) input projection dominates
-# inference memory; this bounds it while keeping per-step numpy call
-# overhead small against the work of each step.
+# inference memory. Measured on a 2-core x86 host with one BLAS thread: on
+# the sample config, `train` peaks at 114/135 MiB (lstm/bilstm) with 128
+# rows against 176/202 MiB in one pass, and a 470-window forward is no
+# faster at 256 rows or in one pass, but 5-15% slower at 64 and more below.
 _INFERENCE_ROWS = 128
 
 

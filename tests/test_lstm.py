@@ -244,12 +244,9 @@ def test_train_rejects_batch_larger_than_train_slice():
                    TrainConfig(epochs=1, batch_size=32, seed=0))
 
 
-def test_predict_next_inverse_scaling_plumbing():
-    # zero network whose output is the final dense bias: 0.75 scaled -> 175 raw
+def test_predict_next_inverse_scaling_plumbing(monkeypatch):
     topology = LstmTopology(layer_sizes=(2,), dense_sizes=(1,), window=3)
     params = init_params(topology, 0)
-    params.unflatten(np.zeros(params.flatten().size))
-    params.dense[-1].b[0] = 0.75
     scaler = fit_scaler(np.array([100.0, 200.0]))
     artifact = NeuralModelArtifact(
         kind="lstm",
@@ -260,9 +257,25 @@ def test_predict_next_inverse_scaling_plumbing():
         seed=0,
         best_epoch=0,
     )
-    out = predict_next(artifact, np.array([[120.0, 150.0, 175.0], [101.0, 102.0, 103.0]]))
+    closes = np.array([[120.0, 150.0, 175.0], [101.0, 102.0, 103.0]])
+    seen = []
+
+    def copy_last(p, t, x):
+        seen.append(x)
+        return x[:, -1]
+
+    # a network that copies the last scaled value back out checks both the
+    # input scaling and the inverse scaling
+    with monkeypatch.context() as m:
+        m.setattr("stockcast.models.lstm.lstm_batch_forward", copy_last)
+        out = predict_next(artifact, closes)
+    assert np.array_equal(seen[0], [[0.2, 0.5, 0.75], [0.01, 0.02, 0.03]])
     assert out.shape == (2,)
-    assert np.array_equal(out, [175.0, 175.0])
+    assert np.array_equal(out, [175.0, 103.0])
+    # zero network whose output is the final dense bias: 0.75 scaled -> 175 raw
+    params.unflatten(np.zeros(params.flatten().size))
+    params.dense[-1].b[0] = 0.75
+    assert np.array_equal(predict_next(artifact, closes), [175.0, 175.0])
     with pytest.raises(ShapeMismatch):
         predict_next(artifact, np.array([[1.0, 2.0]]))
     with pytest.raises(ShapeMismatch):
