@@ -13,7 +13,7 @@ from datetime import date
 from . import __version__
 from .config import load_config
 from .errors import StockcastError
-from .models.artifacts import MODEL_KINDS
+from .models.artifacts import ALL_KINDS, MODEL_KINDS
 from .pipeline import (
     PipelineData,
     evaluate_models,
@@ -26,7 +26,7 @@ from .pipeline import (
 )
 from .reporting import report_from_json
 
-MODEL_CHOICES = [*MODEL_KINDS, "persistence", "all"]
+MODEL_CHOICES = [*ALL_KINDS, "all"]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -145,7 +145,6 @@ class SplitSpec:
 
     n: int
     split_index: int
-    train_fraction: float | None = None
 
     def __post_init__(self) -> None:
         if not (1 <= self.split_index <= self.n - 1):
@@ -168,4 +167,4 @@ def chronological_split(n: int, train_fraction: float = 0.95) -> SplitSpec:
         raise ValueError("train_fraction must be in (0, 1)")
     index = int(np.floor(n * train_fraction))
     index = max(1, min(index, n - 1))
-    return SplitSpec(n=n, split_index=index, train_fraction=train_fraction)
+    return SplitSpec(n=n, split_index=index)

@@ -117,10 +117,6 @@ class SeriesTooShort(StockcastError):
     """Series is too short for the requested differencing and lag structure."""
 
 
-class NonConvergence(StockcastError):
-    """Optimizer budget exhausted before the tolerance was met."""
-
-
 class ArtifactError(StockcastError):
     """Artifact file is missing, malformed, or has an unsupported version."""
 

@@ -23,14 +23,8 @@ from .errors import (
     RangeError,
     ZeroActual,
 )
-from .models.arima import ArimaModel, one_step_forecast
-from .models.artifacts import artifact_kind
-from .models.forest import ForestModel
-from .models.knn import KnnModel
-from .models.linear import LinearModel
-from .models.lstm import NeuralModelArtifact, predict_next
-from .models.persistence import PersistenceModel
-from .models.trend import TrendModel
+from .models.arima import one_step_forecast  # unused here; perfbench/tracing.py wraps it
+from .models.lstm import predict_next  # unused here; perfbench/tracing.py wraps it
 from .series import AlignedPanel, TradingDate
 
 
@@ -109,21 +103,13 @@ class HistorySlice:
         return self.end + 1
 
 
-def predict_step(model, history: HistorySlice) -> float:
-    """One next-day prediction from whatever a non-neural model kind needs."""
-    if isinstance(model, ForestModel):
-        return model.predict_row(history.feature_row())
-    if isinstance(model, LinearModel):
-        return model.predict_row(history.last_closes(model.feature_count))
-    if isinstance(model, KnnModel):
-        return model.predict_window(history.last_closes(model.train_inputs.shape[1]))
-    if isinstance(model, ArimaModel):
-        return one_step_forecast(model, history.all_closes())
-    if isinstance(model, TrendModel):
-        return model.predict_index(history.next_index)
-    if isinstance(model, PersistenceModel):
-        return float(history.last_closes(1)[0])
-    raise TypeError(f"no prediction rule for {type(model).__name__}")
+def predict_step(model, histories: Sequence[HistorySlice]) -> np.ndarray:
+    """Next-day predictions for all steps of a walk-forward, as one model call.
+
+    This is the one place the harness asks a model for predictions, so a
+    timing tool can wrap it by name.
+    """
+    return model.predict(histories)
 
 
 @dataclass(frozen=True)
@@ -178,8 +164,8 @@ def walk_forward(
     Target dates must be strictly increasing panel dates with at least one
     earlier row each, all falling after the model's training range (the
     boundary check is relaxed for in-sample diagnostics). When `audit` is
-    given, (target_row, max_row_read) pairs are appended per step. A
-    neural model predicts all steps in one batched forward pass.
+    given, (target_row, max_row_read) pairs are appended per step. The
+    model gets every step's history slice in one `predict` call.
     """
     if len(target_dates) == 0:
         raise RangeError("validation range is empty")
@@ -194,19 +180,14 @@ def walk_forward(
             raise RangeError("validation dates must be strictly increasing")
     if indices[0] < 1:
         raise RangeError("first validation date has no history before it")
-    train_end = getattr(model, "train_end", None)
+    train_end = model.train_end
     if enforce_train_boundary and train_end is not None and target_dates[0] <= train_end:
         raise RangeError(
             f"validation starts {target_dates[0]} but training ran through {train_end}"
         )
 
     histories = [HistorySlice(panel, end=j - 1) for j in indices]
-    if isinstance(model, NeuralModelArtifact):
-        # no step reads a prediction, so the steps are independent
-        window = model.topology.window
-        predicted = predict_next(model, np.stack([h.last_closes(window) for h in histories]))
-    else:
-        predicted = np.array([predict_step(model, h) for h in histories], dtype=np.float64)
+    predicted = predict_step(model, histories)
     actual = panel.close[indices]
     if audit is not None:
         audit.extend((j, h.max_row_read) for j, h in zip(indices, histories))
@@ -217,7 +198,7 @@ def walk_forward(
     first = indices[0]
     return ReportEntry(
         ticker=panel.ticker,
-        model=artifact_kind(model),
+        model=model.kind,
         dates=tuple(target_dates),
         actual=actual,
         predicted=predicted,

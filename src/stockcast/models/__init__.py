@@ -1,65 +1,11 @@
-"""Forecasting models: the two main tracks plus the classical baselines."""
+"""Forecasting models: the two main tracks plus the classical baselines.
 
-from .arima import ArimaModel, ArimaSpec, arima_fit, arima_forecast, one_step_forecast
-from .artifacts import (
-    ALL_KINDS,
-    MODEL_KINDS,
-    artifact_kind,
-    dumps_artifact,
-    load_artifact,
-    loads_artifact,
-    save_artifact,
-)
-from .forest import ForestConfig, ForestModel, RegressionTree, fit_tree, forest_predict, forest_train
-from .knn import KnnModel, knn_fit_cv
-from .linear import LinearModel, linreg_fit
-from .lstm import (
-    LstmParams,
-    LstmTopology,
-    NeuralModelArtifact,
-    TrainConfig,
-    init_params,
-    lstm_forward,
-    lstm_gradients,
-    lstm_train,
-    predict_next,
-)
-from .persistence import PersistenceModel
-from .trend import TrendModel, additive_trend_fit
+Every model class has the same three members, which is all the
+walk-forward harness and the pipeline ask of it:
 
-__all__ = [
-    "ALL_KINDS",
-    "ArimaModel",
-    "ArimaSpec",
-    "ForestConfig",
-    "ForestModel",
-    "KnnModel",
-    "LinearModel",
-    "LstmParams",
-    "LstmTopology",
-    "MODEL_KINDS",
-    "NeuralModelArtifact",
-    "PersistenceModel",
-    "RegressionTree",
-    "TrainConfig",
-    "TrendModel",
-    "additive_trend_fit",
-    "arima_fit",
-    "arima_forecast",
-    "artifact_kind",
-    "dumps_artifact",
-    "fit_tree",
-    "forest_predict",
-    "forest_train",
-    "init_params",
-    "knn_fit_cv",
-    "linreg_fit",
-    "load_artifact",
-    "loads_artifact",
-    "lstm_forward",
-    "lstm_gradients",
-    "lstm_train",
-    "one_step_forecast",
-    "predict_next",
-    "save_artifact",
-]
+- `kind`, the model's name in artifacts and reports;
+- `min_history`, the first panel row it can predict (the rows before it
+  do not cover its input);
+- `predict(histories)`, which maps a sequence of the walk-forward's
+  audited history slices to an `(N,)` array of next-day closes.
+"""

@@ -14,6 +14,7 @@ that exhausts the budget is returned flagged, not discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -75,6 +76,8 @@ def _transform(raw: np.ndarray, spec: ArimaSpec) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class ArimaModel:
+    kind: ClassVar[str] = "arima"
+
     spec: ArimaSpec
     ar: np.ndarray
     seasonal_ar: np.ndarray
@@ -85,6 +88,13 @@ class ArimaModel:
     n_evals: int
     css: float
     train_end: object | None = None
+
+    @property
+    def min_history(self) -> int:
+        return len(difference_poly(self.spec))
+
+    def predict(self, histories) -> np.ndarray:
+        return np.array([one_step_forecast(self, h.all_closes()) for h in histories], dtype=np.float64)
 
 
 def difference_poly(spec: ArimaSpec) -> np.ndarray:

@@ -8,6 +8,7 @@ rerun with the same seed produces byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from datetime import date
 from pathlib import Path
 
@@ -63,20 +64,11 @@ def _scaler_from(payload: dict | None) -> MinMaxScaler | None:
 
 
 def _neural_payload(model: NeuralModelArtifact) -> dict:
-    topo = model.topology
-
     def layer(l: LayerParams) -> dict:
         return {"w_x": _arr(l.w_x), "w_h": _arr(l.w_h), "b": _arr(l.b)}
 
     return {
-        "topology": {
-            "layer_sizes": list(topo.layer_sizes),
-            "dense_sizes": list(topo.dense_sizes),
-            "window": topo.window,
-            "bidirectional": topo.bidirectional,
-            "dense_activation": topo.dense_activation,
-            "dropout": topo.dropout,
-        },
+        "topology": asdict(model.topology),
         "params": {
             "layers": [layer(l) for l in model.params.layers],
             "backward_layers": [layer(l) for l in model.params.backward_layers],
@@ -90,17 +82,7 @@ def _neural_payload(model: NeuralModelArtifact) -> dict:
     }
 
 
-def _neural_from(kind: str, payload: dict) -> NeuralModelArtifact:
-    t = payload["topology"]
-    topology = LstmTopology(
-        layer_sizes=tuple(t["layer_sizes"]),
-        dense_sizes=tuple(t["dense_sizes"]),
-        window=t["window"],
-        bidirectional=t["bidirectional"],
-        dense_activation=t["dense_activation"],
-        dropout=t["dropout"],
-    )
-
+def _neural_from(payload: dict) -> NeuralModelArtifact:
     def layer(d: dict) -> LayerParams:
         return LayerParams(
             w_x=np.asarray(d["w_x"], dtype=np.float64),
@@ -117,8 +99,7 @@ def _neural_from(kind: str, payload: dict) -> NeuralModelArtifact:
         ],
     )
     return NeuralModelArtifact(
-        kind=kind,
-        topology=topology,
+        topology=LstmTopology(**payload["topology"]),
         params=params,
         scaler=_scaler_from(payload["scaler"]),
         history=tuple(payload["history"]),
@@ -129,16 +110,8 @@ def _neural_from(kind: str, payload: dict) -> NeuralModelArtifact:
 
 
 def _forest_payload(model: ForestModel) -> dict:
-    cfg = model.config
     return {
-        "config": {
-            "n_trees": cfg.n_trees,
-            "max_depth": cfg.max_depth,
-            "min_samples_leaf": cfg.min_samples_leaf,
-            "max_features": cfg.max_features,
-            "bootstrap": cfg.bootstrap,
-            "seed": cfg.seed,
-        },
+        "config": asdict(model.config),
         "feature_names": list(model.feature_names),
         "trees": [
             {
@@ -155,7 +128,6 @@ def _forest_payload(model: ForestModel) -> dict:
 
 
 def _forest_from(payload: dict) -> ForestModel:
-    cfg = payload["config"]
     trees = tuple(
         RegressionTree(
             feature=np.asarray(t["feature"], dtype=np.int64),
@@ -169,125 +141,89 @@ def _forest_from(payload: dict) -> ForestModel:
     return ForestModel(
         trees=trees,
         feature_names=tuple(payload["feature_names"]),
-        config=ForestConfig(
-            n_trees=cfg["n_trees"],
-            max_depth=cfg["max_depth"],
-            min_samples_leaf=cfg["min_samples_leaf"],
-            max_features=cfg["max_features"],
-            bootstrap=cfg["bootstrap"],
-            seed=cfg["seed"],
-        ),
+        config=ForestConfig(**payload["config"]),
         train_end=_parse_date(payload["train_end"]),
     )
 
 
-def _payload_of(model) -> tuple[str, dict]:
-    if isinstance(model, NeuralModelArtifact):
-        return model.kind, _neural_payload(model)
-    if isinstance(model, ForestModel):
-        return "forest", _forest_payload(model)
-    if isinstance(model, LinearModel):
-        return "linreg", {
-            "coefficients": _arr(model.coefficients),
-            "intercept": model.intercept,
-            "ridge_fallback": model.ridge_fallback,
-            "feature_count": model.feature_count,
-            "train_end": _date(model.train_end),
-        }
-    if isinstance(model, KnnModel):
-        return "knn", {
-            "k": model.k,
-            "train_inputs": _arr(model.train_inputs),
-            "train_targets": _arr(model.train_targets),
-            "cv_rmse": {str(k): v for k, v in model.cv_rmse.items()},
-            "scaler": _scaler_payload(model.scaler),
-            "train_end": _date(model.train_end),
-        }
-    if isinstance(model, ArimaModel):
-        return "arima", {
-            "order": list(model.spec.order),
-            "seasonal_order": list(model.spec.seasonal_order),
-            "max_evals": model.spec.max_evals,
-            "ar": _arr(model.ar),
-            "seasonal_ar": _arr(model.seasonal_ar),
-            "ma": _arr(model.ma),
-            "seasonal_ma": _arr(model.seasonal_ma),
-            "train_series": _arr(model.train_series),
-            "converged": model.converged,
-            "n_evals": model.n_evals,
-            "css": model.css,
-            "train_end": _date(model.train_end),
-        }
-    if isinstance(model, TrendModel):
-        return "additive", {
-            "intercept": model.intercept,
-            "slope": model.slope,
-            "n_train": model.n_train,
-            "train_end": _date(model.train_end),
-        }
-    if isinstance(model, PersistenceModel):
-        return "persistence", {"train_end": _date(model.train_end)}
-    raise ArtifactError(f"cannot serialize model of type {type(model).__name__}")
+def _fields_payload(model, arrays: tuple[str, ...] = ()) -> dict:
+    """A model's own fields as its payload: `arrays` as float lists, train_end as ISO text."""
+    payload = {f.name: getattr(model, f.name) for f in fields(model)}
+    for name in arrays:
+        payload[name] = _arr(payload[name])
+    payload["train_end"] = _date(model.train_end)
+    return payload
 
 
-def _model_from(kind: str, payload: dict):
-    if kind in ("lstm", "bilstm"):
-        return _neural_from(kind, payload)
-    if kind == "forest":
-        return _forest_from(payload)
-    if kind == "linreg":
-        return LinearModel(
-            coefficients=np.asarray(payload["coefficients"], dtype=np.float64),
-            intercept=payload["intercept"],
-            ridge_fallback=payload["ridge_fallback"],
-            feature_count=payload["feature_count"],
-            train_end=_parse_date(payload["train_end"]),
-        )
-    if kind == "knn":
-        return KnnModel(
-            k=payload["k"],
-            train_inputs=np.asarray(payload["train_inputs"], dtype=np.float64),
-            train_targets=np.asarray(payload["train_targets"], dtype=np.float64),
-            cv_rmse={int(k): v for k, v in payload["cv_rmse"].items()},
-            scaler=_scaler_from(payload["scaler"]),
-            train_end=_parse_date(payload["train_end"]),
-        )
-    if kind == "arima":
-        return ArimaModel(
-            spec=ArimaSpec(
-                order=tuple(payload["order"]),
-                seasonal_order=tuple(payload["seasonal_order"]),
-                max_evals=payload["max_evals"],
-            ),
-            ar=np.asarray(payload["ar"], dtype=np.float64),
-            seasonal_ar=np.asarray(payload["seasonal_ar"], dtype=np.float64),
-            ma=np.asarray(payload["ma"], dtype=np.float64),
-            seasonal_ma=np.asarray(payload["seasonal_ma"], dtype=np.float64),
-            train_series=np.asarray(payload["train_series"], dtype=np.float64),
-            converged=payload["converged"],
-            n_evals=payload["n_evals"],
-            css=payload["css"],
-            train_end=_parse_date(payload["train_end"]),
-        )
-    if kind == "additive":
-        return TrendModel(
-            intercept=payload["intercept"],
-            slope=payload["slope"],
-            n_train=payload["n_train"],
-            train_end=_parse_date(payload["train_end"]),
-        )
-    if kind == "persistence":
-        return PersistenceModel(train_end=_parse_date(payload["train_end"]))
-    raise ArtifactError(f"unknown artifact kind {kind!r}")
+def _from_fields(cls, payload: dict, arrays: tuple[str, ...] = ()):
+    """Inverse of _fields_payload: every payload key is a constructor argument."""
+    kwargs = dict(payload, train_end=_parse_date(payload["train_end"]))
+    for name in arrays:
+        kwargs[name] = np.asarray(kwargs[name], dtype=np.float64)
+    return cls(**kwargs)
+
+
+_KNN_ARRAYS = ("train_inputs", "train_targets")
+
+
+def _knn_payload(model: KnnModel) -> dict:
+    payload = _fields_payload(model, _KNN_ARRAYS)
+    payload["cv_rmse"] = {str(k): v for k, v in model.cv_rmse.items()}
+    payload["scaler"] = _scaler_payload(model.scaler)
+    return payload
+
+
+def _knn_from(payload: dict) -> KnnModel:
+    cv_rmse = {int(k): v for k, v in payload["cv_rmse"].items()}
+    scaler = _scaler_from(payload["scaler"])
+    return _from_fields(KnnModel, dict(payload, cv_rmse=cv_rmse, scaler=scaler), _KNN_ARRAYS)
+
+
+_ARIMA_ARRAYS = ("ar", "seasonal_ar", "ma", "seasonal_ma", "train_series")
+_ARIMA_SPEC_KEYS = ("order", "seasonal_order", "max_evals")
+
+
+def _arima_payload(model: ArimaModel) -> dict:
+    payload = _fields_payload(model, _ARIMA_ARRAYS)
+    payload.update(asdict(payload.pop("spec")))  # the spec's keys sit at the top level
+    return payload
+
+
+def _arima_from(payload: dict) -> ArimaModel:
+    spec = ArimaSpec(
+        order=tuple(payload["order"]),
+        seasonal_order=tuple(payload["seasonal_order"]),
+        max_evals=payload["max_evals"],
+    )
+    rest = {k: v for k, v in payload.items() if k not in _ARIMA_SPEC_KEYS}
+    return _from_fields(ArimaModel, dict(rest, spec=spec), _ARIMA_ARRAYS)
+
+
+# kind -> (model to payload, payload to model)
+_CODECS = {
+    "lstm": (_neural_payload, _neural_from),
+    "bilstm": (_neural_payload, _neural_from),
+    "linreg": (
+        lambda model: _fields_payload(model, ("coefficients",)),
+        lambda payload: _from_fields(LinearModel, payload, ("coefficients",)),
+    ),
+    "arima": (_arima_payload, _arima_from),
+    "knn": (_knn_payload, _knn_from),
+    "additive": (_fields_payload, lambda payload: _from_fields(TrendModel, payload)),
+    "forest": (_forest_payload, _forest_from),
+    "persistence": (_fields_payload, lambda payload: _from_fields(PersistenceModel, payload)),
+}
 
 
 def dumps_artifact(model) -> str:
-    kind, payload = _payload_of(model)
+    kind = getattr(model, "kind", None)
+    if kind not in _CODECS:
+        raise ArtifactError(f"cannot serialize model of type {type(model).__name__}")
     doc = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "payload": payload,
+        "payload": _CODECS[kind][0](model),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -301,7 +237,21 @@ def loads_artifact(text: str):
         raise ArtifactError("not a stockcast artifact")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ArtifactError(f"unsupported artifact version {doc.get('format_version')!r}")
-    return _model_from(doc["kind"], doc["payload"])
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _CODECS:
+        raise ArtifactError(f"unknown artifact kind {kind!r}")
+    payload = doc.get("payload")
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"{kind} artifact has no payload object")
+    try:
+        model = _CODECS[kind][1](payload)
+    except KeyError as exc:
+        raise ArtifactError(f"{kind} artifact payload lacks {exc}") from None
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ArtifactError(f"malformed {kind} artifact payload: {exc}") from None
+    if model.kind != kind:
+        raise ArtifactError(f"artifact kind {kind!r} does not match its {model.kind} payload")
+    return model
 
 
 def save_artifact(model, path: str | Path) -> Path:
@@ -316,7 +266,3 @@ def load_artifact(path: str | Path):
     if not path.exists():
         raise ArtifactError(f"artifact file not found: {path}")
     return loads_artifact(path.read_text(encoding="utf-8"))
-
-
-def artifact_kind(model) -> str:
-    return _payload_of(model)[0]

@@ -7,15 +7,14 @@ rounds onto the lower one, which would leave a child empty), and the
 split minimizing the summed child squared error is taken. Ties break on
 (cost, feature index, threshold), so the fitted tree is independent of
 scan order. Per-tree RNG streams are derived from the master seed by tree
-index, which makes the forest independent of thread scheduling.
+index, so each tree depends only on the seed and its own index.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -210,6 +209,9 @@ def fit_tree(
 class ForestModel:
     """Trained forest plus the feature schema it expects."""
 
+    kind: ClassVar[str] = "forest"
+    min_history: ClassVar[int] = 1
+
     trees: tuple[RegressionTree, ...]
     feature_names: tuple[str, ...]
     config: ForestConfig
@@ -222,6 +224,9 @@ class ForestModel:
                 f"expected {len(self.feature_names)} features, got shape {row.shape}"
             )
         return float(np.mean([tree.predict_one(row) for tree in self.trees]))
+
+    def predict(self, histories) -> np.ndarray:
+        return np.array([self.predict_row(h.feature_row()) for h in histories], dtype=np.float64)
 
 
 def _fit_one_tree(
@@ -240,33 +245,20 @@ def forest_train(
     table: FeatureTable,
     split: SplitSpec,
     config: ForestConfig,
-    n_jobs: int = 1,
     train_end=None,
 ) -> ForestModel:
     """Fit the forest on the chronological training slice of the table.
 
     Features stay unscaled: trees are invariant to monotone feature maps.
-    The result is identical for any n_jobs because each tree owns its RNG.
     """
     x = table.features[split.train_slice]
     y = table.targets[split.train_slice]
     if len(y) < 2:
         raise TooFewSamples("need at least 2 training rows")
     max_features = config.resolved_max_features(x.shape[1])
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            trees = list(
-                pool.map(lambda i: _fit_one_tree(i, x, y, config, max_features), range(config.n_trees))
-            )
-    else:
-        trees = [_fit_one_tree(i, x, y, config, max_features) for i in range(config.n_trees)]
     return ForestModel(
-        trees=tuple(trees),
+        trees=tuple(_fit_one_tree(i, x, y, config, max_features) for i in range(config.n_trees)),
         feature_names=table.feature_names,
         config=config,
         train_end=train_end,
     )
-
-
-def forest_predict(model: ForestModel, row: np.ndarray) -> float:
-    return model.predict_row(row)

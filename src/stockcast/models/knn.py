@@ -9,6 +9,7 @@ index, so prediction is fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,12 +29,24 @@ class KnnModel:
     price units either way.
     """
 
+    kind: ClassVar[str] = "knn"
+
     k: int
     train_inputs: np.ndarray
     train_targets: np.ndarray
     cv_rmse: dict[int, float]
     scaler: MinMaxScaler | None = None
     train_end: object | None = None
+
+    @property
+    def min_history(self) -> int:
+        return self.train_inputs.shape[1]
+
+    def predict(self, histories) -> np.ndarray:
+        return np.array(
+            [self.predict_window(h.last_closes(self.min_history)) for h in histories],
+            dtype=np.float64,
+        )
 
     def predict_window(self, window: np.ndarray) -> float:
         window = np.asarray(window, dtype=np.float64)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -13,6 +14,8 @@ RIDGE_LAMBDA = 1e-8
 
 @dataclass(frozen=True)
 class LinearModel:
+    kind: ClassVar[str] = "linreg"
+
     coefficients: np.ndarray
     intercept: float
     ridge_fallback: bool
@@ -24,6 +27,16 @@ class LinearModel:
         if row.shape != (self.feature_count,):
             raise SchemaMismatch(f"expected {self.feature_count} features, got {row.shape}")
         return float(row @ self.coefficients + self.intercept)
+
+    @property
+    def min_history(self) -> int:
+        return self.feature_count
+
+    def predict(self, histories) -> np.ndarray:
+        return np.array(
+            [self.predict_row(h.last_closes(self.feature_count)) for h in histories],
+            dtype=np.float64,
+        )
 
 
 def linreg_fit(x: np.ndarray, y: np.ndarray, train_end=None) -> LinearModel:

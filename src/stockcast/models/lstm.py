@@ -397,14 +397,6 @@ def lstm_batch_forward(params: LstmParams, topology: LstmTopology, inputs: np.nd
     return out
 
 
-def lstm_forward(params: LstmParams, topology: LstmTopology, window: np.ndarray) -> float:
-    """Predict one scaled next value from one scaled window."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 1 or len(window) != topology.window:
-        raise ShapeMismatch(f"expected a window of length {topology.window}")
-    return float(lstm_batch_forward(params, topology, window[None, :])[0])
-
-
 def lstm_gradients(
     params: LstmParams,
     topology: LstmTopology,
@@ -475,7 +467,6 @@ def lstm_gradients(
 class NeuralModelArtifact:
     """Trained network plus everything needed to reproduce and apply it."""
 
-    kind: str
     topology: LstmTopology
     params: LstmParams
     scaler: MinMaxScaler | None
@@ -483,6 +474,18 @@ class NeuralModelArtifact:
     seed: int
     best_epoch: int
     train_end: object | None = None  # TradingDate of the last training row
+
+    @property
+    def kind(self) -> str:
+        return "bilstm" if self.topology.bidirectional else "lstm"
+
+    @property
+    def min_history(self) -> int:
+        return self.topology.window
+
+    def predict(self, histories) -> np.ndarray:
+        # no step reads a prediction, so all windows go through one forward
+        return predict_next(self, np.stack([h.last_closes(self.min_history) for h in histories]))
 
 
 def predict_next(artifact: NeuralModelArtifact, recent_closes: np.ndarray) -> np.ndarray:
@@ -508,7 +511,6 @@ def lstm_train(
     config: TrainConfig,
     scaler: MinMaxScaler | None = None,
     train_end=None,
-    kind: str = "lstm",
 ) -> NeuralModelArtifact:
     """Mini-batch Adam training with early stopping on validation RMSE.
 
@@ -591,7 +593,6 @@ def lstm_train(
 
     params.unflatten(best_flat)
     return NeuralModelArtifact(
-        kind=kind,
         topology=topology,
         params=params,
         scaler=scaler,

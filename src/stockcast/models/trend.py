@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -11,6 +12,9 @@ from ..errors import TooFewSamples
 
 @dataclass(frozen=True)
 class TrendModel:
+    kind: ClassVar[str] = "additive"
+    min_history: ClassVar[int] = 1
+
     intercept: float
     slope: float
     n_train: int
@@ -18,6 +22,9 @@ class TrendModel:
 
     def predict_index(self, t: int) -> float:
         return self.intercept + self.slope * t
+
+    def predict(self, histories) -> np.ndarray:
+        return np.array([self.predict_index(h.next_index) for h in histories], dtype=np.float64)
 
 
 def additive_trend_fit(closes: np.ndarray, train_end=None) -> TrendModel:

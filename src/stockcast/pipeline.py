@@ -27,7 +27,7 @@ from .errors import ArtifactError, ConfigError, StockcastError, TooFewSamples
 from .evaluation import ForecastReport, correlation_matrix, walk_forward
 from .ingest import parse_macro_csv, parse_news_file, parse_price_csv
 from .models.arima import arima_fit
-from .models.artifacts import MODEL_KINDS, load_artifact, save_artifact
+from .models.artifacts import load_artifact, save_artifact
 from .models.forest import forest_train
 from .models.knn import knn_fit_cv
 from .models.linear import linreg_fit
@@ -136,7 +136,12 @@ class PipelineData:
 
 
 def train_model(data: PipelineData, kind: str, ticker: str, window: int | None = None):
-    """Fit one model kind for one ticker; returns the model object."""
+    """Fit one model kind for one ticker; returns the model object.
+
+    `window` overrides the configured window length of a windowed kind.
+    """
+    if window is not None and kind not in ("lstm", "bilstm", "linreg", "knn"):
+        raise ConfigError(f"gridsearch supports windowed models, not {kind!r}")
     config = data.config
     panel = data.panel(ticker)
     s = data.row_split(panel)
@@ -152,8 +157,7 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
         split = SplitSpec(n=len(dataset), split_index=s - w)
         topology = replace(config.lstm_topology, window=w, bidirectional=kind == "bilstm")
         return lstm_train(
-            dataset, split, topology, config.lstm_train,
-            scaler=scaler, train_end=train_end, kind=kind,
+            dataset, split, topology, config.lstm_train, scaler=scaler, train_end=train_end
         )
     if kind == "forest":
         table = build_feature_table(panel)
@@ -191,24 +195,6 @@ def artifact_path(out_dir: Path, ticker: str, kind: str) -> Path:
     return out_dir / "artifacts" / f"{ticker}_{kind}.json"
 
 
-def _min_target_row(model) -> int:
-    """First panel row a model can predict (needs its full input history)."""
-    from .models.arima import ArimaModel, difference_poly
-    from .models.knn import KnnModel
-    from .models.linear import LinearModel
-    from .models.lstm import NeuralModelArtifact
-
-    if isinstance(model, NeuralModelArtifact):
-        return model.topology.window
-    if isinstance(model, KnnModel):
-        return model.train_inputs.shape[1]
-    if isinstance(model, LinearModel):
-        return model.feature_count
-    if isinstance(model, ArimaModel):
-        return len(difference_poly(model.spec))
-    return 1
-
-
 def train_and_save(data: PipelineData, kind: str, ticker: str) -> tuple[Path, dict]:
     """Train, persist, and report final train/validation RMSE for the log."""
     model = train_model(data, kind, ticker)
@@ -218,7 +204,7 @@ def train_and_save(data: PipelineData, kind: str, ticker: str) -> tuple[Path, di
     s = data.row_split(panel)
     entry = walk_forward(model, panel, panel.dates[s:])
     info = {"val_rmse": entry.metrics.rmse, "val_mape": entry.metrics.mape, "n": entry.metrics.n}
-    start = _min_target_row(model)
+    start = model.min_history
     if start < s:
         in_sample = walk_forward(
             model, panel, panel.dates[start:s], enforce_train_boundary=False
@@ -328,8 +314,6 @@ def render_gridsearch_csv(rows: list[tuple[int, float]]) -> str:
 
 def gridsearch_window(data: PipelineData, kind: str, ticker: str) -> list[tuple[int, float]]:
     """Validation RMSE per candidate window length for one windowed model."""
-    if kind not in ("lstm", "bilstm", "linreg", "knn"):
-        raise ConfigError(f"gridsearch supports windowed models, not {kind!r}")
     panel = data.panel(ticker)
     s = data.row_split(panel)
     targets = list(panel.dates[s:])
@@ -339,7 +323,3 @@ def gridsearch_window(data: PipelineData, kind: str, ticker: str) -> list[tuple[
         entry = walk_forward(model, panel, targets)
         results.append((w, entry.metrics.rmse))
     return results
-
-
-def all_model_kinds() -> list[str]:
-    return list(MODEL_KINDS)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyReport
 from .evaluation import ForecastReport, MetricSet, ReportEntry
-from .models.artifacts import MODEL_KINDS
+from .models.artifacts import ALL_KINDS
 
 METRICS_HEADER = ["ticker", "model", "rmse", "mape", "n"]
 SERIES_HEADER = ["date", "split", "actual", "predicted"]
@@ -35,8 +35,7 @@ MODEL_LABELS = {
 
 
 def _model_order(kind: str) -> int:
-    order = list(MODEL_KINDS) + ["persistence"]
-    return order.index(kind) if kind in order else len(order)
+    return ALL_KINDS.index(kind) if kind in ALL_KINDS else len(ALL_KINDS)
 
 
 def render_metrics_csv(report: ForecastReport) -> str:

@@ -20,7 +20,7 @@ from stockcast.cli import main as cli_main
 from stockcast.dataset import SplitSpec, build_feature_table, build_windows, chronological_split, fit_scaler
 from stockcast.evaluation import mape, rmse, walk_forward
 from stockcast.models.arima import ArimaModel, ArimaSpec, arima_fit
-from stockcast.models.artifacts import MODEL_KINDS, dumps_artifact
+from stockcast.models.artifacts import MODEL_KINDS
 from stockcast.models.forest import ForestConfig, fit_tree, forest_train
 from stockcast.models.knn import KnnModel
 from stockcast.models.linear import linreg_fit
@@ -295,20 +295,6 @@ def test_pipeline_runs_are_byte_identical(double_run):
         assert (root / "run1" / "report" / name).read_bytes() == (
             root / "run2" / "report" / name
         ).read_bytes(), f"{name} differs between runs"
-
-    # forest training is invariant to thread count
-    from stockcast.config import load_config
-    from stockcast.pipeline import PipelineData
-
-    config = load_config(SAMPLE / "config.ini")
-    data = PipelineData(config)
-    panel = data.panel("ALFA")
-    s = data.row_split(panel)
-    table = build_feature_table(panel)
-    split = SplitSpec(n=len(table), split_index=s - 1)
-    serial = forest_train(table, split, config.forest, n_jobs=1)
-    threaded = forest_train(table, split, config.forest, n_jobs=4)
-    assert dumps_artifact(serial) == dumps_artifact(threaded)
 
 
 @criterion("end-to-end")

@@ -83,6 +83,21 @@ def test_evaluate_before_train_names_missing_artifact(mini, tmp_path, capsys):
     assert "AAA_lstm.json" in err and "[evaluate]" in err
 
 
+def test_corrupted_artifact_is_an_evaluate_error(mini, tmp_path, capsys):
+    out_dir = tmp_path / "corrupt"
+    assert run("train", "--config", mini, "--model", "additive", "--ticker", "AAA",
+               "--out", out_dir) == 0
+    path = out_dir / "artifacts" / "AAA_additive.json"
+    doc = json.loads(path.read_text())
+    del doc["payload"]["slope"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("evaluate", "--config", mini, "--model", "additive", "--ticker", "AAA",
+               "--out", out_dir) == 1
+    err = capsys.readouterr().err
+    assert "[evaluate] error:" in err and "slope" in err
+
+
 def test_train_all_then_evaluate_full_flow(mini, tmp_path, capsys):
     out_dir = tmp_path / "flow"
     assert run("train", "--config", mini, "--model", "all", "--ticker", "all", "--out", out_dir) == 0
@@ -131,6 +146,12 @@ def test_gridsearch_window_with_fast_model(mini, tmp_path, capsys):
     assert lines[0] == "window,val_rmse"
     assert len(lines) == 3  # two configured windows
     assert "best window" in capsys.readouterr().out
+
+
+def test_gridsearch_window_rejects_an_unwindowed_model(mini, tmp_path, capsys):
+    assert run("gridsearch-window", "--config", mini, "--model", "arima", "--ticker", "AAA",
+               "--out", tmp_path / "grid") == 1
+    assert "[gridsearch-window] error: gridsearch supports windowed models" in capsys.readouterr().err
 
 
 def test_ticker_outside_universe_fails(mini, capsys):

@@ -119,7 +119,6 @@ def small_neural(panel: AlignedPanel, split_row: int, bidirectional: bool = Fals
     topology = LstmTopology(layer_sizes=(3,), dense_sizes=(1,), window=5,
                             bidirectional=bidirectional)
     return NeuralModelArtifact(
-        kind="bilstm" if bidirectional else "lstm",
         topology=topology,
         params=init_params(topology, seed),
         scaler=fit_scaler(panel.close[:split_row], ("close",)),

@@ -9,7 +9,6 @@ from stockcast.models.forest import (
     ForestModel,
     RegressionTree,
     fit_tree,
-    forest_predict,
     forest_train,
 )
 
@@ -74,7 +73,7 @@ def test_depth_zero_single_tree_predicts_training_mean():
     model = forest_train(table, split, config)
     mean = table.targets[split.train_slice].mean()
     row = table.features[0]
-    assert forest_predict(model, row) == pytest.approx(mean, rel=1e-12)
+    assert model.predict_row(row) == pytest.approx(mean, rel=1e-12)
 
 
 def test_monotone_data_depth_one_splits_in_the_middle():
@@ -83,17 +82,6 @@ def test_monotone_data_depth_one_splits_in_the_middle():
     tree = fit_tree(x, y, max_depth=1)
     assert tree.feature[0] == 0
     assert x[4, 0] < tree.threshold[0] < x[5, 0]
-
-
-def test_forest_same_seed_same_result_any_thread_count():
-    table = small_table(n=60)
-    split = chronological_split(len(table), 0.8)
-    config = ForestConfig(n_trees=12, seed=42)
-    serial = forest_train(table, split, config, n_jobs=1)
-    threaded = forest_train(table, split, config, n_jobs=4)
-    assert dumps_artifact(serial) == dumps_artifact(threaded)
-    row = table.features[-1]
-    assert forest_predict(serial, row) == forest_predict(threaded, row)
 
 
 def test_forest_prediction_invariant_to_tree_order():
@@ -107,7 +95,7 @@ def test_forest_prediction_invariant_to_tree_order():
         config=model.config,
         train_end=model.train_end,
     )
-    assert forest_predict(model, row) == pytest.approx(forest_predict(shuffled, row), abs=1e-12)
+    assert model.predict_row(row) == pytest.approx(shuffled.predict_row(row), abs=1e-12)
 
 
 def test_forest_of_identical_stumps_predicts_their_constant():
@@ -121,7 +109,7 @@ def test_forest_of_identical_stumps_predicts_their_constant():
     model = ForestModel(
         trees=(stump, stump, stump), feature_names=("a", "b"), config=ForestConfig(n_trees=3)
     )
-    assert forest_predict(model, np.array([0.0, 1.0])) == 41.5
+    assert model.predict_row(np.array([0.0, 1.0])) == 41.5
 
 
 def test_forest_schema_mismatch():
@@ -129,7 +117,7 @@ def test_forest_schema_mismatch():
     split = chronological_split(len(table), 0.8)
     model = forest_train(table, split, ForestConfig(n_trees=2, seed=0))
     with pytest.raises(SchemaMismatch):
-        forest_predict(model, np.zeros(3))
+        model.predict_row(np.zeros(3))
 
 
 def test_forest_too_few_samples():

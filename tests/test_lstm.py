@@ -15,7 +15,6 @@ from stockcast.models.lstm import (
     _forward_batch,
     init_params,
     lstm_batch_forward,
-    lstm_forward,
     lstm_gradients,
     lstm_train,
     predict_next,
@@ -34,6 +33,11 @@ def randomized_params(topology: LstmTopology, seed: int = 5) -> LstmParams:
     rng = np.random.Generator(np.random.PCG64(seed))
     params.unflatten(flat + rng.normal(0, 0.1, flat.shape))
     return params
+
+
+def forward_one(params: LstmParams, topology: LstmTopology, window) -> float:
+    """The scaled prediction for one window, through the batched forward."""
+    return float(lstm_batch_forward(params, topology, np.asarray(window)[None, :])[0])
 
 
 def numeric_gradient(params: LstmParams, topology, x, y, h=1e-5) -> np.ndarray:
@@ -61,14 +65,14 @@ def test_zero_params_output_is_final_dense_bias():
     params = init_params(topology, 0)
     params.unflatten(np.zeros(params.flatten().size))
     params.dense[-1].b[0] = 0.625
-    assert lstm_forward(params, topology, np.array([0.1, 0.5, -0.2, 0.9])) == 0.625
+    assert forward_one(params, topology, np.array([0.1, 0.5, -0.2, 0.9])) == 0.625
 
 
 def test_forward_is_deterministic():
     topology = small_topology()
     params = randomized_params(topology)
     window = RNG.normal(0, 1, 8)
-    assert lstm_forward(params, topology, window) == lstm_forward(params, topology, window)
+    assert forward_one(params, topology, window) == forward_one(params, topology, window)
 
 
 def test_tiny_network_matches_hand_computed_recurrence():
@@ -111,7 +115,7 @@ def test_tiny_network_matches_hand_computed_recurrence():
         h = [o[u] * math.tanh(c[u]) for u in range(2)]
     expected = h[0] * dense_w[0][0] + h[1] * dense_w[1][0] + dense_b[0]
 
-    got = lstm_forward(params, topology, np.array(window))
+    got = forward_one(params, topology, np.array(window))
     assert abs(got - expected) < 1e-12
 
 
@@ -180,19 +184,19 @@ def test_bidirectional_differs_on_non_palindromic_window():
     window = RNG.normal(0, 1, 10)
     uni = LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=10, bidirectional=False)
     bi = LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=10, bidirectional=True)
-    out_uni = lstm_forward(init_params(uni, 3), uni, window)
+    out_uni = forward_one(init_params(uni, 3), uni, window)
     params_bi = init_params(bi, 3)
-    out_bi = lstm_forward(params_bi, bi, window)
+    out_bi = forward_one(params_bi, bi, window)
     assert out_uni != out_bi
     # and the reversed window changes the bidirectional output too
-    assert lstm_forward(params_bi, bi, window[::-1]) != out_bi
+    assert forward_one(params_bi, bi, window[::-1]) != out_bi
 
 
 def test_shape_mismatch_errors():
     topology = small_topology()
     params = init_params(topology, 0)
     with pytest.raises(ShapeMismatch):
-        lstm_forward(params, topology, np.zeros(5))
+        lstm_batch_forward(params, topology, np.zeros((1, 5)))
 
 
 def make_sine_dataset(n=260, window=12):
@@ -249,7 +253,6 @@ def test_predict_next_inverse_scaling_plumbing(monkeypatch):
     params = init_params(topology, 0)
     scaler = fit_scaler(np.array([100.0, 200.0]))
     artifact = NeuralModelArtifact(
-        kind="lstm",
         topology=topology,
         params=params,
         scaler=scaler,
@@ -287,7 +290,6 @@ def test_batched_predict_next_matches_one_window_at_a_time(bidirectional):
     topology = LstmTopology(layer_sizes=(5, 3), dense_sizes=(4, 1), window=9,
                             bidirectional=bidirectional, dense_activation="relu")
     artifact = NeuralModelArtifact(
-        kind="bilstm" if bidirectional else "lstm",
         topology=topology,
         params=randomized_params(topology, seed=21),
         scaler=fit_scaler(np.array([80.0, 140.0])),
@@ -314,7 +316,7 @@ def test_dropout_training_runs_and_is_deterministic():
     assert np.all(np.isfinite(a.params.flatten()))
     # inference never applies dropout: repeated calls agree
     window = dataset.inputs[0]
-    assert lstm_forward(a.params, topology, window) == lstm_forward(a.params, topology, window)
+    assert forward_one(a.params, topology, window) == forward_one(a.params, topology, window)
 
 
 def test_artifact_round_trip_bit_exact():
