@@ -94,7 +94,22 @@ class ArimaModel:
         return len(difference_poly(self.spec))
 
     def predict(self, histories) -> np.ndarray:
-        return np.array([one_step_forecast(self, h.all_closes()) for h in histories], dtype=np.float64)
+        """`one_step_forecast` of every history, from one residual pass.
+
+        The histories must be prefixes of one series, as the walk-forward's
+        slices of one panel are. The residuals are conditional with a zero
+        start, so e[:n] depends on w[:n] only: the longest history is
+        differenced and filtered once, and each forecast reads its prefix of
+        `w` and `e`.
+        """
+        series = [np.asarray(h.all_closes(), dtype=np.float64) for h in histories]
+        longest = max(series, key=len)
+        c = difference_poly(self.spec)
+        _check_covers(min(series, key=len), c)
+        w = apply_differencing(longest, self.spec)
+        a, m = _fitted_polys(self)
+        e = _residuals(w, a, m)
+        return np.array([_next_value(y, w, e, a, m, c) for y in series], dtype=np.float64)
 
 
 def difference_poly(spec: ArimaSpec) -> np.ndarray:
@@ -212,25 +227,30 @@ def arima_fit(series: np.ndarray, spec: ArimaSpec = ArimaSpec(), train_end=None)
     )
 
 
-def one_step_forecast(model: ArimaModel, history: np.ndarray) -> float:
-    """Mean forecast of the next value given raw history through today.
-
-    Runs the residual recursion over the differenced history with the
-    fitted coefficients, forecasts the next differenced value with the
-    future shock set to zero, then inverts the differencing.
-    """
-    history = np.asarray(history, dtype=np.float64)
-    c = difference_poly(model.spec)
-    if len(history) < len(c):
-        raise ShapeMismatch(f"history must cover at least {len(c)} observations")
-    w = apply_differencing(history, model.spec)
+def _fitted_polys(model: ArimaModel) -> tuple[np.ndarray, np.ndarray]:
     params = {
         "ar": model.ar, "seasonal_ar": model.seasonal_ar,
         "ma": model.ma, "seasonal_ma": model.seasonal_ma,
     }
-    a, m = _expanded_polys(params, model.spec)
-    e = _residuals(w, a, m)
-    n = len(w)
+    return _expanded_polys(params, model.spec)
+
+
+def _check_covers(history: np.ndarray, c: np.ndarray) -> None:
+    if len(history) < len(c):
+        raise ShapeMismatch(f"history must cover at least {len(c)} observations")
+
+
+def _next_value(
+    history: np.ndarray, w: np.ndarray, e: np.ndarray, a: np.ndarray, m: np.ndarray,
+    c: np.ndarray,
+) -> float:
+    """Forecast after `history`, whose differenced values and residuals are
+    the first len(history) - len(c) + 1 entries of `w` and `e`.
+
+    Forecasts the next differenced value with the future shock set to zero,
+    then inverts the differencing.
+    """
+    n = len(history) - len(c) + 1
     w_next = 0.0
     for k in range(1, min(n, len(a) - 1) + 1):
         w_next -= a[k] * w[n - k]
@@ -240,6 +260,20 @@ def one_step_forecast(model: ArimaModel, history: np.ndarray) -> float:
     for k in range(1, len(c)):
         y_next -= c[k] * history[len(history) - k]
     return float(y_next)
+
+
+def one_step_forecast(model: ArimaModel, history: np.ndarray) -> float:
+    """Mean forecast of the next value given raw history through today.
+
+    Runs the residual recursion over the differenced history with the
+    fitted coefficients, then forecasts one step from its end.
+    """
+    history = np.asarray(history, dtype=np.float64)
+    c = difference_poly(model.spec)
+    _check_covers(history, c)
+    w = apply_differencing(history, model.spec)
+    a, m = _fitted_polys(model)
+    return _next_value(history, w, _residuals(w, a, m), a, m, c)
 
 
 def arima_forecast(model: ArimaModel, horizon: int = 1) -> float:

@@ -29,6 +29,9 @@ FORMAT_VERSION = 1
 
 MODEL_KINDS = ("lstm", "bilstm", "linreg", "arima", "knn", "additive", "forest")
 ALL_KINDS = MODEL_KINDS + ("persistence",)
+# the kinds that read the panel's sentiment columns; every other kind sees
+# prices only, so its panel is built without parsing or scoring the news
+SENTIMENT_KINDS = ("forest",)
 
 
 def _arr(a) -> list:

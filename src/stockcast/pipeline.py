@@ -27,7 +27,7 @@ from .errors import ArtifactError, ConfigError, StockcastError, TooFewSamples
 from .evaluation import ForecastReport, correlation_matrix, walk_forward
 from .ingest import parse_macro_csv, parse_news_file, parse_price_csv
 from .models.arima import arima_fit
-from .models.artifacts import load_artifact, save_artifact
+from .models.artifacts import SENTIMENT_KINDS, load_artifact, save_artifact
 from .models.forest import forest_train
 from .models.knn import knn_fit_cv
 from .models.linear import linreg_fit
@@ -60,7 +60,7 @@ class PipelineData:
         self._macro = None
         self._news = None
         self._sentiment: dict[str, list[DailySentiment]] = {}
-        self._panels: dict[str, AlignedPanel] = {}
+        self._panels: dict[tuple[str, bool], AlignedPanel] = {}
 
     @property
     def lexicon(self):
@@ -117,12 +117,15 @@ class PipelineData:
             )
         return self._sentiment[ticker]
 
-    def panel(self, ticker: str) -> AlignedPanel:
-        if ticker not in self._panels:
-            self._panels[ticker] = align_panel(
-                self.prices(ticker).series, self.macro, sentiment=self.sentiment_records(ticker)
+    def panel(self, ticker: str, sentiment: bool = True) -> AlignedPanel:
+        """The aligned panel of `ticker`; without `sentiment` the news file is never read."""
+        key = (ticker, sentiment)
+        if key not in self._panels:
+            records = self.sentiment_records(ticker) if sentiment else None
+            self._panels[key] = align_panel(
+                self.prices(ticker).series, self.macro, sentiment=records
             )
-        return self._panels[ticker]
+        return self._panels[key]
 
     def row_split(self, panel: AlignedPanel) -> int:
         if self.config.split_index is not None:
@@ -143,7 +146,7 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
     if window is not None and kind not in ("lstm", "bilstm", "linreg", "knn"):
         raise ConfigError(f"gridsearch supports windowed models, not {kind!r}")
     config = data.config
-    panel = data.panel(ticker)
+    panel = data.panel(ticker, sentiment=kind in SENTIMENT_KINDS)
     s = data.row_split(panel)
     closes = panel.close
     train_end = panel.dates[s - 1]
@@ -200,7 +203,7 @@ def train_and_save(data: PipelineData, kind: str, ticker: str) -> tuple[Path, di
     model = train_model(data, kind, ticker)
     path = artifact_path(data.config.out_dir, ticker, kind)
     save_artifact(model, path)
-    panel = data.panel(ticker)
+    panel = data.panel(ticker, sentiment=kind in SENTIMENT_KINDS)
     s = data.row_split(panel)
     entry = walk_forward(model, panel, panel.dates[s:])
     info = {"val_rmse": entry.metrics.rmse, "val_mape": entry.metrics.mape, "n": entry.metrics.n}
@@ -232,14 +235,16 @@ def evaluate_models(
         }
     )
     for ticker in tickers:
-        panel = data.panel(ticker)
-        s = data.row_split(panel)
-        targets = list(panel.dates[s:])
-        if predict_date is not None:
-            if predict_date not in panel.dates:
-                raise ConfigError(f"--predict-date {predict_date} is not a trading date of {ticker}")
-            targets = [predict_date]
         for kind in kinds:
+            panel = data.panel(ticker, sentiment=kind in SENTIMENT_KINDS)
+            s = data.row_split(panel)
+            targets = list(panel.dates[s:])
+            if predict_date is not None:
+                if predict_date not in panel.dates:
+                    raise ConfigError(
+                        f"--predict-date {predict_date} is not a trading date of {ticker}"
+                    )
+                targets = [predict_date]
             path = artifact_path(config.out_dir, ticker, kind)
             if not path.exists():
                 raise ArtifactError(f"missing artifact for {ticker}/{kind}: {path} (run train first)")
@@ -258,7 +263,7 @@ def write_report_outputs(data: PipelineData, report: ForecastReport, svg: bool =
     json_path.write_text(report_to_json(report), encoding="utf-8")
     written.append(json_path)
     for ticker in report.tickers():
-        panel = data.panel(ticker)
+        panel = data.panel(ticker, sentiment=False)  # CORRELATION_COLUMNS has no sentiment
         path = out / f"correlation_{ticker}.csv"
         path.write_text(render_correlation_csv(panel), encoding="utf-8")
         written.append(path)
@@ -314,7 +319,7 @@ def render_gridsearch_csv(rows: list[tuple[int, float]]) -> str:
 
 def gridsearch_window(data: PipelineData, kind: str, ticker: str) -> list[tuple[int, float]]:
     """Validation RMSE per candidate window length for one windowed model."""
-    panel = data.panel(ticker)
+    panel = data.panel(ticker, sentiment=kind in SENTIMENT_KINDS)
     s = data.row_split(panel)
     targets = list(panel.dates[s:])
     results = []

@@ -121,16 +121,23 @@ def _trailing_exclaim_bonus(text: str) -> float:
     return min(count, MAX_EXCLAIM) * EXCLAIM_INCREMENT
 
 
-def valence_sum(text: str, lexicon: Lexicon) -> float:
-    """Signed valence sum S including punctuation emphasis (pre-normalization)."""
-    valences = token_valences(text, lexicon)
+def _signed_sum(valences: list[float], text: str) -> tuple[float, float]:
+    """Signed valence sum S of a text's token valences, and its `!` bonus.
+
+    The bonus is added away from zero; a zero sum stays zero.
+    """
     total = math.fsum(valences)
     bonus = _trailing_exclaim_bonus(text)
     if total > 0:
         total += bonus
     elif total < 0:
         total -= bonus
-    return total
+    return total, bonus
+
+
+def valence_sum(text: str, lexicon: Lexicon) -> float:
+    """Signed valence sum S including punctuation emphasis (pre-normalization)."""
+    return _signed_sum(token_valences(text, lexicon), text)[0]
 
 
 def score_text(text: str, lexicon: Lexicon) -> SentimentScore:
@@ -143,12 +150,7 @@ def score_text(text: str, lexicon: Lexicon) -> SentimentScore:
     if not valences:
         return EMPTY_SCORE
 
-    total = math.fsum(valences)
-    bonus = _trailing_exclaim_bonus(text)
-    if total > 0:
-        total += bonus
-    elif total < 0:
-        total -= bonus
+    total, bonus = _signed_sum(valences, text)
     compound = total / math.sqrt(total * total + COMPOUND_ALPHA)
     compound = max(-1.0, min(1.0, compound))
 

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from stockcast.config import load_config
 from stockcast.dataset import build_windows, chronological_split
 from stockcast.errors import SeriesTooShort, TooFewSamples
+from stockcast.evaluation import HistorySlice
 from stockcast.models.arima import (
     ArimaModel,
     ArimaSpec,
@@ -16,6 +20,11 @@ from stockcast.models.arima import (
 from stockcast.models.knn import KnnModel, knn_fit_cv
 from stockcast.models.linear import linreg_fit
 from stockcast.models.trend import additive_trend_fit
+from stockcast.pipeline import PipelineData, train_model
+
+from conftest import make_panel
+
+SAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "sample_data" / "config.ini"
 
 
 # --- linear regression ---------------------------------------------------
@@ -200,6 +209,29 @@ def test_hand_recursion_three_steps():
 def test_series_too_short():
     with pytest.raises(SeriesTooShort):
         arima_fit(np.arange(50.0), ArimaSpec())
+
+
+def assert_walk_forward_equals_per_step(model: ArimaModel, panel, split_row: int) -> None:
+    """One `predict` over every history equals one `one_step_forecast` per history."""
+    histories = [HistorySlice(panel, end=j - 1) for j in range(model.min_history, len(panel))]
+    batched = model.predict(histories)
+    per_step = np.array([one_step_forecast(model, h.all_closes()) for h in histories])
+    cut = split_row - model.min_history
+    np.testing.assert_array_equal(batched[cut:], per_step[cut:])  # validation rows
+    np.testing.assert_array_equal(batched[:cut], per_step[:cut])  # in-sample rows
+
+
+def test_walk_forward_equals_per_step_forecasts_on_a_random_walk():
+    panel = make_panel(n=300, seed=11)
+    model = arima_fit(panel.close[:240], ArimaSpec())
+    assert_walk_forward_equals_per_step(model, panel, 240)
+
+
+def test_walk_forward_equals_per_step_forecasts_on_the_sample():
+    data = PipelineData(load_config(SAMPLE_CONFIG))
+    model = train_model(data, "arima", "ALFA")
+    panel = data.panel("ALFA", sentiment=False)
+    assert_walk_forward_equals_per_step(model, panel, data.row_split(panel))
 
 
 # --- additive trend -------------------------------------------------------

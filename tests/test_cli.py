@@ -10,6 +10,8 @@ import stockcast
 from stockcast.cli import main
 from stockcast.config import load_config
 from stockcast.errors import ConfigError
+from stockcast.models.artifacts import ALL_KINDS, SENTIMENT_KINDS
+from stockcast.pipeline import PipelineData
 
 from mini_data import write_mini_dataset
 
@@ -128,8 +130,6 @@ def test_predict_date_gives_single_row(mini, tmp_path, capsys):
     assert run("train", "--config", mini, "--model", "additive", "--ticker", "AAA",
                "--out", out_dir) == 0
     config = load_config(mini, out_override=out_dir)
-    from stockcast.pipeline import PipelineData
-
     last_date = PipelineData(config).panel("AAA").dates[-1]
     assert run("evaluate", "--config", mini, "--model", "additive", "--ticker", "AAA",
                "--out", out_dir, "--predict-date", last_date.isoformat()) == 0
@@ -152,6 +152,59 @@ def test_gridsearch_window_rejects_an_unwindowed_model(mini, tmp_path, capsys):
     assert run("gridsearch-window", "--config", mini, "--model", "arima", "--ticker", "AAA",
                "--out", tmp_path / "grid") == 1
     assert "[gridsearch-window] error: gridsearch supports windowed models" in capsys.readouterr().err
+
+
+NEWS_READERS = ("parse_news_file", "aggregate_daily")
+
+
+def refuse(name: str):
+    def refusing(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refusing
+
+
+def train_and_evaluate(config, out_dir, kind: str) -> dict:
+    """Report bytes of `evaluate` and of `evaluate --predict-date` after `train`."""
+    common = ["--config", config, "--model", kind, "--out", out_dir]
+    assert run("train", *common) == 0
+    last_date = PipelineData(load_config(config)).panel("AAA", sentiment=False).dates[-1]
+    outputs = {}
+    for extra in ((), ("--predict-date", last_date.isoformat())):
+        assert run("evaluate", *common, *extra) == 0
+        for name in ("metrics.csv", "forecast_report.json"):
+            outputs[extra, name] = (out_dir / "report" / name).read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k not in SENTIMENT_KINDS])
+def test_price_only_kinds_never_read_the_news(mini, tmp_path, monkeypatch, kind):
+    expected = train_and_evaluate(mini, tmp_path / "read", kind)
+    for name in NEWS_READERS:
+        monkeypatch.setattr(f"stockcast.pipeline.{name}", refuse(name))
+    assert train_and_evaluate(mini, tmp_path / "unread", kind) == expected
+
+
+@pytest.mark.parametrize("name", NEWS_READERS)
+def test_the_forest_reads_the_news(mini, tmp_path, monkeypatch, name):
+    monkeypatch.setattr(f"stockcast.pipeline.{name}", refuse(name))
+    with pytest.raises(AssertionError, match=f"{name} was called"):
+        run("train", "--config", mini, "--model", "forest", "--out", tmp_path)
+
+
+@pytest.mark.parametrize("bad_row", ["not-a-date,AAA,headline", "2030-01-02,AAA,late news"])
+def test_a_bad_news_file_fails_only_the_commands_that_read_it(tmp_path, capsys, bad_row):
+    config = write_mini_dataset(tmp_path / "data")
+    with (config.parent / "news.csv").open("a") as fh:
+        fh.write(bad_row + "\n")
+    out_dir = tmp_path / "out"
+    for command, *args in (("train", "--model", "linreg"), ("evaluate", "--model", "linreg"),
+                           ("gridsearch-window", "--model", "knn")):
+        assert run(command, *args, "--config", config, "--out", out_dir) == 0
+    for command, *args in (("train", "--model", "forest"), ("sentiment",), ("ingest-check",)):
+        capsys.readouterr()
+        assert run(command, *args, "--config", config, "--out", out_dir) == 1
+        assert f"[{command}] error:" in capsys.readouterr().err
 
 
 def test_ticker_outside_universe_fails(mini, capsys):
