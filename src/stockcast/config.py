@@ -17,6 +17,7 @@ from .models.arima import ArimaSpec
 from .models.forest import ForestConfig
 from .models.lstm import LstmTopology, TrainConfig
 from .sentiment import PreprocessConfig
+from .series import MACRO_COLUMNS
 
 WINDOW_MIN, WINDOW_MAX = 5, 250
 
@@ -28,7 +29,7 @@ class RunConfig:
     config_path: Path
     tickers: tuple[str, ...]
     price_paths: dict[str, Path]
-    macro_paths: dict[str, Path]          # gold/brent/gsec/usd_inr
+    macro_paths: dict[str, Path]          # keyed by MACRO_COLUMNS
     news_path: Path
     lexicon_path: Path | None
     stopwords_path: Path | None
@@ -104,7 +105,7 @@ def load_config(
         price_paths[ticker] = _resolve_path(base, "paths", key, _require(parser, "paths", key))
     macro_paths = {
         name: _resolve_path(base, "paths", f"macro_{name}", _require(parser, "paths", f"macro_{name}"))
-        for name in ("gold", "brent", "gsec", "usd_inr")
+        for name in MACRO_COLUMNS
     }
     news_path = _resolve_path(base, "paths", "news", _require(parser, "paths", "news"))
     lexicon_raw = _get(parser, "paths", "lexicon")

@@ -22,13 +22,6 @@ class EmptyIntersection(StockcastError):
     """No macro value exists at or before the first price date."""
 
 
-class GapInStrictMode(StockcastError):
-    def __init__(self, column: str, date) -> None:
-        super().__init__(f"no {column} value on or before {date} under strict alignment")
-        self.column = column
-        self.date = date
-
-
 class DuplicateDate(StockcastError):
     def __init__(self, date) -> None:
         super().__init__(f"duplicate date {date}")

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     UnknownTicker,
 )
-from .series import MacroSeries, PriceBar, PriceSeries, TradingDate
+from .series import MACRO_COLUMNS, POSITIVE_MACRO, MacroSeries, PriceBar, PriceSeries, TradingDate
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 MACRO_HEADER = ["Date", "Value"]
@@ -175,16 +175,13 @@ def write_price_csv(series: PriceSeries) -> str:
     return out.getvalue()
 
 
-_MACRO_POSITIVE = {"gold", "brent", "usd_inr"}
-
-
 def parse_macro_csv(data: bytes | str, column: str) -> ParsedMacro:
     """Parse a two-column macro file into a sorted, duplicate-free series.
 
-    `column` is one of gold/brent/gsec/usd_inr and fixes the positivity
-    requirement (yields may be negative, prices and FX rates may not).
+    `column` is one of MACRO_COLUMNS and fixes the positivity requirement
+    (yields may be negative, prices and FX rates may not).
     """
-    if column not in ("gold", "brent", "gsec", "usd_inr"):
+    if column not in MACRO_COLUMNS:
         raise ValueError(f"unknown macro column {column!r}")
     text = _decode(data)
     rows: list[tuple[TradingDate, float]] = []
@@ -197,7 +194,7 @@ def parse_macro_csv(data: bytes | str, column: str) -> ParsedMacro:
         if value is None:
             skipped += 1
             continue
-        if column in _MACRO_POSITIVE and value <= 0:
+        if column in POSITIVE_MACRO and value <= 0:
             raise ParseError(line, "Value", f"{column} must be > 0, got {value}")
         rows.append((day, value))
     if not rows:

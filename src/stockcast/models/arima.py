@@ -14,6 +14,7 @@ that exhausts the budget is returned flagged, not discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from typing import ClassVar
 
 import numpy as np
@@ -87,7 +88,7 @@ class ArimaModel:
     converged: bool
     n_evals: int
     css: float
-    train_end: object | None = None
+    train_end: date | None = None
 
     @property
     def min_history(self) -> int:

@@ -1,31 +1,36 @@
 """Versioned JSON envelope for trained model artifacts.
 
-Floats are emitted at full repr precision, so serialization round-trips
-bit-exactly; no timestamps or other run-varying fields are written, so a
-rerun with the same seed produces byte-identical files.
+The payload is the model dataclass itself: `_encode` writes its fields,
+and `_decode` rebuilds them from the class's type hints, naming the path
+of any missing or unknown key or wrongly typed value. Floats are emitted
+at full repr precision, so serialization round-trips bit-exactly; no
+timestamps or other run-varying fields are written, so a rerun with the
+same seed produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields, is_dataclass
 from datetime import date
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..dataset import MinMaxScaler
-from ..errors import ArtifactError
-from .arima import ArimaModel, ArimaSpec
-from .forest import ForestConfig, ForestModel, RegressionTree
+from ..errors import ArtifactError, SchemaMismatch
+from .arima import ArimaModel
+from .forest import ForestModel
 from .knn import KnnModel
 from .linear import LinearModel
-from .lstm import DenseParams, LayerParams, LstmParams, LstmTopology, NeuralModelArtifact
+from .lstm import NeuralModelArtifact
 from .persistence import PersistenceModel
 from .trend import TrendModel
 
 FORMAT_NAME = "stockcast-artifact"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MODEL_KINDS = ("lstm", "bilstm", "linreg", "arima", "knn", "additive", "forest")
 ALL_KINDS = MODEL_KINDS + ("persistence",)
@@ -34,199 +39,125 @@ ALL_KINDS = MODEL_KINDS + ("persistence",)
 SENTIMENT_KINDS = ("forest",)
 
 
-def _arr(a) -> list:
-    return np.asarray(a, dtype=np.float64).tolist()
-
-
-def _date(d) -> str | None:
-    return None if d is None else d.isoformat()
-
-
-def _parse_date(s) -> date | None:
-    return None if s is None else date.fromisoformat(s)
-
-
-def _scaler_payload(scaler: MinMaxScaler | None) -> dict | None:
-    if scaler is None:
-        return None
-    return {
-        "mins": _arr(scaler.mins),
-        "maxs": _arr(scaler.maxs),
-        "feature_names": list(scaler.feature_names),
-    }
-
-
-def _scaler_from(payload: dict | None) -> MinMaxScaler | None:
-    if payload is None:
-        return None
-    return MinMaxScaler(
-        mins=np.asarray(payload["mins"], dtype=np.float64),
-        maxs=np.asarray(payload["maxs"], dtype=np.float64),
-        feature_names=tuple(payload["feature_names"]),
-    )
-
-
-def _neural_payload(model: NeuralModelArtifact) -> dict:
-    def layer(l: LayerParams) -> dict:
-        return {"w_x": _arr(l.w_x), "w_h": _arr(l.w_h), "b": _arr(l.b)}
-
-    return {
-        "topology": asdict(model.topology),
-        "params": {
-            "layers": [layer(l) for l in model.params.layers],
-            "backward_layers": [layer(l) for l in model.params.backward_layers],
-            "dense": [{"w": _arr(d.w), "b": _arr(d.b)} for d in model.params.dense],
-        },
-        "scaler": _scaler_payload(model.scaler),
-        "history": list(model.history),
-        "seed": model.seed,
-        "best_epoch": model.best_epoch,
-        "train_end": _date(model.train_end),
-    }
-
-
-def _neural_from(payload: dict) -> NeuralModelArtifact:
-    def layer(d: dict) -> LayerParams:
-        return LayerParams(
-            w_x=np.asarray(d["w_x"], dtype=np.float64),
-            w_h=np.asarray(d["w_h"], dtype=np.float64),
-            b=np.asarray(d["b"], dtype=np.float64),
-        )
-
-    params = LstmParams(
-        layers=[layer(d) for d in payload["params"]["layers"]],
-        backward_layers=[layer(d) for d in payload["params"]["backward_layers"]],
-        dense=[
-            DenseParams(np.asarray(d["w"], dtype=np.float64), np.asarray(d["b"], dtype=np.float64))
-            for d in payload["params"]["dense"]
-        ],
-    )
-    return NeuralModelArtifact(
-        topology=LstmTopology(**payload["topology"]),
-        params=params,
-        scaler=_scaler_from(payload["scaler"]),
-        history=tuple(payload["history"]),
-        seed=payload["seed"],
-        best_epoch=payload["best_epoch"],
-        train_end=_parse_date(payload["train_end"]),
-    )
-
-
-def _forest_payload(model: ForestModel) -> dict:
-    return {
-        "config": asdict(model.config),
-        "feature_names": list(model.feature_names),
-        "trees": [
-            {
-                "feature": np.asarray(t.feature).tolist(),
-                "threshold": _arr(t.threshold),
-                "left": np.asarray(t.left).tolist(),
-                "right": np.asarray(t.right).tolist(),
-                "value": _arr(t.value),
-            }
-            for t in model.trees
-        ],
-        "train_end": _date(model.train_end),
-    }
-
-
-def _forest_from(payload: dict) -> ForestModel:
-    trees = tuple(
-        RegressionTree(
-            feature=np.asarray(t["feature"], dtype=np.int64),
-            threshold=np.asarray(t["threshold"], dtype=np.float64),
-            left=np.asarray(t["left"], dtype=np.int64),
-            right=np.asarray(t["right"], dtype=np.int64),
-            value=np.asarray(t["value"], dtype=np.float64),
-        )
-        for t in payload["trees"]
-    )
-    return ForestModel(
-        trees=trees,
-        feature_names=tuple(payload["feature_names"]),
-        config=ForestConfig(**payload["config"]),
-        train_end=_parse_date(payload["train_end"]),
-    )
-
-
-def _fields_payload(model, arrays: tuple[str, ...] = ()) -> dict:
-    """A model's own fields as its payload: `arrays` as float lists, train_end as ISO text."""
-    payload = {f.name: getattr(model, f.name) for f in fields(model)}
-    for name in arrays:
-        payload[name] = _arr(payload[name])
-    payload["train_end"] = _date(model.train_end)
-    return payload
-
-
-def _from_fields(cls, payload: dict, arrays: tuple[str, ...] = ()):
-    """Inverse of _fields_payload: every payload key is a constructor argument."""
-    kwargs = dict(payload, train_end=_parse_date(payload["train_end"]))
-    for name in arrays:
-        kwargs[name] = np.asarray(kwargs[name], dtype=np.float64)
-    return cls(**kwargs)
-
-
-_KNN_ARRAYS = ("train_inputs", "train_targets")
-
-
-def _knn_payload(model: KnnModel) -> dict:
-    payload = _fields_payload(model, _KNN_ARRAYS)
-    payload["cv_rmse"] = {str(k): v for k, v in model.cv_rmse.items()}
-    payload["scaler"] = _scaler_payload(model.scaler)
-    return payload
-
-
-def _knn_from(payload: dict) -> KnnModel:
-    cv_rmse = {int(k): v for k, v in payload["cv_rmse"].items()}
-    scaler = _scaler_from(payload["scaler"])
-    return _from_fields(KnnModel, dict(payload, cv_rmse=cv_rmse, scaler=scaler), _KNN_ARRAYS)
-
-
-_ARIMA_ARRAYS = ("ar", "seasonal_ar", "ma", "seasonal_ma", "train_series")
-_ARIMA_SPEC_KEYS = ("order", "seasonal_order", "max_evals")
-
-
-def _arima_payload(model: ArimaModel) -> dict:
-    payload = _fields_payload(model, _ARIMA_ARRAYS)
-    payload.update(asdict(payload.pop("spec")))  # the spec's keys sit at the top level
-    return payload
-
-
-def _arima_from(payload: dict) -> ArimaModel:
-    spec = ArimaSpec(
-        order=tuple(payload["order"]),
-        seasonal_order=tuple(payload["seasonal_order"]),
-        max_evals=payload["max_evals"],
-    )
-    rest = {k: v for k, v in payload.items() if k not in _ARIMA_SPEC_KEYS}
-    return _from_fields(ArimaModel, dict(rest, spec=spec), _ARIMA_ARRAYS)
-
-
-# kind -> (model to payload, payload to model)
-_CODECS = {
-    "lstm": (_neural_payload, _neural_from),
-    "bilstm": (_neural_payload, _neural_from),
-    "linreg": (
-        lambda model: _fields_payload(model, ("coefficients",)),
-        lambda payload: _from_fields(LinearModel, payload, ("coefficients",)),
-    ),
-    "arima": (_arima_payload, _arima_from),
-    "knn": (_knn_payload, _knn_from),
-    "additive": (_fields_payload, lambda payload: _from_fields(TrendModel, payload)),
-    "forest": (_forest_payload, _forest_from),
-    "persistence": (_fields_payload, lambda payload: _from_fields(PersistenceModel, payload)),
+# kind -> the model class its payload decodes to
+_CLASSES = {
+    "lstm": NeuralModelArtifact,
+    "bilstm": NeuralModelArtifact,
+    "linreg": LinearModel,
+    "arima": ArimaModel,
+    "knn": KnnModel,
+    "additive": TrendModel,
+    "forest": ForestModel,
+    "persistence": PersistenceModel,
 }
+
+# JSON types each scalar annotation accepts (bool is not an int here)
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _encode(value):
+    """Plain JSON data for a dataclass, array, date, or container of them."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in value.items()}
+    return value
+
+
+@cache
+def _field_hints(cls) -> dict:
+    """A dataclass's field names, in order, with their resolved annotations."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _json_type(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _decode(hint, value, where: str):
+    """Inverse of `_encode` for a value annotated `hint`, found at path `where`.
+
+    Every dataclass key must be present and known, and every value must
+    have the JSON type its annotation implies. An array's dtype is float64
+    for a bare `np.ndarray` and declared as `NDArray[...]` otherwise; the
+    JSON's own dtype must cast safely to it, which rejects strings, nulls
+    and 1.5 in an int64 array.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is np.ndarray or origin is np.ndarray:
+        dtype = np.dtype(get_args(args[-1])[0] if args else np.float64)
+        if isinstance(value, bool) or not isinstance(value, (list, int, float)):
+            raise SchemaMismatch(f"{where} must be an array of {dtype}, not {_json_type(value)}")
+        try:
+            array = np.asarray(value)
+        except (TypeError, ValueError) as exc:
+            raise SchemaMismatch(f"{where}: {exc}") from None
+        if not np.can_cast(array.dtype, dtype):
+            raise SchemaMismatch(f"{where} must be an array of {dtype}, not {array.dtype}")
+        return array.astype(dtype, copy=False)
+    if origin in (Union, UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decode(inner, value, where)
+    if is_dataclass(hint) or dict in (hint, origin):
+        if not isinstance(value, dict):
+            raise SchemaMismatch(f"{where} must be an object, not {_json_type(value)}")
+        if hint is dict:
+            return value
+        if origin is dict:
+            key_type, value_type = args
+            try:
+                keys = [key_type(k) for k in value]
+            except ValueError:
+                raise SchemaMismatch(f"{where} keys must be {key_type.__name__} text") from None
+            items = zip(keys, value.values())
+            return {k: _decode(value_type, v, f"{where}[{k!r}]") for k, v in items}
+        hints = _field_hints(hint)
+        unknown = sorted(value.keys() - hints.keys())
+        if unknown:
+            raise SchemaMismatch(f"{where} has unknown key {unknown[0]!r}")
+        missing = [n for n in hints if n not in value]
+        if missing:
+            raise SchemaMismatch(f"{where} lacks key {missing[0]!r}")
+        return hint(**{n: _decode(h, value[n], f"{where}.{n}") for n, h in hints.items()})
+    if origin in (tuple, list):
+        if not isinstance(value, list):
+            raise SchemaMismatch(f"{where} must be a list, not {_json_type(value)}")
+        if origin is list or args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise SchemaMismatch(f"{where} must have {len(args)} items, not {len(value)}")
+        return origin(_decode(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if hint is date:
+        try:
+            return date.fromisoformat(value)
+        except (TypeError, ValueError):
+            raise SchemaMismatch(f"{where} must be an ISO date, not {value!r}") from None
+    if type(value) not in _SCALARS[hint]:
+        raise SchemaMismatch(f"{where} must be {hint.__name__}, not {_json_type(value)}")
+    try:
+        return hint(value)
+    except OverflowError:
+        raise SchemaMismatch(f"{where} is out of range for {hint.__name__}") from None
 
 
 def dumps_artifact(model) -> str:
     kind = getattr(model, "kind", None)
-    if kind not in _CODECS:
+    if kind not in _CLASSES:
         raise ArtifactError(f"cannot serialize model of type {type(model).__name__}")
     doc = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "payload": _CODECS[kind][0](model),
+        "payload": _encode(model),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -241,17 +172,15 @@ def loads_artifact(text: str):
     if doc.get("format_version") != FORMAT_VERSION:
         raise ArtifactError(f"unsupported artifact version {doc.get('format_version')!r}")
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _CODECS:
+    if not isinstance(kind, str) or kind not in _CLASSES:
         raise ArtifactError(f"unknown artifact kind {kind!r}")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise ArtifactError(f"{kind} artifact has no payload object")
     try:
-        model = _CODECS[kind][1](payload)
-    except KeyError as exc:
-        raise ArtifactError(f"{kind} artifact payload lacks {exc}") from None
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise ArtifactError(f"malformed {kind} artifact payload: {exc}") from None
+        model = _decode(_CLASSES[kind], payload, "payload")
+    except (SchemaMismatch, ValueError) as exc:
+        raise ArtifactError(f"malformed {kind} artifact: {exc}") from None
     if model.kind != kind:
         raise ArtifactError(f"artifact kind {kind!r} does not match its {model.kind} payload")
     return model

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from datetime import date
 from typing import ClassVar, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..dataset import FeatureTable, SplitSpec
 from ..errors import SchemaMismatch, TooFewSamples
@@ -51,13 +53,27 @@ class ForestConfig:
 
 @dataclass
 class RegressionTree:
-    """Flat-array binary tree: feature[i] == -1 marks a leaf."""
+    """Flat-array binary tree: feature[i] == -1 marks a leaf.
 
-    feature: np.ndarray
+    A split node's children come after it in the arrays, as `_TreeBuilder`
+    emits them, so every walk from the root ends at a leaf.
+    """
+
+    feature: NDArray[np.int64]
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: NDArray[np.int64]
+    right: NDArray[np.int64]
     value: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.feature.size
+        arrays = (self.feature, self.threshold, self.left, self.right, self.value)
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise ValueError("tree arrays must be non-empty vectors of equal length")
+        split = np.flatnonzero(self.feature != _LEAF)
+        for child in (self.left[split], self.right[split]):
+            if not ((child > split) & (child < n)).all():
+                raise ValueError("tree children must index later nodes of the tree")
 
     def predict_one(self, row: np.ndarray) -> float:
         node = 0
@@ -215,7 +231,13 @@ class ForestModel:
     trees: tuple[RegressionTree, ...]
     feature_names: tuple[str, ...]
     config: ForestConfig
-    train_end: object | None = None
+    train_end: date | None = None
+
+    def __post_init__(self) -> None:
+        p = len(self.feature_names)
+        for tree in self.trees:
+            if tree.feature.max() >= p or tree.feature.min() < _LEAF:
+                raise ValueError(f"tree splits on a feature outside the {p} features")
 
     def predict_row(self, row: np.ndarray) -> float:
         row = np.asarray(row, dtype=np.float64)

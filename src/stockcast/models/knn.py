@@ -9,6 +9,7 @@ index, so prediction is fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from typing import ClassVar
 
 import numpy as np
@@ -36,7 +37,7 @@ class KnnModel:
     train_targets: np.ndarray
     cv_rmse: dict[int, float]
     scaler: MinMaxScaler | None = None
-    train_end: object | None = None
+    train_end: date | None = None
 
     @property
     def min_history(self) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from typing import ClassVar
 
 import numpy as np
@@ -20,7 +21,7 @@ class LinearModel:
     intercept: float
     ridge_fallback: bool
     feature_count: int
-    train_end: object | None = None
+    train_end: date | None = None
 
     def predict_row(self, row: np.ndarray) -> float:
         row = np.asarray(row, dtype=np.float64)

@@ -17,6 +17,7 @@ returned artifact is bit-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import date
 from typing import Sequence
 
 import numpy as np
@@ -473,7 +474,7 @@ class NeuralModelArtifact:
     history: tuple[dict, ...]
     seed: int
     best_epoch: int
-    train_end: object | None = None  # TradingDate of the last training row
+    train_end: date | None = None  # TradingDate of the last training row
 
     @property
     def kind(self) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from typing import ClassVar
 
 import numpy as np
@@ -13,7 +14,7 @@ class PersistenceModel:
     kind: ClassVar[str] = "persistence"
     min_history: ClassVar[int] = 1
 
-    train_end: object | None = None
+    train_end: date | None = None
 
     def predict(self, histories) -> np.ndarray:
         return np.array([h.last_closes(1)[0] for h in histories], dtype=np.float64)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from typing import ClassVar
 
 import numpy as np
@@ -18,7 +19,7 @@ class TrendModel:
     intercept: float
     slope: float
     n_train: int
-    train_end: object | None = None
+    train_end: date | None = None
 
     def predict_index(self, t: int) -> float:
         return self.intercept + self.slope * t

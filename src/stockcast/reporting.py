@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyReport
-from .evaluation import ForecastReport, MetricSet, ReportEntry
-from .models.artifacts import ALL_KINDS
+from .evaluation import ForecastReport, ReportEntry
+from .models.artifacts import ALL_KINDS, _decode, _encode
 
 METRICS_HEADER = ["ticker", "model", "rmse", "mape", "n"]
 SERIES_HEADER = ["date", "split", "actual", "predicted"]
@@ -206,39 +206,8 @@ def emit_report(report: ForecastReport, out_dir: str | Path, svg: bool = False) 
 
 
 def report_to_json(report: ForecastReport) -> str:
-    doc = {
-        "metadata": report.metadata,
-        "entries": [
-            {
-                "ticker": e.ticker,
-                "model": e.model,
-                "dates": [d.isoformat() for d in e.dates],
-                "actual": [float(v) for v in e.actual],
-                "predicted": [float(v) for v in e.predicted],
-                "metrics": {"rmse": e.metrics.rmse, "mape": e.metrics.mape, "n": e.metrics.n},
-                "train_dates": [d.isoformat() for d in e.train_dates],
-                "train_actual": [float(v) for v in e.train_actual],
-            }
-            for e in report.entries
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_encode(report), indent=2, sort_keys=True) + "\n"
 
 
 def report_from_json(text: str) -> ForecastReport:
-    doc = json.loads(text)
-    report = ForecastReport(metadata=doc["metadata"])
-    for e in doc["entries"]:
-        report.add(
-            ReportEntry(
-                ticker=e["ticker"],
-                model=e["model"],
-                dates=tuple(date.fromisoformat(d) for d in e["dates"]),
-                actual=np.asarray(e["actual"], dtype=np.float64),
-                predicted=np.asarray(e["predicted"], dtype=np.float64),
-                metrics=MetricSet(**e["metrics"]),
-                train_dates=tuple(date.fromisoformat(d) for d in e["train_dates"]),
-                train_actual=np.asarray(e["train_actual"], dtype=np.float64),
-            )
-        )
-    return report
+    return _decode(ForecastReport, json.loads(text), "report")

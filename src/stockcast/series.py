@@ -12,12 +12,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateDate, EmptyIntersection, GapInStrictMode
+from .errors import DuplicateDate, EmptyIntersection
 
 TradingDate = date
 
@@ -25,12 +24,7 @@ MACRO_COLUMNS = ("gold", "brent", "gsec", "usd_inr")
 
 # columns that must stay strictly positive (yields may legitimately go
 # negative, exchange rates and commodity prices may not)
-_POSITIVE_MACRO = {"gold", "brent", "usd_inr"}
-
-
-class FillPolicy(Enum):
-    FORWARD_FILL = "forward_fill"
-    STRICT = "strict"
+POSITIVE_MACRO = frozenset({"gold", "brent", "usd_inr"})
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,7 @@ class MacroSeries:
         for d, v in zip(self.dates, self.values):
             if not math.isfinite(v):
                 raise ValueError(f"{self.name} on {d}: value must be finite")
-            if self.name in _POSITIVE_MACRO and v <= 0:
+            if self.name in POSITIVE_MACRO and v <= 0:
                 raise ValueError(f"{self.name} on {d}: value must be > 0")
 
     def __len__(self) -> int:
@@ -125,11 +119,6 @@ class MacroPanel:
     brent: MacroSeries
     gsec: MacroSeries
     usd_inr: MacroSeries
-
-    def column(self, name: str) -> MacroSeries:
-        if name not in MACRO_COLUMNS:
-            raise KeyError(name)
-        return getattr(self, name)
 
     def columns(self) -> Iterable[tuple[str, MacroSeries]]:
         return ((name, getattr(self, name)) for name in MACRO_COLUMNS)
@@ -201,18 +190,16 @@ def align_panel(
     prices: PriceSeries,
     macro: MacroPanel,
     sentiment: Sequence | None = None,
-    fill_policy: FillPolicy = FillPolicy.FORWARD_FILL,
 ) -> AlignedPanel:
     """Join prices, macro series, and optional daily sentiment on the price calendar.
 
-    Macro gaps are filled with the most recent earlier value under
-    FORWARD_FILL; under STRICT any missing macro date is an error. Sentiment
+    Macro gaps are filled with the most recent earlier value. Sentiment
     gaps always get the neutral default record (a day without news is a
     legitimate state, not a data gap). `sentiment` is a sequence of
     DailySentiment records, at most one per date.
 
     Raises EmptyIntersection when a macro column has no value at or before
-    the first price date, and GapInStrictMode for strict-mode gaps.
+    the first price date.
     """
     if len(prices) == 0:
         raise ValueError("price series is empty")
@@ -223,24 +210,16 @@ def align_panel(
         first = series.value_on_or_before(dates[0])
         if first is None:
             raise EmptyIntersection(f"no {name} value on or before {dates[0]}")
-        if fill_policy is FillPolicy.STRICT:
-            available = set(series.dates)
-            for d in dates:
-                if d not in available:
-                    raise GapInStrictMode(name, d)
-            by_date = dict(zip(series.dates, series.values))
-            columns[name] = np.array([by_date[d] for d in dates], dtype=np.float64)
-        else:
-            # walk both calendars once; carry the latest earlier value
-            out = np.empty(len(dates), dtype=np.float64)
-            j = 0
-            current = first
-            for k, d in enumerate(dates):
-                while j < len(series.dates) and series.dates[j] <= d:
-                    current = series.values[j]
-                    j += 1
-                out[k] = current
-            columns[name] = out
+        # walk both calendars once; carry the latest earlier value
+        out = np.empty(len(dates), dtype=np.float64)
+        j = 0
+        current = first
+        for k, d in enumerate(dates):
+            while j < len(series.dates) and series.dates[j] <= d:
+                current = series.values[j]
+                j += 1
+            out[k] = current
+        columns[name] = out
 
     senti_block = None
     if sentiment is not None:

@@ -100,6 +100,37 @@ def test_corrupted_artifact_is_an_evaluate_error(mini, tmp_path, capsys):
     assert "[evaluate] error:" in err and "slope" in err
 
 
+def test_corrupt_forest_child_index_is_an_evaluate_error(mini, tmp_path, capsys):
+    out_dir = tmp_path / "corrupt-forest"
+    common = ["--config", mini, "--model", "forest", "--ticker", "AAA", "--out", out_dir]
+    assert run("train", *common) == 0
+    path = out_dir / "artifacts" / "AAA_forest.json"
+    doc = json.loads(path.read_text())
+    tree = doc["payload"]["trees"][0]
+    tree["left"][next(i for i, f in enumerate(tree["feature"]) if f != -1)] = 10**6
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("evaluate", *common) == 1
+    err = capsys.readouterr().err
+    assert "[evaluate] error: malformed forest artifact" in err and "later nodes" in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"metadata": {}, "entries": [{"ticker": "AAA"}]}, "report.entries[0] lacks key 'model'"),
+        ({"metadata": {}, "entries": {"ticker": "AAA"}}, "report.entries must be a list, not dict"),
+    ],
+    ids=["missing-key", "entries-not-a-list"],
+)
+def test_malformed_saved_report_is_a_report_error(mini, tmp_path, capsys, doc, message):
+    (tmp_path / "report").mkdir()
+    (tmp_path / "report" / "forecast_report.json").write_text(json.dumps(doc))
+    assert run("report", "--config", mini, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "[report] error:" in err and message in err
+
+
 def test_train_all_then_evaluate_full_flow(mini, tmp_path, capsys):
     out_dir = tmp_path / "flow"
     assert run("train", "--config", mini, "--model", "all", "--ticker", "all", "--out", out_dir) == 0

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockcast.errors import DuplicateDate, EmptyIntersection, GapInStrictMode
+from stockcast.errors import DuplicateDate, EmptyIntersection
 from stockcast.sentiment import NEUTRAL_SCORE, SentimentScore
 from stockcast.sentiment.daily import DailySentiment
 from stockcast.series import (
-    FillPolicy,
     MacroPanel,
     MacroSeries,
     PriceBar,
@@ -33,7 +32,7 @@ def test_identity_alignment():
 def test_forward_fill_carries_earlier_value():
     prices = make_prices([D1, D2], [10, 11])
     macro = make_macro_panel([D1])
-    panel = align_panel(prices, macro, fill_policy=FillPolicy.FORWARD_FILL)
+    panel = align_panel(prices, macro)
     assert list(panel.gold) == [1800.0, 1800.0]
 
 
@@ -42,14 +41,6 @@ def test_no_macro_before_first_price_date():
     macro = make_macro_panel([D2])
     with pytest.raises(EmptyIntersection):
         align_panel(prices, macro)
-
-
-def test_strict_mode_reports_offending_date():
-    prices = make_prices([D1, D2], [10, 11])
-    macro = make_macro_panel([D1])
-    with pytest.raises(GapInStrictMode) as exc:
-        align_panel(prices, macro, fill_policy=FillPolicy.STRICT)
-    assert exc.value.date == D2
 
 
 def test_alignment_is_idempotent():
