@@ -67,13 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tickers(config, value: str) -> list[str]:
-    if value == "all":
-        return list(config.tickers)
-    if value not in config.tickers:
-        raise StockcastError(
-            f"ticker {value!r} not in configured universe {', '.join(config.tickers)}"
-        )
-    return [value]
+    # PipelineData.prices rejects a ticker outside the universe
+    return list(config.tickers) if value == "all" else [value]
 
 
 def _resolve_models(value: str) -> list[str]:

@@ -5,9 +5,9 @@ matrices is [input, forget, cell, output]. The bidirectional variant runs
 a second parameter stack over the reversed window and concatenates the two
 final hidden states before the dense layers.
 
-Inference uses its own forward pass that keeps only the running hidden
-and cell states, so predicting many windows at once builds no BPTT cache;
-the cached forward pass serves the gradients alone.
+One forward pass serves training and inference. Only training keeps the
+BPTT caches; inference keeps only the running hidden and cell states, so
+predicting many windows at once builds no cache.
 
 Training is mini-batch Adam with seeded shuffling and early stopping on
 validation RMSE; given identical data, topology, config, and seed, the
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Sequence
 
 import numpy as np
 
@@ -194,47 +193,27 @@ def _input_projection(layer: LayerParams, seq: np.ndarray) -> np.ndarray:
     return zx.reshape(batch, steps, -1)
 
 
-def _layer_forward(layer: LayerParams, seq: np.ndarray) -> _LayerCache:
-    """One layer's forward pass, keeping everything BPTT needs."""
+def _layer_forward(
+    layer: LayerParams, seq: np.ndarray, keep_cache: bool
+) -> tuple[np.ndarray, _LayerCache | None]:
+    """One layer's (B, W, H) output sequence, plus everything BPTT needs
+    when `keep_cache` is true. Without a cache only the running h and c are
+    kept, so memory grows with the batch alone."""
     batch, steps, _ = seq.shape
     hidden = layer.w_h.shape[0]
     zx = _input_projection(layer, seq)
-    cache = _LayerCache(
-        inputs=seq,
-        h_prev=np.empty((batch, steps, hidden)),
-        c_prev=np.empty((batch, steps, hidden)),
-        gates=np.empty((batch, steps, 4 * hidden)),
-        c=np.empty((batch, steps, hidden)),
-        tanh_c=np.empty((batch, steps, hidden)),
-        h_seq=np.empty((batch, steps, hidden)),
-    )
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    for t in range(steps):
-        z = zx[:, t] + h @ layer.w_h
-        gates = cache.gates[:, t]
-        gates[:, : 2 * hidden] = _sigmoid(z[:, : 2 * hidden])
-        gates[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        gates[:, 3 * hidden :] = _sigmoid(z[:, 3 * hidden :])
-        i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
-        cache.h_prev[:, t] = h
-        cache.c_prev[:, t] = c
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache.c[:, t] = c
-        cache.tanh_c[:, t] = tanh_c
-        cache.h_seq[:, t] = h
-    return cache
-
-
-def _layer_outputs(layer: LayerParams, seq: np.ndarray) -> np.ndarray:
-    """One layer's output sequence for inference: only the running h and c
-    are kept, so memory grows with the batch, not with a BPTT cache."""
-    batch, steps, _ = seq.shape
-    hidden = layer.w_h.shape[0]
-    zx = _input_projection(layer, seq)
-    out = np.empty((batch, steps, hidden))
+    h_seq = np.empty((batch, steps, hidden))
+    cache = None
+    if keep_cache:
+        cache = _LayerCache(
+            inputs=seq,
+            h_prev=np.empty((batch, steps, hidden)),
+            c_prev=np.empty((batch, steps, hidden)),
+            gates=np.empty((batch, steps, 4 * hidden)),
+            c=np.empty((batch, steps, hidden)),
+            tanh_c=np.empty((batch, steps, hidden)),
+            h_seq=h_seq,
+        )
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
     for t in range(steps):
@@ -242,10 +221,21 @@ def _layer_outputs(layer: LayerParams, seq: np.ndarray) -> np.ndarray:
         i_f = _sigmoid(z[:, : 2 * hidden])
         g = np.tanh(z[:, 2 * hidden : 3 * hidden])
         o = _sigmoid(z[:, 3 * hidden :])
+        if cache is not None:
+            gates = cache.gates[:, t]
+            gates[:, : 2 * hidden] = i_f
+            gates[:, 2 * hidden : 3 * hidden] = g
+            gates[:, 3 * hidden :] = o
+            cache.h_prev[:, t] = h
+            cache.c_prev[:, t] = c
         c = i_f[:, hidden:] * c + i_f[:, :hidden] * g
-        h = o * np.tanh(c)
-        out[:, t] = h
-    return out
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        if cache is not None:
+            cache.c[:, t] = c
+            cache.tanh_c[:, t] = tanh_c
+        h_seq[:, t] = h
+    return h_seq, cache
 
 
 def _layer_backward(
@@ -288,93 +278,68 @@ def _layer_backward(
 
 @dataclass
 class _ForwardCache:
-    stacks: list[list[_LayerCache]]   # [forward, backward?] lists of layer caches
+    stacks: list[list[_LayerCache]]   # [forward, backward?] layer caches, empty without keep_cache
     dense_inputs: list[np.ndarray]
     dense_pre: list[np.ndarray]
     dropout_masks: list[list[np.ndarray | None]]
     output: np.ndarray                # (B,)
 
 
-def _run_stack(
-    layers: Sequence[LayerParams],
-    seq: np.ndarray,
-    dropout: float,
-    rng: np.random.Generator | None,
-) -> tuple[list[_LayerCache], list[np.ndarray | None], np.ndarray]:
-    caches: list[_LayerCache] = []
-    masks: list[np.ndarray | None] = []
-    current = seq
-    for layer in layers:
-        cache = _layer_forward(layer, current)
-        caches.append(cache)
-        out = cache.h_seq
-        if dropout > 0.0 and rng is not None:
-            mask = (rng.random(out.shape) >= dropout) / (1.0 - dropout)
-            out = out * mask
-            masks.append(mask)
-        else:
-            masks.append(None)
-        current = out
-    return caches, masks, current
-
-
-def _forward_batch(
+def _forward(
     params: LstmParams,
     topology: LstmTopology,
     inputs: np.ndarray,
     dropout_rng: np.random.Generator | None = None,
+    keep_cache: bool = True,
 ) -> _ForwardCache:
-    """Training forward pass that keeps every BPTT cache (for lstm_gradients)."""
-    if inputs.ndim != 2:
-        raise ShapeMismatch("expected a (batch, window) input array")
+    """The network over a (B, W) batch of scaled windows.
+
+    Runs the forward stack and, for a BiLSTM, the backward stack over the
+    reversed window, then the dense head. Dropout masks are drawn only when
+    given an RNG. `keep_cache` keeps each layer's BPTT cache for
+    lstm_gradients; inference passes False.
+    """
     seq = inputs[:, :, None]
-    dropout = topology.dropout if dropout_rng is not None else 0.0
-    fwd_caches, fwd_masks, fwd_out = _run_stack(params.layers, seq, dropout, dropout_rng)
-    stacks = [fwd_caches]
-    all_masks = [fwd_masks]
-    finals = [fwd_out[:, -1]]
+    directions = [(params.layers, seq)]
     if topology.bidirectional:
         if not params.backward_layers:
             raise ShapeMismatch("bidirectional topology requires backward parameters")
-        rev = seq[:, ::-1]
-        bwd_caches, bwd_masks, bwd_out = _run_stack(params.backward_layers, rev, dropout, dropout_rng)
-        stacks.append(bwd_caches)
-        all_masks.append(bwd_masks)
-        finals.append(bwd_out[:, -1])
-    dense_inputs, dense_pre, output = _dense_forward(params, topology, np.concatenate(finals, axis=1))
-    return _ForwardCache(
-        stacks=stacks,
-        dense_inputs=dense_inputs,
-        dense_pre=dense_pre,
-        dropout_masks=all_masks,
-        output=output,
-    )
-
-
-def _dense_forward(
-    params: LstmParams, topology: LstmTopology, final_h: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Dense head over the final hidden states: (inputs, pre-activations, (B,) output)."""
-    a = final_h
+        directions.append((params.backward_layers, seq[:, ::-1]))
+    dropout = topology.dropout if dropout_rng is not None else 0.0
+    all_caches: list[list[_LayerCache]] = []
+    all_masks: list[list[np.ndarray | None]] = []
+    finals = []
+    for layers, current in directions:
+        caches: list[_LayerCache] = []
+        masks: list[np.ndarray | None] = []
+        for layer in layers:
+            current, cache = _layer_forward(layer, current, keep_cache)
+            if cache is not None:
+                caches.append(cache)
+            mask = None
+            if dropout > 0.0:
+                mask = (dropout_rng.random(current.shape) >= dropout) / (1.0 - dropout)
+                current = current * mask
+            masks.append(mask)
+        all_caches.append(caches)
+        all_masks.append(masks)
+        finals.append(current[:, -1])
+    a = np.concatenate(finals, axis=1)  # the dense head reads every stack's final state
     dense_inputs: list[np.ndarray] = []
     dense_pre: list[np.ndarray] = []
     for k, dense in enumerate(params.dense):
         dense_inputs.append(a)
-        z = a @ dense.w + dense.b
-        dense_pre.append(z)
-        last = k == len(params.dense) - 1
-        if last or topology.dense_activation == "identity":
-            a = z
-        else:
-            a = np.maximum(z, 0.0)
-    return dense_inputs, dense_pre, a[:, 0]
-
-
-def _stack_final(layers: Sequence[LayerParams], seq: np.ndarray) -> np.ndarray:
-    """Final hidden state of the top layer of one stack, without caches."""
-    for layer in layers:
-        seq = _layer_outputs(layer, seq)
-    return seq[:, -1]
+        a = a @ dense.w + dense.b
+        dense_pre.append(a)
+        if k < len(params.dense) - 1 and topology.dense_activation == "relu":
+            a = np.maximum(a, 0.0)
+    return _ForwardCache(
+        stacks=all_caches,
+        dense_inputs=dense_inputs,
+        dense_pre=dense_pre,
+        dropout_masks=all_masks,
+        output=a[:, 0],
+    )
 
 
 def lstm_batch_forward(params: LstmParams, topology: LstmTopology, inputs: np.ndarray) -> np.ndarray:
@@ -385,16 +350,10 @@ def lstm_batch_forward(params: LstmParams, topology: LstmTopology, inputs: np.nd
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != topology.window:
         raise ShapeMismatch(f"expected (batch, {topology.window}) windows")
-    if topology.bidirectional and not params.backward_layers:
-        raise ShapeMismatch("bidirectional topology requires backward parameters")
     out = np.empty(len(inputs))
     for start in range(0, len(inputs), _INFERENCE_ROWS):
-        seq = inputs[start : start + _INFERENCE_ROWS, :, None]
-        finals = [_stack_final(params.layers, seq)]
-        if topology.bidirectional:
-            finals.append(_stack_final(params.backward_layers, seq[:, ::-1]))
-        _, _, head_out = _dense_forward(params, topology, np.concatenate(finals, axis=1))
-        out[start : start + len(seq)] = head_out
+        rows = inputs[start : start + _INFERENCE_ROWS]
+        out[start : start + len(rows)] = _forward(params, topology, rows, keep_cache=False).output
     return out
 
 
@@ -410,58 +369,36 @@ def lstm_gradients(
     targets = np.asarray(targets, dtype=np.float64)
     if len(inputs) == 0:
         raise TooFewSamples("empty batch")
-    if inputs.shape[1] != topology.window or len(inputs) != len(targets):
+    if inputs.ndim != 2 or inputs.shape[1] != topology.window or len(inputs) != len(targets):
         raise ShapeMismatch("batch shapes do not match the topology")
-    cache = _forward_batch(params, topology, inputs, dropout_rng)
+    cache = _forward(params, topology, inputs, dropout_rng)
     batch = len(inputs)
     residual = cache.output - targets
     loss = float(residual @ residual) / batch
 
-    grads = LstmParams(
-        layers=[LayerParams(np.zeros_like(l.w_x), np.zeros_like(l.w_h), np.zeros_like(l.b)) for l in params.layers],
-        dense=[DenseParams(np.zeros_like(d.w), np.zeros_like(d.b)) for d in params.dense],
-        backward_layers=[
-            LayerParams(np.zeros_like(l.w_x), np.zeros_like(l.w_h), np.zeros_like(l.b))
-            for l in params.backward_layers
-        ],
-    )
-
+    dense_grads: list[DenseParams] = []
     d_a = (2.0 / batch) * residual[:, None]
     for k in range(len(params.dense) - 1, -1, -1):
-        dense = params.dense[k]
-        last = k == len(params.dense) - 1
         dz = d_a
-        if not last and topology.dense_activation == "relu":
+        if k < len(params.dense) - 1 and topology.dense_activation == "relu":
             dz = d_a * (cache.dense_pre[k] > 0.0)
-        grads.dense[k].w[...] = cache.dense_inputs[k].T @ dz
-        grads.dense[k].b[...] = dz.sum(axis=0)
-        d_a = dz @ dense.w.T
+        dense_grads.insert(0, DenseParams(w=cache.dense_inputs[k].T @ dz, b=dz.sum(axis=0)))
+        d_a = dz @ params.dense[k].w.T
 
+    # d_a holds dL/d(final hidden states), one column block per stack
     hidden_last = topology.layer_sizes[-1]
-    d_finals = [d_a[:, :hidden_last]]
-    if topology.bidirectional:
-        d_finals.append(d_a[:, hidden_last:])
-
-    stack_params = [params.layers, params.backward_layers] if topology.bidirectional else [params.layers]
-    stack_grads = [grads.layers, grads.backward_layers] if topology.bidirectional else [grads.layers]
-    for stack_i, (layer_list, grad_list) in enumerate(zip(stack_params, stack_grads)):
-        caches = cache.stacks[stack_i]
-        masks = cache.dropout_masks[stack_i]
-        steps = caches[0].h_seq.shape[1]
+    stack_grads: list[list[LayerParams]] = [[], []]
+    for s, (layers, caches, masks) in enumerate(
+        zip([params.layers, params.backward_layers], cache.stacks, cache.dropout_masks)
+    ):
         d_out = np.zeros_like(caches[-1].h_seq)
-        d_out[:, steps - 1] = d_finals[stack_i]
-        if masks[-1] is not None:
-            d_out = d_out * masks[-1]
-        for li in range(len(layer_list) - 1, -1, -1):
-            layer_grads, d_in = _layer_backward(layer_list[li], caches[li], d_out)
-            grad_list[li].w_x[...] = layer_grads.w_x
-            grad_list[li].w_h[...] = layer_grads.w_h
-            grad_list[li].b[...] = layer_grads.b
-            if li > 0:
-                d_out = d_in
-                if masks[li - 1] is not None:
-                    d_out = d_out * masks[li - 1]
-    return loss, grads
+        d_out[:, -1] = d_a[:, s * hidden_last : (s + 1) * hidden_last]
+        for li in range(len(layers) - 1, -1, -1):
+            if masks[li] is not None:
+                d_out = d_out * masks[li]
+            layer_grads, d_out = _layer_backward(layers[li], caches[li], d_out)
+            stack_grads[s].insert(0, layer_grads)
+    return loss, LstmParams(layers=stack_grads[0], dense=dense_grads, backward_layers=stack_grads[1])
 
 
 @dataclass(frozen=True)
@@ -570,7 +507,7 @@ def lstm_train(
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad_flat * grad_flat
             m_hat = m / (1.0 - ADAM_BETA1**step)
             v_hat = v / (1.0 - ADAM_BETA2**step)
-            flat = params.flatten() - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            flat = flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             params.unflatten(flat)
         train_loss = epoch_loss / len(train_x)
 
@@ -584,7 +521,7 @@ def lstm_train(
         val_rmse = np.sqrt(val_loss)
         if val_rmse < best_val:
             best_val = val_rmse
-            best_flat = params.flatten()
+            best_flat = flat.copy()
             best_epoch = epoch
             since_best = 0
         else:

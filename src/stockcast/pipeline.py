@@ -17,7 +17,6 @@ from pathlib import Path
 from .config import RunConfig
 from .dataset import (
     SplitSpec,
-    WindowedDataset,
     build_feature_table,
     build_windows,
     chronological_split,
@@ -75,6 +74,10 @@ class PipelineData:
         return self._stopwords
 
     def prices(self, ticker: str):
+        if ticker not in self.config.tickers:
+            raise StockcastError(
+                f"ticker {ticker!r} not in configured universe {', '.join(self.config.tickers)}"
+            )
         if ticker not in self._prices:
             self._prices[ticker] = _parse_file(
                 self.config.price_paths[ticker], lambda data: parse_price_csv(data, ticker)
@@ -178,9 +181,8 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
         if s <= w:
             raise TooFewSamples(f"split index {s} leaves no training windows of length {w}")
         scaler = fit_scaler(closes[:s], ("close",))
-        scaled_inputs = build_windows(scaler.apply(closes), w, dates=panel.dates).inputs
-        raw_targets = build_windows(closes, w, dates=panel.dates).targets
-        dataset = WindowedDataset(w, scaled_inputs, raw_targets, tuple(panel.dates[w:]))
+        raw = build_windows(closes, w, dates=panel.dates)
+        dataset = replace(raw, inputs=scaler.apply(raw.inputs))
         split = SplitSpec(n=len(dataset), split_index=s - w)
         return knn_fit_cv(
             dataset, split, folds=config.knn_folds, scaler=scaler, train_end=train_end

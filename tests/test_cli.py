@@ -131,6 +131,20 @@ def test_malformed_saved_report_is_a_report_error(mini, tmp_path, capsys, doc, m
     assert "[report] error:" in err and message in err
 
 
+def test_saved_report_naming_a_ticker_outside_universe_is_a_report_error(mini, tmp_path, capsys):
+    common = ["--config", mini, "--model", "persistence", "--ticker", "AAA", "--out", tmp_path]
+    assert run("train", *common) == 0
+    assert run("evaluate", *common) == 0
+    path = tmp_path / "report" / "forecast_report.json"
+    doc = json.loads(path.read_text())
+    doc["entries"][0]["ticker"] = "ZZZ"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("report", "--config", mini, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "[report] error:" in err and "'ZZZ' not in configured universe" in err
+
+
 def test_train_all_then_evaluate_full_flow(mini, tmp_path, capsys):
     out_dir = tmp_path / "flow"
     assert run("train", "--config", mini, "--model", "all", "--ticker", "all", "--out", out_dir) == 0

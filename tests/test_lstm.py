@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from stockcast.models.lstm import (
     NeuralModelArtifact,
     TrainConfig,
     _INFERENCE_ROWS,
-    _forward_batch,
+    _forward,
     init_params,
     lstm_batch_forward,
     lstm_gradients,
@@ -158,7 +159,7 @@ def test_gate_activations_bounded_and_cells_finite():
     topology = small_topology()
     params = randomized_params(topology)
     x = RNG.normal(0, 2, (7, 8))
-    cache = _forward_batch(params, topology, x)
+    cache = _forward(params, topology, x)
     for layer_cache in cache.stacks[0]:
         hidden = layer_cache.c.shape[2]
         gates = layer_cache.gates
@@ -170,14 +171,22 @@ def test_gate_activations_bounded_and_cells_finite():
         assert np.all(np.isfinite(layer_cache.c))
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_cache_free_forward_equals_training_forward(bidirectional):
-    topology = LstmTopology(layer_sizes=(4, 3), dense_sizes=(2, 1), window=8,
-                            bidirectional=bidirectional)
+@pytest.mark.parametrize(
+    "options",
+    [{"bidirectional": False}, {"bidirectional": True},
+     {"bidirectional": True, "dropout": 0.3, "dense_activation": "relu"}],
+    ids=["False", "True", "True-dropout-relu"],
+)
+def test_cache_free_forward_equals_training_forward(options):
+    # inference ignores dropout, and a training forward without an RNG draws none
+    topology = LstmTopology(layer_sizes=(4, 3), dense_sizes=(2, 1), window=8, **options)
     params = randomized_params(topology)
     x = RNG.normal(0, 1, (11, 8))
-    assert np.array_equal(lstm_batch_forward(params, topology, x),
-                          _forward_batch(params, topology, x).output)
+    inference = lstm_batch_forward(params, topology, x)
+    assert np.array_equal(inference, _forward(params, topology, x).output)
+    assert np.array_equal(inference, lstm_batch_forward(params, replace(topology, dropout=0.0), x))
+    free = _forward(params, topology, x, keep_cache=False)
+    assert free.stacks and all(caches == [] for caches in free.stacks)
 
 
 def test_bidirectional_differs_on_non_palindromic_window():
