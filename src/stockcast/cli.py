@@ -79,10 +79,10 @@ def cmd_ingest_check(data: PipelineData) -> None:
     config = data.config
     for ticker in config.tickers:
         parsed = data.prices(ticker)
-        bars = parsed.series.bars
+        dates = parsed.series.dates
         print(
-            f"prices {ticker}: {len(bars)} rows "
-            f"({bars[0].date} .. {bars[-1].date}), skipped {parsed.skipped}"
+            f"prices {ticker}: {len(dates)} rows "
+            f"({dates[0]} .. {dates[-1]}), skipped {parsed.skipped}"
         )
     for name, series in data.macro.columns():
         print(f"macro {name}: {len(series)} rows ({series.dates[0]} .. {series.dates[-1]})")

@@ -53,22 +53,50 @@ class RunConfig:
         return hashlib.sha256(f"{text}|seed={self.seed}".encode()).hexdigest()[:16]
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, fallback=None):
-    if parser.has_option(section, key):
-        value = parser.get(section, key).strip()
-        return value if value != "" else fallback
-    return fallback
+class _Reader:
+    """Typed lookups into a parsed INI file that remember every key read."""
 
+    def __init__(self, parser: configparser.ConfigParser) -> None:
+        self.parser = parser
+        self.read: set[tuple[str, str]] = set()
 
-def _require(parser: configparser.ConfigParser, section: str, key: str) -> str:
-    value = _get(parser, section, key)
-    if value is None:
-        raise ConfigError(f"missing required config key [{section}] {key}")
-    return value
+    def get(self, section: str, key: str, kind=str, fallback=None):
+        """`kind` of the value of [section] key; `fallback` when unset or empty."""
+        self.read.add((section, self.parser.optionxform(key)))
+        if not self.parser.has_option(section, key):
+            return fallback
+        text = self.parser.get(section, key).strip()
+        if text == "":
+            return fallback
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+    def require(self, section: str, key: str) -> str:
+        value = self.get(section, key)
+        if value is None:
+            raise ConfigError(f"missing required config key [{section}] {key}")
+        return value
+
+    def reject_unread(self) -> None:
+        # options() lists [DEFAULT] keys in every section; name their own section
+        for section in self.parser.sections():
+            for key in self.parser.options(section):
+                if (section, key) not in self.read:
+                    where = self.parser.default_section if key in self.parser.defaults() else section
+                    raise ConfigError(f"unknown config key [{where}] {key}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean: {text}")
+    return states[text.lower()]
 
 
 def _resolve_path(base: Path, section: str, key: str, value: str) -> Path:
@@ -92,9 +120,10 @@ def load_config(
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     base = config_path.parent
+    cfg = _Reader(parser)
 
     tickers = tuple(
-        t.strip() for t in _require(parser, "universe", "tickers").split(",") if t.strip()
+        t.strip() for t in cfg.require("universe", "tickers").split(",") if t.strip()
     )
     if not tickers:
         raise ConfigError("[universe] tickers must list at least one symbol")
@@ -102,89 +131,82 @@ def load_config(
     price_paths = {}
     for ticker in tickers:
         key = f"prices_{ticker}"
-        price_paths[ticker] = _resolve_path(base, "paths", key, _require(parser, "paths", key))
+        price_paths[ticker] = _resolve_path(base, "paths", key, cfg.require("paths", key))
     macro_paths = {
-        name: _resolve_path(base, "paths", f"macro_{name}", _require(parser, "paths", f"macro_{name}"))
+        name: _resolve_path(base, "paths", f"macro_{name}", cfg.require("paths", f"macro_{name}"))
         for name in MACRO_COLUMNS
     }
-    news_path = _resolve_path(base, "paths", "news", _require(parser, "paths", "news"))
-    lexicon_raw = _get(parser, "paths", "lexicon")
+    news_path = _resolve_path(base, "paths", "news", cfg.require("paths", "news"))
+    lexicon_raw = cfg.get("paths", "lexicon")
     lexicon_path = _resolve_path(base, "paths", "lexicon", lexicon_raw) if lexicon_raw else None
-    stopwords_raw = _get(parser, "paths", "stopwords")
+    stopwords_raw = cfg.get("paths", "stopwords")
     stopwords_path = (
         _resolve_path(base, "paths", "stopwords", stopwords_raw) if stopwords_raw else None
     )
 
-    window = int(_get(parser, "dataset", "window", "60"))
+    window = cfg.get("dataset", "window", int, 60)
     if not WINDOW_MIN <= window <= WINDOW_MAX:
         raise ConfigError(f"[dataset] window must be in [{WINDOW_MIN}, {WINDOW_MAX}]")
-    fraction_raw = _get(parser, "dataset", "train_fraction")
-    split_raw = _get(parser, "dataset", "split_index")
-    if (fraction_raw is None) == (split_raw is None):
+    train_fraction = cfg.get("dataset", "train_fraction", float)
+    split_index = cfg.get("dataset", "split_index", int)
+    if (train_fraction is None) == (split_index is None):
         raise ConfigError(
             "[dataset] exactly one of train_fraction or split_index must be set"
         )
-    train_fraction = float(fraction_raw) if fraction_raw is not None else None
-    split_index = int(split_raw) if split_raw is not None else None
 
     preprocess = PreprocessConfig(
-        remove_stopwords=parser.getboolean("sentiment", "remove_stopwords", fallback=True),
-        remove_special_chars=parser.getboolean("sentiment", "remove_special_chars", fallback=True),
+        remove_stopwords=cfg.get("sentiment", "remove_stopwords", _boolean, True),
+        remove_special_chars=cfg.get("sentiment", "remove_special_chars", _boolean, True),
     )
-    per_headline_average = parser.getboolean(
-        "sentiment", "per_headline_average", fallback=False
-    )
+    per_headline_average = cfg.get("sentiment", "per_headline_average", _boolean, False)
 
-    seed = seed_override if seed_override is not None else int(_get(parser, "run", "seed", "0"))
+    seed = cfg.get("run", "seed", int, 0)
+    if seed_override is not None:
+        seed = seed_override
 
-    clip_raw = _get(parser, "lstm", "gradient_clip")
     topology = LstmTopology(
-        layer_sizes=_int_list(_get(parser, "lstm", "layers", "128, 64")),
-        dense_sizes=_int_list(_get(parser, "lstm", "dense", "25, 1")),
+        layer_sizes=cfg.get("lstm", "layers", _int_list, (128, 64)),
+        dense_sizes=cfg.get("lstm", "dense", _int_list, (25, 1)),
         window=window,
         bidirectional=False,
-        dense_activation=_get(parser, "lstm", "dense_activation", "identity"),
-        dropout=float(_get(parser, "lstm", "dropout", "0.0")),
+        dense_activation=cfg.get("lstm", "dense_activation", str, "identity"),
+        dropout=cfg.get("lstm", "dropout", float, 0.0),
     )
     lstm_train = TrainConfig(
-        epochs=int(_get(parser, "lstm", "epochs", "200")),
-        batch_size=int(_get(parser, "lstm", "batch_size", "32")),
-        learning_rate=float(_get(parser, "lstm", "learning_rate", "0.001")),
+        epochs=cfg.get("lstm", "epochs", int, 200),
+        batch_size=cfg.get("lstm", "batch_size", int, 32),
+        learning_rate=cfg.get("lstm", "learning_rate", float, 0.001),
         seed=seed,
-        early_stop_patience=int(_get(parser, "lstm", "patience", "10")),
-        gradient_clip=float(clip_raw) if clip_raw is not None else None,
+        early_stop_patience=cfg.get("lstm", "patience", int, 10),
     )
 
-    max_depth_raw = _get(parser, "forest", "max_depth")
-    max_features_raw = _get(parser, "forest", "max_features")
     forest = ForestConfig(
-        n_trees=int(_get(parser, "forest", "n_trees", "100")),
-        max_depth=int(max_depth_raw) if max_depth_raw is not None else None,
-        min_samples_leaf=int(_get(parser, "forest", "min_samples_leaf", "1")),
-        max_features=int(max_features_raw) if max_features_raw is not None else None,
-        bootstrap=parser.getboolean("forest", "bootstrap", fallback=True),
+        n_trees=cfg.get("forest", "n_trees", int, 100),
+        max_depth=cfg.get("forest", "max_depth", int),
+        min_samples_leaf=cfg.get("forest", "min_samples_leaf", int, 1),
+        max_features=cfg.get("forest", "max_features", int),
+        bootstrap=cfg.get("forest", "bootstrap", _boolean, True),
         seed=seed,
     )
 
-    order = _int_list(_get(parser, "arima", "order", "0, 1, 1"))
-    seasonal = _int_list(_get(parser, "arima", "seasonal_order", "2, 1, 0, 12"))
+    order = cfg.get("arima", "order", _int_list, (0, 1, 1))
+    seasonal = cfg.get("arima", "seasonal_order", _int_list, (2, 1, 0, 12))
     if len(order) != 3 or len(seasonal) != 4:
         raise ConfigError("[arima] order must have 3 values and seasonal_order 4")
     arima = ArimaSpec(
-        order=order, seasonal_order=seasonal, max_evals=int(_get(parser, "arima", "max_evals", "50"))
+        order=order, seasonal_order=seasonal, max_evals=cfg.get("arima", "max_evals", int, 50)
     )
 
-    knn_folds = int(_get(parser, "knn", "folds", "5"))
-    grid_windows = _int_list(
-        _get(parser, "gridsearch", "windows", ",".join(str(w) for w in DEFAULT_GRID_WINDOWS))
-    )
+    knn_folds = cfg.get("knn", "folds", int, 5)
+    grid_windows = cfg.get("gridsearch", "windows", _int_list, DEFAULT_GRID_WINDOWS)
     for w in grid_windows:
         if not WINDOW_MIN <= w <= WINDOW_MAX:
             raise ConfigError(f"[gridsearch] windows must lie in [{WINDOW_MIN}, {WINDOW_MAX}]")
 
-    out_dir = Path(out_override) if out_override is not None else base / _get(
-        parser, "run", "out_dir", "out"
-    )
+    out_dir = base / cfg.get("run", "out_dir", str, "out")
+    if out_override is not None:
+        out_dir = Path(out_override)
+    cfg.reject_unread()
     return RunConfig(
         config_path=config_path,
         tickers=tickers,

@@ -17,13 +17,12 @@ from datetime import date
 from typing import Collection, Iterator
 
 from .errors import (
-    DuplicateDate,
     EmptyFile,
     MissingHeader,
     ParseError,
     UnknownTicker,
 )
-from .series import MACRO_COLUMNS, POSITIVE_MACRO, MacroSeries, PriceBar, PriceSeries, TradingDate
+from .series import MACRO_COLUMNS, POSITIVE_MACRO, MacroSeries, PriceSeries, TradingDate
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 MACRO_HEADER = ["Date", "Value"]
@@ -120,59 +119,40 @@ def _parse_number(line: int, column: str, text: str) -> float | None:
 
 
 def parse_price_csv(data: bytes | str, ticker: str) -> ParsedPrices:
-    """Parse an OHLCV file into a date-sorted PriceSeries.
+    """Parse an OHLCV file into a date-sorted PriceSeries of closes.
 
     Rows with an empty or null numeric cell are dropped and tallied in the
-    result; any other malformed cell is a ParseError. Duplicate dates are a
-    hard error rather than last-wins.
+    result; any other malformed cell, or a bar whose open/close lies outside
+    [low, high], is a ParseError. Duplicate dates are a hard error rather
+    than last-wins.
     """
     text = _decode(data)
-    parsed: list[tuple[int, PriceBar]] = []
+    rows: list[tuple[TradingDate, float]] = []
     skipped = 0
     for line, row in _rows(text, PRICE_HEADER):
         if len(row) != len(PRICE_HEADER):
             raise ParseError(line, None, f"expected {len(PRICE_HEADER)} fields, got {len(row)}")
         day = _parse_date(line, row[0])
-        numbers = {}
-        for column, cell in zip(PRICE_HEADER[1:], row[1:]):
-            numbers[column] = _parse_number(line, column, cell)
-        if any(v is None for v in numbers.values()):
+        numbers = [
+            _parse_number(line, column, cell) for column, cell in zip(PRICE_HEADER[1:], row[1:])
+        ]
+        if None in numbers:
             skipped += 1
             continue
-        try:
-            bar = PriceBar(
-                date=day,
-                open=numbers["Open"],
-                high=numbers["High"],
-                low=numbers["Low"],
-                close=numbers["Close"],
-                adj_close=numbers["Adj Close"],
-                volume=numbers["Volume"],
-            )
-        except ValueError as exc:
-            raise ParseError(line, None, str(exc)) from None
-        parsed.append((line, bar))
-    if not parsed:
+        open_, high, low, close, adj_close, volume = numbers
+        if min(open_, high, low, close, adj_close) <= 0:
+            raise ParseError(line, None, f"{day}: prices must be finite and > 0")
+        if not (low <= open_ <= high and low <= close <= high):
+            raise ParseError(line, None, f"{day}: open/close must lie within [low, high]")
+        if volume < 0:
+            raise ParseError(line, None, f"{day}: volume must be >= 0")
+        rows.append((day, close))
+    if not rows:
         raise EmptyFile("no usable price rows")
-    parsed.sort(key=lambda item: item[1].date)
-    for (_, a), (_, b) in zip(parsed, parsed[1:]):
-        if a.date == b.date:
-            raise DuplicateDate(b.date)
-    return ParsedPrices(PriceSeries(ticker, tuple(bar for _, bar in parsed)), skipped)
-
-
-def write_price_csv(series: PriceSeries) -> str:
-    """Serialize a PriceSeries back to the interchange format (round-trips)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PRICE_HEADER)
-    for bar in series.bars:
-        volume = int(bar.volume) if bar.volume == int(bar.volume) else bar.volume
-        writer.writerow(
-            [bar.date.isoformat(), repr(bar.open), repr(bar.high), repr(bar.low),
-             repr(bar.close), repr(bar.adj_close), volume]
-        )
-    return out.getvalue()
+    rows.sort(key=lambda item: item[0])
+    return ParsedPrices(
+        PriceSeries(ticker, tuple(d for d, _ in rows), [c for _, c in rows]), skipped
+    )
 
 
 def parse_macro_csv(data: bytes | str, column: str) -> ParsedMacro:
@@ -200,9 +180,6 @@ def parse_macro_csv(data: bytes | str, column: str) -> ParsedMacro:
     if not rows:
         raise EmptyFile("no usable macro rows")
     rows.sort(key=lambda item: item[0])
-    for (a, _), (b, _) in zip(rows, rows[1:]):
-        if a == b:
-            raise DuplicateDate(b)
     return ParsedMacro(
         MacroSeries(column, tuple(d for d, _ in rows), tuple(v for _, v in rows)),
         skipped,

@@ -68,7 +68,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     early_stop_patience: int = 10
-    gradient_clip: float | None = None
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -498,10 +497,6 @@ def lstm_train(
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(batch)
             grad_flat = grads.flatten()
-            if config.gradient_clip is not None:
-                norm = float(np.linalg.norm(grad_flat))
-                if norm > config.gradient_clip:
-                    grad_flat *= config.gradient_clip / norm
             step += 1
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad_flat
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad_flat * grad_flat

@@ -9,7 +9,6 @@ backward, so no aligned row can see a value from a later calendar date.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
@@ -27,28 +26,6 @@ MACRO_COLUMNS = ("gold", "brent", "gsec", "usd_inr")
 POSITIVE_MACRO = frozenset({"gold", "brent", "usd_inr"})
 
 
-@dataclass(frozen=True)
-class PriceBar:
-    """One OHLCV bar. Prices in INR, volume in shares."""
-
-    date: TradingDate
-    open: float
-    high: float
-    low: float
-    close: float
-    adj_close: float
-    volume: float
-
-    def __post_init__(self) -> None:
-        prices = (self.open, self.high, self.low, self.close, self.adj_close)
-        if not all(math.isfinite(p) and p > 0 for p in prices):
-            raise ValueError(f"{self.date}: prices must be finite and > 0")
-        if not (self.low <= self.open <= self.high and self.low <= self.close <= self.high):
-            raise ValueError(f"{self.date}: open/close must lie within [low, high]")
-        if not (math.isfinite(self.volume) and self.volume >= 0):
-            raise ValueError(f"{self.date}: volume must be >= 0")
-
-
 def _check_strictly_increasing(dates: Sequence[TradingDate]) -> None:
     for a, b in zip(dates, dates[1:]):
         if a == b:
@@ -59,27 +36,27 @@ def _check_strictly_increasing(dates: Sequence[TradingDate]) -> None:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Ordered daily bars for one ticker; dates strictly increasing."""
+    """Daily closes of one ticker as columns; dates strictly increasing."""
 
     ticker: str
-    bars: tuple[PriceBar, ...]
+    dates: tuple[TradingDate, ...]
+    close: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.ticker:
             raise ValueError("ticker must be non-empty")
-        object.__setattr__(self, "bars", tuple(self.bars))
-        _check_strictly_increasing([b.date for b in self.bars])
+        object.__setattr__(self, "dates", tuple(self.dates))
+        close = np.array(self.close, dtype=np.float64)
+        close.flags.writeable = False  # shared by every panel aligned from it
+        object.__setattr__(self, "close", close)
+        if len(close) != len(self.dates):
+            raise ValueError("dates and close must have equal length")
+        if not np.all(np.isfinite(close) & (close > 0)):
+            raise ValueError(f"{self.ticker}: closes must be finite and > 0")
+        _check_strictly_increasing(self.dates)
 
     def __len__(self) -> int:
-        return len(self.bars)
-
-    @property
-    def dates(self) -> tuple[TradingDate, ...]:
-        return tuple(b.date for b in self.bars)
-
-    @property
-    def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self.bars], dtype=np.float64)
+        return len(self.dates)
 
 
 @dataclass(frozen=True)
@@ -104,11 +81,6 @@ class MacroSeries:
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    def value_on_or_before(self, day: TradingDate) -> float | None:
-        """Most recent value at or before `day`, or None if none exists."""
-        i = bisect_right(self.dates, day)
-        return self.values[i - 1] if i else None
 
 
 @dataclass(frozen=True)
@@ -182,6 +154,10 @@ class AlignedPanel:
         raise KeyError(name)
 
 
+def _ordinals(dates: Sequence[TradingDate]) -> np.ndarray:
+    return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
+
+
 # the record a trading day gets when it has no scored news
 NEUTRAL_SENTIMENT = {"pos": 0.0, "neg": 0.0, "neu": 1.0, "compound": 0.0}
 
@@ -204,22 +180,15 @@ def align_panel(
     if len(prices) == 0:
         raise ValueError("price series is empty")
     dates = prices.dates
-    columns: dict[str, np.ndarray] = {"close": prices.closes}
+    days = _ordinals(dates)
+    columns: dict[str, np.ndarray] = {}
 
     for name, series in macro.columns():
-        first = series.value_on_or_before(dates[0])
-        if first is None:
+        # index of the latest macro date at or before each trading date
+        source = np.searchsorted(_ordinals(series.dates), days, side="right") - 1
+        if source[0] < 0:
             raise EmptyIntersection(f"no {name} value on or before {dates[0]}")
-        # walk both calendars once; carry the latest earlier value
-        out = np.empty(len(dates), dtype=np.float64)
-        j = 0
-        current = first
-        for k, d in enumerate(dates):
-            while j < len(series.dates) and series.dates[j] <= d:
-                current = series.values[j]
-                j += 1
-            out[k] = current
-        columns[name] = out
+        columns[name] = np.array(series.values, dtype=np.float64)[source]
 
     senti_block = None
     if sentiment is not None:
@@ -227,27 +196,11 @@ def align_panel(
         for rec in sentiment:
             if rec.date in by_date:
                 raise DuplicateDate(rec.date)
-            by_date[rec.date] = rec
-        block = {k: np.empty(len(dates), dtype=np.float64) for k in NEUTRAL_SENTIMENT}
-        for k, d in enumerate(dates):
-            rec = by_date.get(d)
-            if rec is None:
-                for key, v in NEUTRAL_SENTIMENT.items():
-                    block[key][k] = v
-            else:
-                block["pos"][k] = rec.score.pos
-                block["neg"][k] = rec.score.neg
-                block["neu"][k] = rec.score.neu
-                block["compound"][k] = rec.score.compound
-        senti_block = SentimentColumns(**block)
+            by_date[rec.date] = (rec.score.pos, rec.score.neg, rec.score.neu, rec.score.compound)
+        neutral = tuple(NEUTRAL_SENTIMENT.values())
+        block = np.array([by_date.get(d, neutral) for d in dates], dtype=np.float64)
+        senti_block = SentimentColumns(**dict(zip(NEUTRAL_SENTIMENT, block.T.copy())))
 
     return AlignedPanel(
-        dates=dates,
-        close=columns["close"],
-        gold=columns["gold"],
-        brent=columns["brent"],
-        gsec=columns["gsec"],
-        usd_inr=columns["usd_inr"],
-        sentiment=senti_block,
-        ticker=prices.ticker,
+        dates=dates, close=prices.close, sentiment=senti_block, ticker=prices.ticker, **columns
     )

@@ -11,7 +11,6 @@ from stockcast.series import (
     AlignedPanel,
     MacroPanel,
     MacroSeries,
-    PriceBar,
     PriceSeries,
     SentimentColumns,
 )
@@ -28,20 +27,8 @@ def weekdays(start: date, count: int) -> list[date]:
     return out
 
 
-def make_bar(d: date, close: float, spread: float = 1.0) -> PriceBar:
-    return PriceBar(
-        date=d,
-        open=close,
-        high=close + spread,
-        low=max(close - spread, 0.01),
-        close=close,
-        adj_close=close,
-        volume=1000,
-    )
-
-
 def make_prices(dates: list[date], closes, ticker: str = "TEST") -> PriceSeries:
-    return PriceSeries(ticker, tuple(make_bar(d, float(c)) for d, c in zip(dates, closes)))
+    return PriceSeries(ticker, tuple(dates), [float(c) for c in closes])
 
 
 def make_macro(dates: list[date], base: float = 100.0, name: str = "gold") -> MacroSeries:

@@ -70,6 +70,31 @@ def test_missing_lexicon_path_is_config_error(mini, tmp_path):
     assert run("sentiment", "--config", bad) == 1
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("epochs = 2", "epoch = 15", "unknown config key [lstm] epoch"),
+        ("patience = 2", "patience = 2\nseed = 1", "unknown config key [lstm] seed"),
+        ("[universe]", "[DEFAULT]\nseed = 1\n\n[universe]", "unknown config key [DEFAULT] seed"),
+        ("window = 10", "window = sixty",
+         "[dataset] window: invalid literal for int() with base 10: 'sixty'"),
+        ("[run]", "[sentiment]\nremove_stopwords = maybe\n\n[run]",
+         "[sentiment] remove_stopwords: not a boolean: maybe"),
+    ],
+)
+def test_config_typo_or_bad_value_names_its_key(mini, tmp_path, old, new, message):
+    bad = mini.parent / f"bad_{tmp_path.name}.ini"
+    bad.write_text(mini.read_text().replace(old, new, 1))
+    with pytest.raises(ConfigError) as exc:
+        load_config(bad, seed_override=7, out_override=tmp_path)
+    assert str(exc.value) == message
+
+
+def test_overridden_keys_are_still_read(mini, tmp_path):
+    config = load_config(mini, seed_override=7, out_override=tmp_path)
+    assert (config.seed, config.out_dir) == (7, tmp_path)
+
+
 def test_unknown_model_is_usage_error(mini, capsys):
     with pytest.raises(SystemExit) as exc:
         run("train", "--config", mini, "--model", "prophet")

@@ -17,7 +17,6 @@ from stockcast.ingest import (
     parse_macro_csv,
     parse_news_file,
     parse_price_csv,
-    write_price_csv,
 )
 
 PRICE_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"
@@ -31,7 +30,7 @@ def test_single_row_close_matches():
     parsed = parse_price_csv(price_csv("2021-06-28,2098,2110,2080,2086,2086,5000000"), "RIL")
     assert parsed.skipped == 0
     assert len(parsed.series) == 1
-    assert parsed.series.bars[0].close == 2086
+    assert parsed.series.close[0] == 2086
 
 
 def test_empty_input_is_empty_file():
@@ -68,7 +67,8 @@ def test_rows_sorted_and_duplicates_rejected():
     parsed = parse_price_csv(
         price_csv("2021-06-02,11,12,10,11,11,100", "2021-06-01,10,11,9,10,10,100"), "RIL"
     )
-    assert [b.date.day for b in parsed.series.bars] == [1, 2]
+    assert [d.day for d in parsed.series.dates] == [1, 2]
+    assert list(parsed.series.close) == [10.0, 11.0]
     with pytest.raises(DuplicateDate):
         parse_price_csv(
             price_csv("2021-06-01,10,11,9,10,10,100", "2021-06-01,10,11,9,10,10,100"), "RIL"
@@ -83,6 +83,17 @@ def test_missing_header():
 def test_bar_invariant_violation_is_parse_error():
     with pytest.raises(ParseError):
         parse_price_csv(price_csv("2021-06-01,10,9,11,10,10,100"), "RIL")  # high < low
+    good = "2021-06-01,10,11,9,10,10,1"
+    cases = [
+        ("2021-06-02,10,11,12,10,10,1", "2021-06-02: open/close must lie within [low, high]"),
+        ("2021-06-02,10,11,9,10,0,1", "2021-06-02: prices must be finite and > 0"),
+        ("2021-06-02,10,11,9,10,10,-1", "2021-06-02: volume must be >= 0"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_price_csv(price_csv(good, bad), "RIL")
+        assert exc.value.line == 3
+        assert str(exc.value) == f"line 3: {message}"
 
 
 def test_ambiguous_date_formats_rejected():
@@ -155,7 +166,7 @@ def test_news_blank_headline_skipped_and_unknown_ticker():
         max_size=20,
     )
 )
-def test_price_round_trip(closes):
+def test_parsed_closes_equal_written_floats(closes):
     start = date(2020, 1, 1)
     rows = []
     d = start
@@ -165,9 +176,8 @@ def test_price_round_trip(closes):
         rows.append(f"{d.isoformat()},{c!r},{c * 2!r},{c / 2!r},{c!r},{c!r},100")
         d += timedelta(days=1)
     parsed = parse_price_csv(price_csv(*rows), "T")
-    text = write_price_csv(parsed.series)
-    reparsed = parse_price_csv(text, "T")
-    assert reparsed.series == parsed.series
+    assert parsed.series.close.tolist() == closes
+    assert len(parsed.series.dates) == len(closes)
 
 
 @settings(max_examples=120, derandomize=True)

@@ -1,4 +1,4 @@
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from stockcast.errors import DuplicateDate, EmptyIntersection
 from stockcast.sentiment import NEUTRAL_SCORE, SentimentScore
 from stockcast.sentiment.daily import DailySentiment
 from stockcast.series import (
+    MACRO_COLUMNS,
     MacroPanel,
     MacroSeries,
-    PriceBar,
+    PriceSeries,
     align_panel,
 )
 
@@ -95,6 +96,31 @@ def test_forward_fill_never_looks_ahead(data):
         assert int(value) <= row  # source row never after the target row
 
 
+@settings(max_examples=80, derandomize=True)
+@given(data=st.data())
+def test_aligned_macro_is_latest_quote_on_or_before(data):
+    # each column gets its own calendar, which may hold non-trading days
+    start = date(2020, 1, 1)
+    offsets = st.sets(st.integers(min_value=0, max_value=60), min_size=1, max_size=40)
+    days = [start + timedelta(days=i) for i in sorted(data.draw(offsets))]
+    calendars = {
+        name: [start + timedelta(days=i) for i in sorted(data.draw(offsets) | {0})]
+        for name in MACRO_COLUMNS
+    }
+    # a distinct value per quote, so picking the wrong row cannot pass
+    macro = MacroPanel(
+        **{
+            name: MacroSeries(name, tuple(cal), tuple(1.0 + 100 * c + i for i in range(len(cal))))
+            for c, (name, cal) in enumerate(calendars.items())
+        }
+    )
+    panel = align_panel(make_prices(days, [100.0] * len(days)), macro)
+    for name, series in macro.columns():
+        for day, value in zip(days, panel.column(name)):
+            latest = max(i for i, d in enumerate(series.dates) if d <= day)
+            assert value == series.values[latest]
+
+
 def test_sentiment_gaps_get_neutral_default():
     dates = [D1, D2, D3]
     prices = make_prices(dates, [10, 11, 12])
@@ -118,11 +144,20 @@ def test_duplicate_sentiment_dates_rejected():
 
 
 def test_price_series_rejects_duplicate_dates():
-    bar = dict(open=10.0, high=11.0, low=9.0, close=10.0, adj_close=10.0, volume=1)
     with pytest.raises(DuplicateDate):
         make_prices([D1, D1], [10, 10])
+
+
+def test_price_series_invariants():
     with pytest.raises(ValueError):
-        PriceBar(date=D1, **{**bar, "low": 12.0})  # low above open/close
+        PriceSeries("", (D1,), [10.0])
+    with pytest.raises(ValueError):
+        PriceSeries("T", (D1, D2), [10.0])
+    with pytest.raises(ValueError):
+        PriceSeries("T", (D2, D1), [10.0, 11.0])
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PriceSeries("T", (D1,), [bad])
 
 
 def test_macro_series_positivity():
