@@ -169,8 +169,6 @@ def load_config(
         dense_sizes=cfg.get("lstm", "dense", _int_list, (25, 1)),
         window=window,
         bidirectional=False,
-        dense_activation=cfg.get("lstm", "dense_activation", str, "identity"),
-        dropout=cfg.get("lstm", "dropout", float, 0.0),
     )
     lstm_train = TrainConfig(
         epochs=cfg.get("lstm", "epochs", int, 200),
@@ -180,14 +178,7 @@ def load_config(
         early_stop_patience=cfg.get("lstm", "patience", int, 10),
     )
 
-    forest = ForestConfig(
-        n_trees=cfg.get("forest", "n_trees", int, 100),
-        max_depth=cfg.get("forest", "max_depth", int),
-        min_samples_leaf=cfg.get("forest", "min_samples_leaf", int, 1),
-        max_features=cfg.get("forest", "max_features", int),
-        bootstrap=cfg.get("forest", "bootstrap", _boolean, True),
-        seed=seed,
-    )
+    forest = ForestConfig(n_trees=cfg.get("forest", "n_trees", int, 100), seed=seed)
 
     order = cfg.get("arima", "order", _int_list, (0, 1, 1))
     seasonal = cfg.get("arima", "seasonal_order", _int_list, (2, 1, 0, 12))
@@ -198,6 +189,8 @@ def load_config(
     )
 
     knn_folds = cfg.get("knn", "folds", int, 5)
+    if knn_folds < 2:
+        raise ConfigError("[knn] folds must be >= 2")
     grid_windows = cfg.get("gridsearch", "windows", _int_list, DEFAULT_GRID_WINDOWS)
     for w in grid_windows:
         if not WINDOW_MIN <= w <= WINDOW_MAX:

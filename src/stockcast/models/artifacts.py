@@ -30,7 +30,7 @@ from .persistence import PersistenceModel
 from .trend import TrendModel
 
 FORMAT_NAME = "stockcast-artifact"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MODEL_KINDS = ("lstm", "bilstm", "linreg", "arima", "knn", "additive", "forest")
 ALL_KINDS = MODEL_KINDS + ("persistence",)

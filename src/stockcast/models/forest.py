@@ -28,27 +28,15 @@ _LEAF = -1
 
 @dataclass(frozen=True)
 class ForestConfig:
+    """Every tree is grown to full depth on a bootstrap sample, drawing
+    ceil(p / 3) candidate features per split."""
+
     n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    max_features: int | None = None   # None -> ceil(p / 3)
-    bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-
-    def resolved_max_features(self, p: int) -> int:
-        if self.max_features is None:
-            return max(1, math.ceil(p / 3))
-        if not 1 <= self.max_features <= p:
-            raise ValueError(f"max_features must be in [1, {p}]")
-        return self.max_features
 
 
 @dataclass
@@ -251,16 +239,11 @@ class ForestModel:
         return np.array([self.predict_row(h.feature_row()) for h in histories], dtype=np.float64)
 
 
-def _fit_one_tree(
-    index: int, x: np.ndarray, y: np.ndarray, config: ForestConfig, max_features: int
-) -> RegressionTree:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, index])))
-    if config.bootstrap:
-        sample = rng.integers(0, len(y), size=len(y))
-        xs, ys = x[sample], y[sample]
-    else:
-        xs, ys = x, y
-    return fit_tree(xs, ys, config.max_depth, config.min_samples_leaf, max_features, rng)
+def _fit_one_tree(index: int, x: np.ndarray, y: np.ndarray, seed: int) -> RegressionTree:
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
+    sample = rng.integers(0, len(y), size=len(y))
+    max_features = max(1, math.ceil(x.shape[1] / 3))
+    return fit_tree(x[sample], y[sample], max_features=max_features, rng=rng)
 
 
 def forest_train(
@@ -277,9 +260,8 @@ def forest_train(
     y = table.targets[split.train_slice]
     if len(y) < 2:
         raise TooFewSamples("need at least 2 training rows")
-    max_features = config.resolved_max_features(x.shape[1])
     return ForestModel(
-        trees=tuple(_fit_one_tree(i, x, y, config, max_features) for i in range(config.n_trees)),
+        trees=tuple(_fit_one_tree(i, x, y, config.seed) for i in range(config.n_trees)),
         feature_names=table.feature_names,
         config=config,
         train_end=train_end,

@@ -3,7 +3,7 @@
 Everything runs in float64 numpy. Gate order inside the fused weight
 matrices is [input, forget, cell, output]. The bidirectional variant runs
 a second parameter stack over the reversed window and concatenates the two
-final hidden states before the dense layers.
+final hidden states before the dense layers, which are linear.
 
 One forward pass serves training and inference. Only training keeps the
 BPTT caches; inference keeps only the running hidden and cell states, so
@@ -41,8 +41,6 @@ class LstmTopology:
     dense_sizes: tuple[int, ...] = (25, 1)
     window: int = 60
     bidirectional: bool = False
-    dense_activation: str = "identity"
-    dropout: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
@@ -55,10 +53,6 @@ class LstmTopology:
             raise ValueError("final dense layer must have size 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.dense_activation not in ("identity", "relu"):
-            raise ValueError("dense activation must be 'identity' or 'relu'")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -279,8 +273,6 @@ def _layer_backward(
 class _ForwardCache:
     stacks: list[list[_LayerCache]]   # [forward, backward?] layer caches, empty without keep_cache
     dense_inputs: list[np.ndarray]
-    dense_pre: list[np.ndarray]
-    dropout_masks: list[list[np.ndarray | None]]
     output: np.ndarray                # (B,)
 
 
@@ -288,15 +280,13 @@ def _forward(
     params: LstmParams,
     topology: LstmTopology,
     inputs: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
     keep_cache: bool = True,
 ) -> _ForwardCache:
     """The network over a (B, W) batch of scaled windows.
 
     Runs the forward stack and, for a BiLSTM, the backward stack over the
-    reversed window, then the dense head. Dropout masks are drawn only when
-    given an RNG. `keep_cache` keeps each layer's BPTT cache for
-    lstm_gradients; inference passes False.
+    reversed window, then the linear dense head. `keep_cache` keeps each
+    layer's BPTT cache for lstm_gradients; inference passes False.
     """
     seq = inputs[:, :, None]
     directions = [(params.layers, seq)]
@@ -304,47 +294,28 @@ def _forward(
         if not params.backward_layers:
             raise ShapeMismatch("bidirectional topology requires backward parameters")
         directions.append((params.backward_layers, seq[:, ::-1]))
-    dropout = topology.dropout if dropout_rng is not None else 0.0
     all_caches: list[list[_LayerCache]] = []
-    all_masks: list[list[np.ndarray | None]] = []
     finals = []
     for layers, current in directions:
         caches: list[_LayerCache] = []
-        masks: list[np.ndarray | None] = []
         for layer in layers:
             current, cache = _layer_forward(layer, current, keep_cache)
             if cache is not None:
                 caches.append(cache)
-            mask = None
-            if dropout > 0.0:
-                mask = (dropout_rng.random(current.shape) >= dropout) / (1.0 - dropout)
-                current = current * mask
-            masks.append(mask)
         all_caches.append(caches)
-        all_masks.append(masks)
         finals.append(current[:, -1])
     a = np.concatenate(finals, axis=1)  # the dense head reads every stack's final state
     dense_inputs: list[np.ndarray] = []
-    dense_pre: list[np.ndarray] = []
-    for k, dense in enumerate(params.dense):
+    for dense in params.dense:
         dense_inputs.append(a)
         a = a @ dense.w + dense.b
-        dense_pre.append(a)
-        if k < len(params.dense) - 1 and topology.dense_activation == "relu":
-            a = np.maximum(a, 0.0)
-    return _ForwardCache(
-        stacks=all_caches,
-        dense_inputs=dense_inputs,
-        dense_pre=dense_pre,
-        dropout_masks=all_masks,
-        output=a[:, 0],
-    )
+    return _ForwardCache(stacks=all_caches, dense_inputs=dense_inputs, output=a[:, 0])
 
 
 def lstm_batch_forward(params: LstmParams, topology: LstmTopology, inputs: np.ndarray) -> np.ndarray:
     """Predict the scaled next value of each row of a (N, W) batch of scaled windows.
 
-    Inference only: no BPTT cache is built and dropout is never applied.
+    Inference only: no BPTT cache is built.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != topology.window:
@@ -361,7 +332,6 @@ def lstm_gradients(
     topology: LstmTopology,
     inputs: np.ndarray,
     targets: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, LstmParams]:
     """Mean-squared-error loss and its exact gradients for one batch."""
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -370,7 +340,7 @@ def lstm_gradients(
         raise TooFewSamples("empty batch")
     if inputs.ndim != 2 or inputs.shape[1] != topology.window or len(inputs) != len(targets):
         raise ShapeMismatch("batch shapes do not match the topology")
-    cache = _forward(params, topology, inputs, dropout_rng)
+    cache = _forward(params, topology, inputs)
     batch = len(inputs)
     residual = cache.output - targets
     loss = float(residual @ residual) / batch
@@ -378,23 +348,16 @@ def lstm_gradients(
     dense_grads: list[DenseParams] = []
     d_a = (2.0 / batch) * residual[:, None]
     for k in range(len(params.dense) - 1, -1, -1):
-        dz = d_a
-        if k < len(params.dense) - 1 and topology.dense_activation == "relu":
-            dz = d_a * (cache.dense_pre[k] > 0.0)
-        dense_grads.insert(0, DenseParams(w=cache.dense_inputs[k].T @ dz, b=dz.sum(axis=0)))
-        d_a = dz @ params.dense[k].w.T
+        dense_grads.insert(0, DenseParams(w=cache.dense_inputs[k].T @ d_a, b=d_a.sum(axis=0)))
+        d_a = d_a @ params.dense[k].w.T
 
     # d_a holds dL/d(final hidden states), one column block per stack
     hidden_last = topology.layer_sizes[-1]
     stack_grads: list[list[LayerParams]] = [[], []]
-    for s, (layers, caches, masks) in enumerate(
-        zip([params.layers, params.backward_layers], cache.stacks, cache.dropout_masks)
-    ):
+    for s, (layers, caches) in enumerate(zip([params.layers, params.backward_layers], cache.stacks)):
         d_out = np.zeros_like(caches[-1].h_seq)
         d_out[:, -1] = d_a[:, s * hidden_last : (s + 1) * hidden_last]
         for li in range(len(layers) - 1, -1, -1):
-            if masks[li] is not None:
-                d_out = d_out * masks[li]
             layer_grads, d_out = _layer_backward(layers[li], caches[li], d_out)
             stack_grads[s].insert(0, layer_grads)
     return loss, LstmParams(layers=stack_grads[0], dense=dense_grads, backward_layers=stack_grads[1])
@@ -468,11 +431,6 @@ def lstm_train(
 
     params = init_params(topology, config.seed)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 1])))
-    dropout_rng = (
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 2])))
-        if topology.dropout > 0.0
-        else None
-    )
 
     flat = params.flatten()
     m = np.zeros_like(flat)
@@ -490,9 +448,7 @@ def lstm_train(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads = lstm_gradients(
-                params, topology, train_x[batch], train_y[batch], dropout_rng
-            )
+            loss, grads = lstm_gradients(params, topology, train_x[batch], train_y[batch])
             if not np.isfinite(loss):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(batch)

@@ -80,6 +80,9 @@ def test_missing_lexicon_path_is_config_error(mini, tmp_path):
          "[dataset] window: invalid literal for int() with base 10: 'sixty'"),
         ("[run]", "[sentiment]\nremove_stopwords = maybe\n\n[run]",
          "[sentiment] remove_stopwords: not a boolean: maybe"),
+        ("[run]", "[knn]\nfolds = 1\n\n[run]", "[knn] folds must be >= 2"),
+        ("patience = 2", "patience = 2\ndropout = 0.2", "unknown config key [lstm] dropout"),
+        ("n_trees = 8", "n_trees = 8\nbootstrap = false", "unknown config key [forest] bootstrap"),
     ],
 )
 def test_config_typo_or_bad_value_names_its_key(mini, tmp_path, old, new, message):

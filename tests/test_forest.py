@@ -66,16 +66,6 @@ def test_adjacent_doubles_split_without_an_empty_leaf():
     assert_tree_equals_oracle(tree, exhaustive_tree(x, y, max_depth=None))
 
 
-def test_depth_zero_single_tree_predicts_training_mean():
-    table = small_table()
-    split = chronological_split(len(table), 0.8)
-    config = ForestConfig(n_trees=1, max_depth=0, bootstrap=False, seed=1)
-    model = forest_train(table, split, config)
-    mean = table.targets[split.train_slice].mean()
-    row = table.features[0]
-    assert model.predict_row(row) == pytest.approx(mean, rel=1e-12)
-
-
 def test_monotone_data_depth_one_splits_in_the_middle():
     x = np.arange(10.0)[:, None]
     y = np.arange(10.0) * 3.0 + 1.0  # strictly monotone

@@ -120,8 +120,9 @@ def test_tiny_network_matches_hand_computed_recurrence():
     assert abs(got - expected) < 1e-12
 
 
-def test_gradients_match_finite_differences():
-    topology = small_topology()
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_gradients_match_finite_differences(bidirectional):
+    topology = replace(small_topology(), bidirectional=bidirectional)
     params = randomized_params(topology)
     x = RNG.normal(0, 1, (6, 8))
     y = RNG.normal(0, 1, 6)
@@ -171,20 +172,13 @@ def test_gate_activations_bounded_and_cells_finite():
         assert np.all(np.isfinite(layer_cache.c))
 
 
-@pytest.mark.parametrize(
-    "options",
-    [{"bidirectional": False}, {"bidirectional": True},
-     {"bidirectional": True, "dropout": 0.3, "dense_activation": "relu"}],
-    ids=["False", "True", "True-dropout-relu"],
-)
-def test_cache_free_forward_equals_training_forward(options):
-    # inference ignores dropout, and a training forward without an RNG draws none
-    topology = LstmTopology(layer_sizes=(4, 3), dense_sizes=(2, 1), window=8, **options)
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_cache_free_forward_equals_training_forward(bidirectional):
+    topology = replace(small_topology(), bidirectional=bidirectional)
     params = randomized_params(topology)
     x = RNG.normal(0, 1, (11, 8))
     inference = lstm_batch_forward(params, topology, x)
     assert np.array_equal(inference, _forward(params, topology, x).output)
-    assert np.array_equal(inference, lstm_batch_forward(params, replace(topology, dropout=0.0), x))
     free = _forward(params, topology, x, keep_cache=False)
     assert free.stacks and all(caches == [] for caches in free.stacks)
 
@@ -297,7 +291,7 @@ def test_predict_next_inverse_scaling_plumbing(monkeypatch):
 @pytest.mark.parametrize("bidirectional", [False, True])
 def test_batched_predict_next_matches_one_window_at_a_time(bidirectional):
     topology = LstmTopology(layer_sizes=(5, 3), dense_sizes=(4, 1), window=9,
-                            bidirectional=bidirectional, dense_activation="relu")
+                            bidirectional=bidirectional)
     artifact = NeuralModelArtifact(
         topology=topology,
         params=randomized_params(topology, seed=21),
@@ -312,20 +306,6 @@ def test_batched_predict_next_matches_one_window_at_a_time(bidirectional):
     one_by_one = np.array([predict_next(artifact, row[None, :])[0] for row in closes])
     assert batched.shape == (n,)
     np.testing.assert_allclose(batched, one_by_one, rtol=1e-12, atol=0.0)
-
-
-def test_dropout_training_runs_and_is_deterministic():
-    dataset = make_sine_dataset()
-    split = chronological_split(len(dataset), 0.9)
-    topology = LstmTopology(layer_sizes=(5,), dense_sizes=(1,), window=12, dropout=0.2)
-    config = TrainConfig(epochs=3, batch_size=16, seed=7)
-    a = lstm_train(dataset, split, topology, config)
-    b = lstm_train(dataset, split, topology, config)
-    assert dumps_artifact(a) == dumps_artifact(b)
-    assert np.all(np.isfinite(a.params.flatten()))
-    # inference never applies dropout: repeated calls agree
-    window = dataset.inputs[0]
-    assert forward_one(a.params, topology, window) == forward_one(a.params, topology, window)
 
 
 def test_artifact_round_trip_bit_exact():

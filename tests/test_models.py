@@ -179,9 +179,10 @@ def test_decode_errors_name_the_path_of_the_bad_value(trained):
 
 def test_a_version_1_artifact_is_refused(trained):
     _, models = trained
-    text = corrupted(models["arima"], lambda doc: doc.update(format_version=1))
-    with pytest.raises(ArtifactError, match="unsupported artifact version 1"):
-        loads_artifact(text)
+    for old in (1, 2):
+        text = corrupted(models["arima"], lambda doc: doc.update(format_version=old))
+        with pytest.raises(ArtifactError, match=f"unsupported artifact version {old}"):
+            loads_artifact(text)
 
 
 JSON_VALUES = st.recursive(
