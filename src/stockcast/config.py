@@ -99,6 +99,14 @@ def _boolean(text: str) -> bool:
     return states[text.lower()]
 
 
+def _build(section: str, cls, **fields):
+    """`cls(**fields)`, with the section named in the error of its own checks."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def _resolve_path(base: Path, section: str, key: str, value: str) -> Path:
     path = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
     if not path.exists():
@@ -153,6 +161,8 @@ def load_config(
         raise ConfigError(
             "[dataset] exactly one of train_fraction or split_index must be set"
         )
+    if train_fraction is not None and not 0.0 < train_fraction < 1.0:
+        raise ConfigError("[dataset] train_fraction must be in (0, 1)")
 
     preprocess = PreprocessConfig(
         remove_stopwords=cfg.get("sentiment", "remove_stopwords", _boolean, True),
@@ -164,13 +174,17 @@ def load_config(
     if seed_override is not None:
         seed = seed_override
 
-    topology = LstmTopology(
+    topology = _build(
+        "lstm",
+        LstmTopology,
         layer_sizes=cfg.get("lstm", "layers", _int_list, (128, 64)),
         dense_sizes=cfg.get("lstm", "dense", _int_list, (25, 1)),
         window=window,
         bidirectional=False,
     )
-    lstm_train = TrainConfig(
+    lstm_train = _build(
+        "lstm",
+        TrainConfig,
         epochs=cfg.get("lstm", "epochs", int, 200),
         batch_size=cfg.get("lstm", "batch_size", int, 32),
         learning_rate=cfg.get("lstm", "learning_rate", float, 0.001),
@@ -178,13 +192,16 @@ def load_config(
         early_stop_patience=cfg.get("lstm", "patience", int, 10),
     )
 
-    forest = ForestConfig(n_trees=cfg.get("forest", "n_trees", int, 100), seed=seed)
+    n_trees = cfg.get("forest", "n_trees", int, 100)
+    forest = _build("forest", ForestConfig, n_trees=n_trees, seed=seed)
 
     order = cfg.get("arima", "order", _int_list, (0, 1, 1))
     seasonal = cfg.get("arima", "seasonal_order", _int_list, (2, 1, 0, 12))
     if len(order) != 3 or len(seasonal) != 4:
         raise ConfigError("[arima] order must have 3 values and seasonal_order 4")
-    arima = ArimaSpec(
+    arima = _build(
+        "arima",
+        ArimaSpec,
         order=order, seasonal_order=seasonal, max_evals=cfg.get("arima", "max_evals", int, 50)
     )
 
@@ -192,6 +209,8 @@ def load_config(
     if knn_folds < 2:
         raise ConfigError("[knn] folds must be >= 2")
     grid_windows = cfg.get("gridsearch", "windows", _int_list, DEFAULT_GRID_WINDOWS)
+    if not grid_windows:
+        raise ConfigError("[gridsearch] windows must list at least one window")
     for w in grid_windows:
         if not WINDOW_MIN <= w <= WINDOW_MAX:
             raise ConfigError(f"[gridsearch] windows must lie in [{WINDOW_MIN}, {WINDOW_MAX}]")

@@ -20,7 +20,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ..dataset import FeatureTable, SplitSpec
+from ..dataset import FEATURE_NAMES
 from ..errors import SchemaMismatch, TooFewSamples
 
 _LEAF = -1
@@ -247,22 +247,22 @@ def _fit_one_tree(index: int, x: np.ndarray, y: np.ndarray, seed: int) -> Regres
 
 
 def forest_train(
-    table: FeatureTable,
-    split: SplitSpec,
+    features: np.ndarray,
+    targets: np.ndarray,
     config: ForestConfig,
     train_end=None,
 ) -> ForestModel:
-    """Fit the forest on the chronological training slice of the table.
+    """Fit the forest on the training rows of the feature table.
 
     Features stay unscaled: trees are invariant to monotone feature maps.
     """
-    x = table.features[split.train_slice]
-    y = table.targets[split.train_slice]
-    if len(y) < 2:
+    if len(targets) < 2:
         raise TooFewSamples("need at least 2 training rows")
     return ForestModel(
-        trees=tuple(_fit_one_tree(i, x, y, config.seed) for i in range(config.n_trees)),
-        feature_names=table.feature_names,
+        trees=tuple(
+            _fit_one_tree(i, features, targets, config.seed) for i in range(config.n_trees)
+        ),
+        feature_names=FEATURE_NAMES,
         config=config,
         train_end=train_end,
     )

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..dataset import MinMaxScaler, SplitSpec, WindowedDataset
+from ..dataset import MinMaxScaler
 from ..errors import ShapeMismatch, TooFewSamples
 
 K_RANGE = tuple(range(2, 10))
@@ -67,22 +67,19 @@ def _knn_predict(inputs: np.ndarray, targets: np.ndarray, window: np.ndarray, k:
 
 
 def knn_fit_cv(
-    dataset: WindowedDataset,
-    split: SplitSpec,
-    k_range: tuple[int, ...] = K_RANGE,
+    inputs: np.ndarray,
+    targets: np.ndarray,
     folds: int = CV_FOLDS,
     scaler: MinMaxScaler | None = None,
     train_end=None,
 ) -> KnnModel:
-    """Pick k by contiguous-block CV RMSE over the training slice (argmin, ties to smaller k)."""
-    inputs = dataset.inputs[split.train_slice]
-    targets = dataset.targets[split.train_slice]
+    """Pick k by contiguous-block CV RMSE over the training rows (argmin, ties to smaller k)."""
     n = len(targets)
     if n < 10:
         raise TooFewSamples(f"need >= 10 training samples, got {n}")
     blocks = np.array_split(np.arange(n), folds)
     cv_rmse: dict[int, float] = {}
-    for k in k_range:
+    for k in K_RANGE:
         fold_errors = []
         for block in blocks:
             if len(block) == 0:
@@ -96,7 +93,7 @@ def knn_fit_cv(
             ]
             fold_errors.append(float(np.sqrt(np.mean(sq))))
         cv_rmse[k] = float(np.mean(fold_errors)) if fold_errors else np.inf
-    best_k = min(k_range, key=lambda k: (cv_rmse[k], k))
+    best_k = min(K_RANGE, key=lambda k: (cv_rmse[k], k))
     return KnnModel(
         k=best_k,
         train_inputs=inputs.copy(),

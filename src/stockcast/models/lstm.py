@@ -21,7 +21,7 @@ from datetime import date
 
 import numpy as np
 
-from ..dataset import MinMaxScaler, SplitSpec, WindowedDataset
+from ..dataset import MinMaxScaler
 from ..errors import DivergedLoss, ShapeMismatch, TooFewSamples
 
 ADAM_BETA1 = 0.9
@@ -405,8 +405,9 @@ def predict_next(artifact: NeuralModelArtifact, recent_closes: np.ndarray) -> np
 
 
 def lstm_train(
-    dataset: WindowedDataset,
-    split: SplitSpec,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    n_train: int,
     topology: LstmTopology,
     config: TrainConfig,
     scaler: MinMaxScaler | None = None,
@@ -414,16 +415,18 @@ def lstm_train(
 ) -> NeuralModelArtifact:
     """Mini-batch Adam training with early stopping on validation RMSE.
 
-    Batches are drawn in seeded-shuffled order; the artifact carries the
-    parameters of the best validation epoch. epochs=0 returns the seeded
-    initial parameters with an empty history.
+    The first `n_train` (window, target) rows train the network and the
+    rest are the validation rows. Batches are drawn in seeded-shuffled
+    order; the artifact carries the parameters of the best validation
+    epoch. epochs=0 returns the seeded initial parameters with an empty
+    history.
     """
-    if dataset.window_len != topology.window:
-        raise ShapeMismatch("dataset window length does not match topology")
-    train_x = dataset.inputs[split.train_slice]
-    train_y = dataset.targets[split.train_slice]
-    val_x = dataset.inputs[split.validation_slice]
-    val_y = dataset.targets[split.validation_slice]
+    if inputs.ndim != 2 or inputs.shape[1] != topology.window:
+        raise ShapeMismatch("window length does not match topology")
+    train_x, val_x = inputs[:n_train], inputs[n_train:]
+    train_y, val_y = targets[:n_train], targets[n_train:]
+    if len(val_y) == 0:
+        raise TooFewSamples(f"{n_train} training rows leave no validation rows")
     if len(train_x) < config.batch_size:
         raise TooFewSamples(
             f"{len(train_x)} training samples < batch size {config.batch_size}"

@@ -1,9 +1,9 @@
 """End-to-end wiring: files -> panel -> datasets -> models -> report.
 
 One chronological boundary drives every model: the panel-row split index s.
-Windowed models train on samples whose target row is < s, the feature
-table splits at s-1 (its rows are keyed by target date), and series models
-fit on closes[:s]. Validation targets are the panel dates from s on, so
+Windowed models train on the s - w windows whose target row is < s, the
+forest on the s - 1 feature rows whose target row is < s, and series
+models on closes[:s]. Validation targets are the panel dates from s on, so
 all models are scored on the same days.
 """
 
@@ -15,13 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig
-from .dataset import (
-    SplitSpec,
-    build_feature_table,
-    build_windows,
-    chronological_split,
-    fit_scaler,
-)
+from .dataset import build_feature_table, build_windows, chronological_split, fit_scaler
 from .errors import ArtifactError, ConfigError, StockcastError, TooFewSamples
 from .evaluation import ForecastReport, correlation_matrix, walk_forward
 from .ingest import parse_macro_csv, parse_news_file, parse_price_csv
@@ -138,7 +132,7 @@ class PipelineData:
                     f"[dataset] split_index {s} outside [1, {len(panel) - 1}] for {panel.ticker}"
                 )
             return s
-        return chronological_split(len(panel), self.config.train_fraction).split_index
+        return chronological_split(len(panel), self.config.train_fraction)
 
 
 def train_model(data: PipelineData, kind: str, ticker: str, window: int | None = None):
@@ -155,37 +149,35 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
     train_end = panel.dates[s - 1]
     w = window if window is not None else config.window
 
+    n_windows = s - w  # the windows whose target row is < s
+    if kind in ("lstm", "bilstm", "knn") and n_windows < 1:
+        raise TooFewSamples(f"split index {s} leaves no training windows of length {w}")
     if kind in ("lstm", "bilstm"):
-        if s <= w:
-            raise TooFewSamples(f"split index {s} leaves no training windows of length {w}")
-        scaler = fit_scaler(closes[:s], ("close",))
-        dataset = build_windows(scaler.apply(closes), w, dates=panel.dates)
-        split = SplitSpec(n=len(dataset), split_index=s - w)
+        scaler = fit_scaler(closes[:s])
+        inputs, targets = build_windows(scaler.apply(closes), w)
         topology = replace(config.lstm_topology, window=w, bidirectional=kind == "bilstm")
         return lstm_train(
-            dataset, split, topology, config.lstm_train, scaler=scaler, train_end=train_end
+            inputs, targets, n_windows, topology, config.lstm_train,
+            scaler=scaler, train_end=train_end,
         )
     if kind == "forest":
-        table = build_feature_table(panel)
-        split = SplitSpec(n=len(table), split_index=s - 1)
-        return forest_train(table, split, config.forest, train_end=train_end)
+        features, targets = build_feature_table(panel)  # row t targets row t + 1
+        return forest_train(
+            features[: s - 1], targets[: s - 1], config.forest, train_end=train_end
+        )
     if kind == "linreg":
-        dataset = build_windows(closes, w, dates=panel.dates)
-        n_train = s - w
-        if n_train <= w + 1:
+        inputs, targets = build_windows(closes, w)
+        if n_windows <= w + 1:
             raise TooFewSamples(
-                f"linreg over windows of {w} needs more than {w + 1} training samples, got {n_train}"
+                f"linreg over windows of {w} needs more than {w + 1} training samples, got {n_windows}"
             )
-        return linreg_fit(dataset.inputs[:n_train], dataset.targets[:n_train], train_end=train_end)
+        return linreg_fit(inputs[:n_windows], targets[:n_windows], train_end=train_end)
     if kind == "knn":
-        if s <= w:
-            raise TooFewSamples(f"split index {s} leaves no training windows of length {w}")
-        scaler = fit_scaler(closes[:s], ("close",))
-        raw = build_windows(closes, w, dates=panel.dates)
-        dataset = replace(raw, inputs=scaler.apply(raw.inputs))
-        split = SplitSpec(n=len(dataset), split_index=s - w)
+        scaler = fit_scaler(closes[:s])
+        inputs, targets = build_windows(closes, w)
         return knn_fit_cv(
-            dataset, split, folds=config.knn_folds, scaler=scaler, train_end=train_end
+            scaler.apply(inputs[:n_windows]), targets[:n_windows],
+            folds=config.knn_folds, scaler=scaler, train_end=train_end,
         )
     if kind == "arima":
         return arima_fit(closes[:s], config.arima, train_end=train_end)

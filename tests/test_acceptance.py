@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from stockcast.cli import main as cli_main
-from stockcast.dataset import SplitSpec, build_feature_table, build_windows, chronological_split, fit_scaler
+from stockcast.dataset import build_feature_table, build_windows, chronological_split, fit_scaler
 from stockcast.evaluation import mape, rmse, walk_forward
 from stockcast.models.arima import ArimaModel, ArimaSpec, arima_fit
 from stockcast.models.artifacts import MODEL_KINDS
@@ -115,17 +115,17 @@ def test_lstm_learns_synthetic_sine_plus_trend():
     series = 100.0 + 0.05 * t + 10.0 * np.sin(2 * np.pi * t / 50.0)
 
     topology = LstmTopology()  # default (128, 64) / (25, 1) / window 60
-    split_rows = chronological_split(n, 0.95).split_index
-    scaler = fit_scaler(series[:split_rows], ("close",))
-    dataset = build_windows(scaler.apply(series), topology.window)
-    split = SplitSpec(n=len(dataset), split_index=split_rows - topology.window)
+    split_rows = chronological_split(n, 0.95)
+    scaler = fit_scaler(series[:split_rows])
+    inputs, targets = build_windows(scaler.apply(series), topology.window)
+    n_train = split_rows - topology.window
     config = TrainConfig(epochs=200, batch_size=32, seed=42, early_stop_patience=10)
 
-    artifact = lstm_train(dataset, split, topology, config, scaler=scaler)
+    artifact = lstm_train(inputs, targets, n_train, topology, config, scaler=scaler)
     assert len(artifact.history) <= 200
 
-    val_x = dataset.inputs[split.validation_slice]
-    val_y = dataset.targets[split.validation_slice]
+    val_x = inputs[n_train:]
+    val_y = targets[n_train:]
     predictions = scaler.inverse(lstm_batch_forward(artifact.params, topology, val_x))
     actual = scaler.inverse(val_y)
     error = mape(predictions, actual)
@@ -210,30 +210,31 @@ def test_walk_forward_never_reads_target_or_later():
         targets = panel.dates[split_row:]
         closes = panel.close
 
-        scaler = fit_scaler(closes[:split_row], ("close",))
-        windows = build_windows(scaler.apply(closes), 5, dates=panel.dates)
-        table = build_feature_table(panel)
+        scaler = fit_scaler(closes[:split_row])
+        inputs, window_targets = build_windows(scaler.apply(closes), 5)
+        raw_inputs, raw_targets = build_windows(closes, 5)
+        features, feature_targets = build_feature_table(panel)
         models = [
             PersistenceModel(train_end=train_end),
             additive_trend_fit(closes[:split_row], train_end=train_end),
             lstm_train(
-                windows, SplitSpec(n=len(windows), split_index=split_row - 5),
+                inputs, window_targets, split_row - 5,
                 lstm_topology, TrainConfig(epochs=0, batch_size=4, seed=seed),
                 scaler=scaler, train_end=train_end,
             ),
             forest_train(
-                table, SplitSpec(n=len(table), split_index=split_row - 1),
+                features[: split_row - 1], feature_targets[: split_row - 1],
                 ForestConfig(n_trees=3, seed=seed), train_end=train_end,
             ),
             linreg_fit(
-                build_windows(closes, 5).inputs[: split_row - 5],
-                build_windows(closes, 5).targets[: split_row - 5],
+                raw_inputs[: split_row - 5],
+                raw_targets[: split_row - 5],
                 train_end=train_end,
             ),
             KnnModel(
                 k=2,
-                train_inputs=windows.inputs[: split_row - 5],
-                train_targets=windows.targets[: split_row - 5],
+                train_inputs=inputs[: split_row - 5],
+                train_targets=window_targets[: split_row - 5],
                 cv_rmse={}, scaler=scaler, train_end=train_end,
             ),
             ArimaModel(

@@ -91,18 +91,18 @@ def test_knn_with_k_equal_n_predicts_global_mean():
 def test_knn_cv_chooses_k_in_range_and_is_deterministic():
     rng = np.random.Generator(np.random.PCG64(3))
     series = np.sin(np.arange(120) / 7.0) + rng.normal(0, 0.05, 120)
-    dataset = build_windows(series, 6)
-    split = chronological_split(len(dataset), 0.8)
-    a = knn_fit_cv(dataset, split)
-    b = knn_fit_cv(dataset, split)
+    inputs, targets = build_windows(series, 6)
+    n_train = chronological_split(len(targets), 0.8)
+    a = knn_fit_cv(inputs[:n_train], targets[:n_train])
+    b = knn_fit_cv(inputs[:n_train], targets[:n_train])
     assert 2 <= a.k <= 9
     assert a.k == b.k and a.cv_rmse == b.cv_rmse
 
 
 def test_knn_requires_enough_samples():
-    dataset = build_windows(np.arange(8.0), 2)
+    inputs, targets = build_windows(np.arange(8.0), 2)
     with pytest.raises(TooFewSamples):
-        knn_fit_cv(dataset, chronological_split(len(dataset), 0.9))
+        knn_fit_cv(inputs, targets)
 
 
 # --- arima ----------------------------------------------------------------

@@ -93,6 +93,31 @@ def test_config_typo_or_bad_value_names_its_key(mini, tmp_path, old, new, messag
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "command, old, new, message",
+    [
+        ("ingest-check", "train_fraction = 0.9", "train_fraction = 1.5",
+         "[dataset] train_fraction must be in (0, 1)"),
+        ("gridsearch-window", "windows = 5, 10", "windows = ,",
+         "[gridsearch] windows must list at least one window"),
+        ("train", "dense = 3, 1", "dense = 25, 2", "[lstm] final dense layer must have size 1"),
+        ("train", "n_trees = 8", "n_trees = 0", "[forest] n_trees must be >= 1"),
+        ("train", "epochs = 2", "epochs = -1", "[lstm] epochs must be >= 0"),
+        ("train", "seasonal_order = 0, 0, 0, 1", "seasonal_order = 2, 1, 0, 0",
+         "[arima] seasonal period must be >= 1"),
+    ],
+)
+def test_out_of_range_setting_fails_at_load_naming_its_section(
+    mini, tmp_path, capsys, command, old, new, message
+):
+    bad = mini.parent / f"bad_{tmp_path.name}.ini"
+    bad.write_text(mini.read_text().replace(old, new, 1))
+    assert run(command, "--config", bad, "--out", tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"stockcast: [{command}] error: {message}\n"
+    assert captured.out == ""
+
+
 def test_overridden_keys_are_still_read(mini, tmp_path):
     config = load_config(mini, seed_override=7, out_override=tmp_path)
     assert (config.seed, config.out_dir) == (7, tmp_path)

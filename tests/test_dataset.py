@@ -53,25 +53,27 @@ def test_scaler_round_trip_close_everywhere(values):
     assert np.allclose(back, values, rtol=1e-12, atol=1e-9)
 
 
-def test_scaler_multifeature():
-    x = np.array([[0.0, 10.0], [1.0, 30.0]])
-    scaler = fit_scaler(x, feature_names=("a", "b"))
-    out = scaler.apply(np.array([[0.5, 20.0]]))
-    assert np.allclose(out, [[0.5, 0.5]])
-
-
 # --- windows -------------------------------------------------------------
 
 
 def test_window_counts():
-    ds = build_windows(np.arange(100.0), 60)
-    assert len(ds) == 40
+    inputs, targets = build_windows(np.arange(100.0), 60)
+    assert inputs.shape == (40, 60)
+    assert targets.shape == (40,)
 
 
 def test_window_enumeration():
-    ds = build_windows(np.array([1.0, 2.0, 3.0]), 1)
-    assert ds.inputs.tolist() == [[1.0], [2.0]]
-    assert ds.targets.tolist() == [2.0, 3.0]
+    inputs, targets = build_windows(np.array([1.0, 2.0, 3.0]), 1)
+    assert inputs.tolist() == [[1.0], [2.0]]
+    assert targets.tolist() == [2.0, 3.0]
+
+
+def test_windows_are_writable_copies():
+    closes = np.arange(10.0)
+    inputs, targets = build_windows(closes, 3)
+    inputs[0, 0] = targets[0] = -1.0
+    assert inputs[1, 0] == 1.0  # rows do not share memory
+    assert np.array_equal(closes, np.arange(10.0))
 
 
 def test_window_too_long():
@@ -81,19 +83,22 @@ def test_window_too_long():
 
 def test_unwindowing_reconstructs_series():
     series = np.linspace(0, 1, 30)
-    ds = build_windows(series, 7)
-    rebuilt = np.concatenate([ds.inputs[0], ds.targets])
+    inputs, targets = build_windows(series, 7)
+    rebuilt = np.concatenate([inputs[0], targets])
     assert np.array_equal(rebuilt, series)
     # overlap consistency: each window is the previous shifted by one
-    for i in range(1, len(ds)):
-        assert np.array_equal(ds.inputs[i, :-1], ds.inputs[i - 1, 1:])
+    for i in range(1, len(targets)):
+        assert np.array_equal(inputs[i, :-1], inputs[i - 1, 1:])
 
 
 def test_window_dates_are_target_dates():
+    # sample i targets panel row i + W, so its target date is dates[i + W]
     panel = make_panel(n=20)
-    ds = build_windows(panel.close, 5, dates=panel.dates)
-    assert ds.dates[0] == panel.dates[5]
-    assert len(ds.dates) == 15
+    inputs, targets = build_windows(panel.close, 5)
+    assert len(targets) == 15
+    for i in range(len(targets)):
+        assert targets[i] == panel.close[i + 5]
+        assert np.array_equal(inputs[i], panel.close[i : i + 5])
 
 
 # --- feature table -------------------------------------------------------
@@ -101,12 +106,10 @@ def test_window_dates_are_target_dates():
 
 def test_feature_table_shifts_target_one_day():
     panel = make_panel(n=3)
-    table = build_feature_table(panel)
-    assert len(table) == 2
-    assert table.targets[0] == panel.close[1]
-    assert table.features[0, 0] == panel.close[0]
-    assert table.dates[0] == panel.dates[1]
-    assert table.feature_names == FEATURE_NAMES
+    features, targets = build_feature_table(panel)
+    assert features.shape == (2, len(FEATURE_NAMES))
+    assert targets.tolist() == panel.close[1:].tolist()
+    assert features[0, 0] == panel.close[0]
 
 
 def test_feature_table_requires_sentiment():
@@ -122,44 +125,46 @@ def test_feature_table_neutral_sentiment_propagates():
     object.__setattr__(neutral, "neg", np.zeros(5))
     object.__setattr__(neutral, "neu", np.ones(5))
     object.__setattr__(neutral, "compound", np.zeros(5))
-    table = build_feature_table(panel)
-    pos_col = table.features[:, list(FEATURE_NAMES).index("pos")]
-    neu_col = table.features[:, list(FEATURE_NAMES).index("neu")]
+    features, _ = build_feature_table(panel)
+    pos_col = features[:, list(FEATURE_NAMES).index("pos")]
+    neu_col = features[:, list(FEATURE_NAMES).index("neu")]
     assert np.all(pos_col == 0.0) and np.all(neu_col == 1.0)
 
 
 @settings(max_examples=40, derandomize=True)
 @given(n=st.integers(min_value=2, max_value=60), seed=st.integers(0, 1000))
 def test_no_lookahead_in_feature_table(n, seed):
+    # feature row t is panel row t, and its target is the close of row t + 1
     panel = make_panel(n=n, seed=seed)
-    table = build_feature_table(panel)
-    for t in range(len(table)):
-        target_date = table.dates[t]
-        feature_date = panel.dates[t]
-        assert feature_date < target_date
+    features, targets = build_feature_table(panel)
+    assert len(features) == len(targets) == n - 1
+    for t in range(n - 1):
+        expected = [panel.column(name)[t] for name in FEATURE_NAMES]
+        assert features[t].tolist() == expected
+        assert targets[t] == panel.close[t + 1]
 
 
 @settings(max_examples=40, derandomize=True)
 @given(n=st.integers(min_value=10, max_value=80), w=st.integers(min_value=1, max_value=9))
 def test_no_lookahead_in_windows(n, w):
+    # window i covers panel rows i .. i + w - 1 and targets row i + w
     panel = make_panel(n=n)
-    ds = build_windows(panel.close, w, dates=panel.dates)
-    for i in range(len(ds)):
-        window_last_date = panel.dates[i + w - 1]
-        assert window_last_date < ds.dates[i]
+    inputs, targets = build_windows(panel.close, w)
+    assert len(inputs) == len(targets) == n - w
+    for i in range(n - w):
+        assert np.array_equal(inputs[i], panel.close[i : i + w])
+        assert targets[i] == panel.close[i + w]
 
 
 # --- split ---------------------------------------------------------------
 
 
 def test_split_matches_reported_count():
-    spec = chronological_split(3478, 0.95)
-    assert spec.split_index == 3304  # floor; off by one from the cited 3305
+    assert chronological_split(3478, 0.95) == 3304  # floor; off by one from the cited 3305
 
 
 def test_split_clamps_tiny_inputs():
-    spec = chronological_split(2, 0.95)
-    assert spec.split_index == 1
+    assert chronological_split(2, 0.95) == 1
 
 
 def test_split_rejects_single_sample():
@@ -169,10 +174,10 @@ def test_split_rejects_single_sample():
 
 def test_scaler_fit_on_train_only_allows_out_of_range_validation():
     values = np.concatenate([np.linspace(10, 20, 50), np.linspace(21, 30, 10)])
-    spec = chronological_split(60, 50 / 60)
-    scaler = fit_scaler(values[spec.train_slice])
+    s = chronological_split(60, 50 / 60)
+    scaler = fit_scaler(values[:s])
     scaled = scaler.apply(values)
-    assert scaled[: spec.split_index].min() >= 0.0
-    assert scaled[: spec.split_index].max() <= 1.0
-    assert scaled[spec.split_index :].max() > 1.0  # validation may exceed [0, 1]
+    assert scaled[:s].min() >= 0.0
+    assert scaled[:s].max() <= 1.0
+    assert scaled[s:].max() > 1.0  # validation may exceed [0, 1]
     assert np.allclose(scaler.inverse(scaled), values, rtol=1e-12)

@@ -121,7 +121,7 @@ def small_neural(panel: AlignedPanel, split_row: int, bidirectional: bool = Fals
     return NeuralModelArtifact(
         topology=topology,
         params=init_params(topology, seed),
-        scaler=fit_scaler(panel.close[:split_row], ("close",)),
+        scaler=fit_scaler(panel.close[:split_row]),
         history=(),
         seed=seed,
         best_epoch=0,

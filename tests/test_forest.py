@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stockcast.dataset import FeatureTable, SplitSpec, build_feature_table, chronological_split
+from stockcast.dataset import build_feature_table, chronological_split
 from stockcast.errors import SchemaMismatch, TooFewSamples
 from stockcast.models.artifacts import dumps_artifact
 from stockcast.models.forest import (
@@ -27,9 +27,11 @@ def assert_tree_equals_oracle(tree: RegressionTree, oracle: dict, node: int = 0)
     assert_tree_equals_oracle(tree, oracle["right"], tree.right[node])
 
 
-def small_table(n=30, seed=0) -> FeatureTable:
-    panel = make_panel(n=n + 1, seed=seed)
-    return build_feature_table(panel)
+def small_table(n=30, seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """The first 80% of the rows of a random panel's feature table."""
+    features, targets = build_feature_table(make_panel(n=n + 1, seed=seed))
+    s = chronological_split(n, 0.8)
+    return features[:s], targets[:s]
 
 
 def test_cart_matches_exhaustive_oracle_on_many_small_datasets():
@@ -75,10 +77,9 @@ def test_monotone_data_depth_one_splits_in_the_middle():
 
 
 def test_forest_prediction_invariant_to_tree_order():
-    table = small_table(n=40)
-    split = chronological_split(len(table), 0.8)
-    model = forest_train(table, split, ForestConfig(n_trees=7, seed=3))
-    row = table.features[5]
+    features, targets = small_table(n=40)
+    model = forest_train(features, targets, ForestConfig(n_trees=7, seed=3))
+    row = features[5]
     shuffled = ForestModel(
         trees=tuple(reversed(model.trees)),
         feature_names=model.feature_names,
@@ -103,24 +104,21 @@ def test_forest_of_identical_stumps_predicts_their_constant():
 
 
 def test_forest_schema_mismatch():
-    table = small_table()
-    split = chronological_split(len(table), 0.8)
-    model = forest_train(table, split, ForestConfig(n_trees=2, seed=0))
+    model = forest_train(*small_table(), ForestConfig(n_trees=2, seed=0))
     with pytest.raises(SchemaMismatch):
         model.predict_row(np.zeros(3))
 
 
 def test_forest_too_few_samples():
-    table = small_table(n=3)
+    features, targets = small_table(n=3)
     with pytest.raises(TooFewSamples):
-        forest_train(table, SplitSpec(n=len(table), split_index=1), ForestConfig(n_trees=1))
+        forest_train(features[:1], targets[:1], ForestConfig(n_trees=1))
 
 
 def test_bootstrap_changes_trees_but_seed_fixes_them():
     table = small_table(n=50)
-    split = chronological_split(len(table), 0.8)
-    a = forest_train(table, split, ForestConfig(n_trees=5, seed=9))
-    b = forest_train(table, split, ForestConfig(n_trees=5, seed=9))
-    c = forest_train(table, split, ForestConfig(n_trees=5, seed=10))
+    a = forest_train(*table, ForestConfig(n_trees=5, seed=9))
+    b = forest_train(*table, ForestConfig(n_trees=5, seed=9))
+    c = forest_train(*table, ForestConfig(n_trees=5, seed=10))
     assert dumps_artifact(a) == dumps_artifact(b)
     assert dumps_artifact(a) != dumps_artifact(c)

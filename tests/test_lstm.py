@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stockcast.dataset import MinMaxScaler, SplitSpec, build_windows, chronological_split, fit_scaler
+from stockcast.dataset import MinMaxScaler, build_windows, chronological_split, fit_scaler
 from stockcast.errors import ShapeMismatch, TooFewSamples
 from stockcast.models.artifacts import dumps_artifact, loads_artifact
 from stockcast.models.lstm import (
@@ -209,21 +209,21 @@ def make_sine_dataset(n=260, window=12):
 
 
 def test_training_is_bit_deterministic():
-    dataset = make_sine_dataset()
-    split = chronological_split(len(dataset), 0.9)
+    inputs, targets = make_sine_dataset()
+    n_train = chronological_split(len(targets), 0.9)
     topology = LstmTopology(layer_sizes=(6,), dense_sizes=(4, 1), window=12)
     config = TrainConfig(epochs=3, batch_size=16, seed=42)
-    a = lstm_train(dataset, split, topology, config)
-    b = lstm_train(dataset, split, topology, config)
+    a = lstm_train(inputs, targets, n_train, topology, config)
+    b = lstm_train(inputs, targets, n_train, topology, config)
     assert dumps_artifact(a) == dumps_artifact(b)
 
 
 def test_epochs_zero_returns_initial_params():
-    dataset = make_sine_dataset()
-    split = chronological_split(len(dataset), 0.9)
+    inputs, targets = make_sine_dataset()
+    n_train = chronological_split(len(targets), 0.9)
     topology = LstmTopology(layer_sizes=(5,), dense_sizes=(1,), window=12)
     config = TrainConfig(epochs=0, batch_size=8, seed=11)
-    artifact = lstm_train(dataset, split, topology, config)
+    artifact = lstm_train(inputs, targets, n_train, topology, config)
     assert artifact.history == ()
     assert artifact.best_epoch == 0
     expected = init_params(topology, 11)
@@ -231,11 +231,11 @@ def test_epochs_zero_returns_initial_params():
 
 
 def test_training_reduces_validation_loss():
-    dataset = make_sine_dataset()
-    split = chronological_split(len(dataset), 0.9)
+    inputs, targets = make_sine_dataset()
+    n_train = chronological_split(len(targets), 0.9)
     topology = LstmTopology(layer_sizes=(8,), dense_sizes=(4, 1), window=12)
     config = TrainConfig(epochs=25, batch_size=16, seed=1, early_stop_patience=25)
-    artifact = lstm_train(dataset, split, topology, config)
+    artifact = lstm_train(inputs, targets, n_train, topology, config)
     losses = [h["val_loss"] for h in artifact.history]
     assert losses[-1] < losses[0]
     # best-so-far validation loss is monotone by construction
@@ -244,11 +244,19 @@ def test_training_reduces_validation_loss():
 
 
 def test_train_rejects_batch_larger_than_train_slice():
-    dataset = make_sine_dataset(n=40, window=5)
-    split = SplitSpec(n=len(dataset), split_index=10)
+    inputs, targets = make_sine_dataset(n=40, window=5)
     with pytest.raises(TooFewSamples):
-        lstm_train(dataset, split, LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=5),
+        lstm_train(inputs, targets, 10, LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=5),
                    TrainConfig(epochs=1, batch_size=32, seed=0))
+
+
+@pytest.mark.parametrize("n_train", [35, 36])
+def test_train_rejects_a_split_without_validation_rows(n_train):
+    inputs, targets = make_sine_dataset(n=40, window=5)  # 35 windows
+    with pytest.raises(TooFewSamples, match="no validation rows"):
+        lstm_train(inputs, targets, n_train,
+                   LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=5),
+                   TrainConfig(epochs=1, batch_size=8, seed=0))
 
 
 def test_predict_next_inverse_scaling_plumbing(monkeypatch):
@@ -309,12 +317,12 @@ def test_batched_predict_next_matches_one_window_at_a_time(bidirectional):
 
 
 def test_artifact_round_trip_bit_exact():
-    dataset = make_sine_dataset()
-    split = chronological_split(len(dataset), 0.9)
+    inputs, targets = make_sine_dataset()
+    n_train = chronological_split(len(targets), 0.9)
     topology = LstmTopology(layer_sizes=(4,), dense_sizes=(2, 1), window=12)
     artifact = lstm_train(
-        dataset, split, topology, TrainConfig(epochs=2, batch_size=16, seed=9),
-        scaler=MinMaxScaler(np.array(0.0), np.array(1.0), ("close",)),
+        inputs, targets, n_train, topology, TrainConfig(epochs=2, batch_size=16, seed=9),
+        scaler=MinMaxScaler(0.0, 1.0),
     )
     text = dumps_artifact(artifact)
     again = dumps_artifact(loads_artifact(text))
