@@ -7,6 +7,7 @@ rows pair day-t inputs with the day-(t+1) close.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ class MinMaxScaler:
 
     lo: float
     hi: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError(f"scaler needs finite lo < hi, not lo={self.lo}, hi={self.hi}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.lo) / (self.hi - self.lo)

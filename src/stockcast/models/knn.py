@@ -39,6 +39,15 @@ class KnnModel:
     scaler: MinMaxScaler | None = None
     train_end: date | None = None
 
+    def __post_init__(self) -> None:
+        if self.train_inputs.ndim != 2:
+            raise ValueError("train_inputs must be a 2-D array of windows")
+        rows = len(self.train_inputs)
+        if self.train_targets.shape != (rows,):
+            raise ValueError(f"train_targets must hold one target per window, {rows} in all")
+        if not 1 <= self.k <= rows:
+            raise ValueError(f"k must be between 1 and the {rows} training windows, not {self.k}")
+
     @property
     def min_history(self) -> int:
         return self.train_inputs.shape[1]

@@ -23,6 +23,10 @@ class LinearModel:
     feature_count: int
     train_end: date | None = None
 
+    def __post_init__(self) -> None:
+        if self.coefficients.shape != (self.feature_count,):
+            raise ValueError(f"coefficients must be a vector of the {self.feature_count} features")
+
     def predict_row(self, row: np.ndarray) -> float:
         row = np.asarray(row, dtype=np.float64)
         if row.shape != (self.feature_count,):

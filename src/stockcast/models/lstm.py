@@ -375,6 +375,18 @@ class NeuralModelArtifact:
     best_epoch: int
     train_end: date | None = None  # TradingDate of the last training row
 
+    def __post_init__(self) -> None:
+        t, p = self.topology, self.params
+        dims = [1, *t.layer_sizes[:-1]]
+        lstm = [((d, 4 * h), (h, 4 * h), (4 * h,)) for d, h in zip(dims, t.layer_sizes)]
+        dense_dims = [t.layer_sizes[-1] * (2 if t.bidirectional else 1), *t.dense_sizes]
+        dense = [((d, o), (o,)) for d, o in zip(dense_dims, dense_dims[1:])]
+        backward = lstm if t.bidirectional else []
+        for name, need in (("layers", lstm), ("backward_layers", backward), ("dense", dense)):
+            have = [tuple(a.shape for a in vars(layer).values()) for layer in getattr(p, name)]
+            if have != need:
+                raise ValueError(f"params.{name} must have shapes {need}, not {have}")
+
     @property
     def kind(self) -> str:
         return "bilstm" if self.topology.bidirectional else "lstm"

@@ -1,8 +1,11 @@
-"""Miniature on-disk dataset for CLI and pipeline tests (fast settings)."""
+"""Miniature on-disk dataset for CLI and pipeline tests (fast settings), and a
+helper that edits an artifact with its binary arrays opened as lists."""
 
 from __future__ import annotations
 
+import base64
 import csv
+import json
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -105,3 +108,48 @@ def write_mini_dataset(root: Path, n: int = 140) -> Path:
     config_path = root / "config.ini"
     config_path.write_text(CONFIG, encoding="utf-8")
     return config_path
+
+
+class _ArrayList(list):
+    """An artifact array opened as a nested list; `dtype` is its stored dtype."""
+
+    def __init__(self, items, dtype: str) -> None:
+        super().__init__(items)
+        self.dtype = dtype
+
+
+def _opened(node):
+    if isinstance(node, dict) and node.keys() == {"data", "dtype", "shape"}:
+        array = np.frombuffer(base64.b64decode(node["data"]), node["dtype"])
+        return _ArrayList(array.reshape(node["shape"]).tolist(), node["dtype"])
+    if isinstance(node, dict):
+        return {k: _opened(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_opened(v) for v in node]
+    return node
+
+
+def _packed(node):
+    if isinstance(node, _ArrayList):
+        array = np.array(node)
+        if array.size == 0:  # numpy reads an empty list as float64
+            array = array.astype(node.dtype)
+        data = base64.b64encode(array.tobytes()).decode("ascii")
+        return {"data": data, "dtype": array.dtype.str, "shape": list(array.shape)}
+    if isinstance(node, dict):
+        return {k: _packed(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_packed(v) for v in node]
+    return node
+
+
+def edit_artifact(text: str, edit) -> str:
+    """Artifact `text` after `edit(doc)` changes its JSON with each array as a list.
+
+    Every binary array is opened as a nested list for the edit, which must
+    change the list in place, and packed again afterwards in the dtype numpy
+    infers from the edited values: 1.5 in an int64 list makes it float64.
+    """
+    doc = _opened(json.loads(text))
+    edit(doc)
+    return json.dumps(_packed(doc))

@@ -13,7 +13,7 @@ from stockcast.errors import ConfigError
 from stockcast.models.artifacts import ALL_KINDS, SENTIMENT_KINDS
 from stockcast.pipeline import PipelineData
 
-from mini_data import write_mini_dataset
+from mini_data import edit_artifact, write_mini_dataset
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +158,17 @@ def test_corrupt_forest_child_index_is_an_evaluate_error(mini, tmp_path, capsys)
     common = ["--config", mini, "--model", "forest", "--ticker", "AAA", "--out", out_dir]
     assert run("train", *common) == 0
     path = out_dir / "artifacts" / "AAA_forest.json"
-    doc = json.loads(path.read_text())
-    tree = doc["payload"]["trees"][0]
-    tree["left"][next(i for i, f in enumerate(tree["feature"]) if f != -1)] = 10**6
-    path.write_text(json.dumps(doc))
+
+    def child_past_the_end(doc):
+        tree = doc["payload"]["trees"][0]
+        tree["left"][next(i for i, f in enumerate(tree["feature"]) if f != -1)] = 10**6
+
+    path.write_text(edit_artifact(path.read_text(), child_past_the_end))
     capsys.readouterr()
     assert run("evaluate", *common) == 1
     err = capsys.readouterr().err
-    assert "[evaluate] error: malformed forest artifact" in err and "later nodes" in err
+    assert "[evaluate] error: AAA_forest.json: malformed forest artifact" in err
+    assert "later nodes" in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 """The model contract (`kind`, `min_history`, `predict`) and the artifact codec."""
 
+import base64
 import json
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,17 @@ from hypothesis import strategies as st
 from stockcast.config import load_config
 from stockcast.errors import ArtifactError, StockcastError
 from stockcast.evaluation import walk_forward
-from stockcast.models.artifacts import ALL_KINDS, dumps_artifact, loads_artifact
+from stockcast.models.artifacts import (
+    ALL_KINDS,
+    FORMAT_VERSION,
+    dumps_artifact,
+    load_artifact,
+    loads_artifact,
+    save_artifact,
+)
 from stockcast.pipeline import PipelineData, train_model
 
-from mini_data import write_mini_dataset
+from mini_data import edit_artifact, write_mini_dataset
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +49,18 @@ def test_model_predicts_from_min_history_and_not_before(trained, kind):
         walk_forward(model, panel, panel.dates[start - 1 :], enforce_train_boundary=False)
 
 
+def arrays_of(value, where="model"):
+    """(path, array) of every array in a model, in field order."""
+    if isinstance(value, np.ndarray):
+        return [(where, value)]
+    if is_dataclass(value):
+        items = [(getattr(value, f.name), f"{where}.{f.name}") for f in fields(value)]
+        return [p for v, w in items for p in arrays_of(v, w)]
+    if isinstance(value, (tuple, list)):
+        return [p for i, v in enumerate(value) for p in arrays_of(v, f"{where}[{i}]")]
+    return []
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_artifact_round_trip_keeps_text_and_predictions(trained, kind):
     panel, models = trained
@@ -45,6 +68,11 @@ def test_artifact_round_trip_keeps_text_and_predictions(trained, kind):
     loaded = loads_artifact(text)
     assert loaded.kind == kind
     assert dumps_artifact(loaded) == text
+    before, after = arrays_of(models[kind]), arrays_of(loaded)
+    assert [w for w, _ in before] == [w for w, _ in after]
+    for (where, a), (_, b) in zip(before, after):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), where
+        assert b.flags.writeable, where
     targets = panel.dates[-10:]
     assert np.array_equal(
         walk_forward(loaded, panel, targets).predicted,
@@ -53,9 +81,7 @@ def test_artifact_round_trip_keeps_text_and_predictions(trained, kind):
 
 
 def corrupted(model, edit) -> str:
-    doc = json.loads(dumps_artifact(model))
-    edit(doc)
-    return json.dumps(doc)
+    return edit_artifact(dumps_artifact(model), edit)
 
 
 def _drop_payload_key(doc):
@@ -179,10 +205,150 @@ def test_decode_errors_name_the_path_of_the_bad_value(trained):
 
 def test_a_version_1_artifact_is_refused(trained):
     _, models = trained
-    for old in (1, 2, 3):
+    for old in (1, 2, 3, 4):
         text = corrupted(models["arima"], lambda doc: doc.update(format_version=old))
         with pytest.raises(ArtifactError, match=f"unsupported artifact version {old}"):
             loads_artifact(text)
+
+
+def _packed_bias(doc) -> dict:
+    return doc["payload"]["params"]["layers"][0]["b"]
+
+
+def _short_data(doc):
+    b = _packed_bias(doc)
+    b["data"] = base64.b64encode(base64.b64decode(b["data"])[:-8]).decode()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: _packed_bias(doc).update(dtype="<i8"),
+         "b must be an array of float64, not int64"),
+        (lambda doc: _packed_bias(doc).update(dtype="f8"),
+         "b must be an array of float64, not 'f8'"),
+        (_short_data, "b.data holds 152 bytes, not the float64 array of shape [20]"),
+        (lambda doc: _packed_bias(doc).update(data="not base64!"), "b.data is not base64"),
+        (lambda doc: _packed_bias(doc).update(shape=[True]), "b.shape[0] must be int, not bool"),
+        (lambda doc: _packed_bias(doc).update(shape=[-1]), "b.shape [-1] has a negative length"),
+        (lambda doc: _packed_bias(doc).update(shape=[10**20]),
+         "b.data holds 160 bytes, not the float64 array of shape [100000000000000000000]"),
+        (lambda doc: _packed_bias(doc).update(shape=[0, 10**20], data=""), "b.shape"),
+        (lambda doc: _packed_bias(doc).pop("shape"), "b lacks key 'shape'"),
+    ],
+    ids=["wrong-dtype", "unknown-dtype", "short-data", "invalid-base64", "bool-shape",
+         "negative-shape", "huge-shape", "huge-empty-shape", "missing-shape"],
+)
+def test_malformed_binary_array_is_an_artifact_error(trained, edit, message):
+    # edits the stored form itself, so no array is opened as a list
+    _, models = trained
+    doc = json.loads(dumps_artifact(models["lstm"]))
+    edit(doc)
+    with pytest.raises(ArtifactError) as exc:
+        loads_artifact(json.dumps(doc))
+    assert f"malformed lstm artifact: payload.params.layers[0].{message}" in str(exc.value)
+
+
+def _flatten_knn_inputs(doc):
+    rows = doc["payload"]["train_inputs"]
+    rows[:] = [v for row in list(rows) for v in row]
+
+
+def _lstm_backward_layers(doc):
+    params = doc["payload"]["params"]
+    params["backward_layers"] = params["layers"]
+
+
+def _scaler_range(lo, hi):
+    def edit(doc):
+        doc["payload"]["scaler"].update(lo=lo, hi=hi)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("knn", _flatten_knn_inputs, "train_inputs must be a 2-D array"),
+        ("knn", lambda doc: doc["payload"]["train_targets"].pop(), "one target per window"),
+        ("knn", lambda doc: doc["payload"].update(k=0), "k must be between 1 and the"),
+        ("knn", lambda doc: doc["payload"].update(k=10**6), "training windows, not 1000000"),
+        ("lstm", lambda doc: doc["payload"]["params"]["layers"][0]["w_h"].pop(),
+         "params.layers must have shapes [((1, 20), (5, 20), (20,))]"),
+        ("lstm", lambda doc: doc["payload"]["params"]["layers"][0]["w_x"][0].pop(),
+         "params.layers must have shapes"),
+        ("lstm", lambda doc: doc["payload"]["params"]["dense"].pop(),
+         "params.dense must have shapes [((5, 3), (3,)), ((3, 1), (1,))], not [((5, 3), (3,))]"),
+        ("lstm", _lstm_backward_layers, "params.backward_layers must have shapes [], not"),
+        ("bilstm", lambda doc: doc["payload"]["params"]["backward_layers"].clear(),
+         "params.backward_layers must have shapes [((1, 20), (5, 20), (20,))], not []"),
+        ("bilstm", lambda doc: doc["payload"]["params"]["dense"][0]["w"].pop(),
+         "params.dense must have shapes [((10, 3), (3,)), ((3, 1), (1,))]"),
+        ("linreg", lambda doc: doc["payload"]["coefficients"].pop(),
+         "coefficients must be a vector of the 10 features"),
+        ("lstm", _scaler_range(3.0, 3.0), "scaler needs finite lo < hi, not lo=3.0, hi=3.0"),
+        ("knn", _scaler_range(4.0, 3.0), "scaler needs finite lo < hi, not lo=4.0, hi=3.0"),
+        ("bilstm", _scaler_range(float("nan"), 3.0), "scaler needs finite lo < hi, not lo=nan"),
+        ("lstm", _scaler_range(1.0, float("inf")),
+         "scaler needs finite lo < hi, not lo=1.0, hi=inf"),
+    ],
+    ids=["knn-inputs-not-2d", "knn-target-dropped", "knn-k-zero", "knn-k-past-rows",
+         "lstm-short-w-h", "lstm-short-w-x", "lstm-dense-dropped", "lstm-backward-layers",
+         "bilstm-no-backward-layers", "bilstm-narrow-dense", "linreg-short-coefficients",
+         "scaler-hi-equals-lo", "scaler-hi-below-lo", "scaler-nan-lo", "scaler-infinite-hi"],
+)
+def test_model_invariant_violation_is_an_artifact_error(trained, kind, edit, message):
+    _, models = trained
+    with pytest.raises(ArtifactError) as exc:
+        loads_artifact(corrupted(models[kind], edit))
+    assert f"malformed {kind} artifact" in str(exc.value) and message in str(exc.value)
+
+
+def _set_first(value, *keys):
+    def edit(doc):
+        node = doc["payload"]
+        for key in keys:
+            node = node[key]
+        node[0] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("lstm", _set_first(float("nan"), "params", "dense", 1, "b"),
+         "payload.params.dense[1].b"),
+        ("arima", _set_first(float("inf"), "ma"), "payload.ma"),
+        ("forest", _set_first(float("nan"), "trees", 0, "threshold"),
+         "payload.trees[0].threshold"),
+    ],
+    ids=["lstm-dense-bias-nan", "arima-ma-inf", "forest-threshold-nan"],
+)
+def test_non_finite_artifact_array_is_an_artifact_error(trained, kind, edit, message):
+    _, models = trained
+    with pytest.raises(ArtifactError, match=re.escape(f"{message} holds a non-finite value")):
+        loads_artifact(corrupted(models[kind], edit))
+
+
+def test_artifact_file_errors_name_the_file(trained, tmp_path):
+    _, models = trained
+    path = save_artifact(models["knn"], tmp_path / "AAA_knn.json")
+    path.write_text(corrupted(models["knn"], lambda doc: doc["payload"].update(k="5")))
+    message = "AAA_knn.json: malformed knn artifact: payload.k must be int, not str"
+    with pytest.raises(ArtifactError, match=re.escape(message)):
+        load_artifact(path)
+    path.write_bytes(b"\xff" + dumps_artifact(models["knn"]).encode())
+    with pytest.raises(ArtifactError, match="AAA_knn.json: artifact is not UTF-8 text"):
+        load_artifact(path)
+    path.write_text(corrupted(models["knn"], lambda doc: doc.update(format_version=4)))
+    with pytest.raises(ArtifactError, match="AAA_knn.json: unsupported artifact version 4"):
+        load_artifact(path)
+
+
+def test_readme_names_the_artifact_format_version():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"artifact format is version (\d+)", readme) == [str(FORMAT_VERSION)]
 
 
 JSON_VALUES = st.recursive(
