@@ -173,6 +173,8 @@ def load_config(
     seed = cfg.get("run", "seed", int, 0)
     if seed_override is not None:
         seed = seed_override
+    if seed < 0:
+        raise ConfigError(f"[run] seed must be >= 0, not {seed}")
 
     topology = _build(
         "lstm",

@@ -90,6 +90,16 @@ class ArimaModel:
     css: float
     train_end: date | None = None
 
+    def __post_init__(self) -> None:
+        p, _, q = self.spec.order
+        sp, _, sq, _ = self.spec.seasonal_order
+        for name, size in (("ar", p), ("seasonal_ar", sp), ("ma", q), ("seasonal_ma", sq)):
+            shape = getattr(self, name).shape
+            if shape != (size,):
+                raise ValueError(
+                    f"{name} must hold the spec's {size} coefficients, not shape {shape}"
+                )
+
     @property
     def min_history(self) -> int:
         return len(difference_poly(self.spec))

@@ -1,13 +1,18 @@
 """Bagged regression trees over the sentiment + macro feature table.
 
 Greedy CART induction: at each node a seeded random feature subset is
-scanned, candidate thresholds are midpoints between consecutive distinct
-sorted values (the upper value when the midpoint of two adjacent doubles
-rounds onto the lower one, which would leave a child empty), and the
-split minimizing the summed child squared error is taken. Ties break on
-(cost, feature index, threshold), so the fitted tree is independent of
-scan order. Per-tree RNG streams are derived from the master seed by tree
-index, so each tree depends only on the seed and its own index.
+scanned in one pass (every chosen column stably sorted at once, prefix
+sums down the columns), candidate thresholds are midpoints between
+consecutive distinct sorted values (the upper value when the midpoint of
+two adjacent doubles rounds onto the lower one, which would leave a child
+empty), and the split minimizing the summed child squared error is taken.
+Ties break on (cost, feature index, threshold), so the fitted tree is
+independent of scan order. Per-tree RNG streams are derived from the
+master seed by tree index, so each tree depends only on the seed and its
+own index.
+
+Prediction walks a block of rows through all trees at once, one tree
+level per step, and averages each row over the trees.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from ..dataset import FEATURE_NAMES
 from ..errors import SchemaMismatch, TooFewSamples
 
 _LEAF = -1
+# prediction walks at most this many (row, tree) pairs at once: 512 KiB per int64 array
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,18 +70,6 @@ class RegressionTree:
             if not ((child > split) & (child < n)).all():
                 raise ValueError("tree children must index later nodes of the tree")
 
-    def predict_one(self, row: np.ndarray) -> float:
-        node = 0
-        while self.feature[node] != _LEAF:
-            if row[self.feature[node]] < self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return float(self.value[node])
-
-    def predict(self, rows: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(r) for r in rows])
-
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
@@ -86,42 +81,41 @@ def _best_split(
     """Minimal (cost, feature, threshold) over all candidate splits.
 
     Cost is sse_left + sse_right with sse = sum(y^2) - (sum y)^2 / n,
-    computed from prefix sums over the sorted order.
+    computed from prefix sums over each feature's sorted order. All
+    features fill one (feature, left count) cost matrix, in which a split
+    between equal values costs inf. Its first minimum in row-major order
+    is the smallest (cost, feature, threshold), because the rows follow
+    the feature index and thresholds grow with the left count.
     """
     n = len(y)
     if n < 2 * min_leaf:
         return None
-    best: tuple[float, int, float] | None = None
-    for f in sorted(features):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        total_sum = csum[-1]
-        total_sq = csq[-1]
-        # candidate left counts k; a split exists only between distinct values
-        ks = np.arange(min_leaf, n - min_leaf + 1)
-        valid = xs[ks - 1] != xs[ks]
-        if not np.any(valid):
-            continue
-        ks = ks[valid]
-        left_sum = csum[ks - 1]
-        left_sq = csq[ks - 1]
-        right_sum = total_sum - left_sum
-        cost = (left_sq - left_sum * left_sum / ks) + (
-            (total_sq - left_sq) - right_sum * right_sum / (n - ks)
-        )
-        i = int(np.argmin(cost))
-        k = int(ks[i])
-        lo, hi = float(xs[k - 1]), float(xs[k])
-        threshold = (lo + hi) / 2.0
-        if not threshold > lo:  # adjacent doubles: the midpoint rounds onto lo
-            threshold = hi
-        candidate = (float(cost[i]), f, threshold)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    features = np.sort(features)
+    rows = x[:, features].T
+    order = rows.argsort(axis=1, kind="stable")
+    xs = rows[np.arange(len(features))[:, None], order]
+    ys = y[order]
+    csum = ys.cumsum(axis=1)
+    csq = (ys * ys).cumsum(axis=1)
+    # left counts k = min_leaf .. n - min_leaf; a split exists only between distinct values
+    first, last = min_leaf - 1, n - min_leaf
+    valid = xs[:, first:last] != xs[:, first + 1 : last + 1]
+    if not valid.any():
+        return None
+    k = np.arange(min_leaf, n - min_leaf + 1)
+    left_sum = csum[:, first:last]
+    left_sq = csq[:, first:last]
+    right_sum = csum[:, -1:] - left_sum
+    cost = (left_sq - left_sum * left_sum / k) + (
+        (csq[:, -1:] - left_sq) - right_sum * right_sum / (n - k)
+    )
+    cost[~valid] = np.inf
+    j, i = divmod(int(cost.argmin()), len(k))
+    lo, hi = float(xs[j, first + i]), float(xs[j, first + i + 1])
+    threshold = (lo + hi) / 2.0
+    if not threshold > lo:  # adjacent doubles: the midpoint rounds onto lo
+        threshold = hi
+    return float(cost[j, i]), int(features[j]), threshold
 
 
 class _TreeBuilder:
@@ -157,11 +151,11 @@ class _TreeBuilder:
     def build(self, indices: np.ndarray, depth: int) -> int:
         node = self._new_node()
         y = self.y[indices]
-        self.value[node] = float(y.mean())
+        self.value[node] = float(y.sum()) / len(y)  # y.mean(), without its Python wrapper
         if (
             (self.max_depth is not None and depth >= self.max_depth)
             or len(indices) < 2 * self.min_leaf
-            or np.all(y == y[0])
+            or (y == y[0]).all()
         ):
             return node
         p = self.x.shape[1]
@@ -169,7 +163,7 @@ class _TreeBuilder:
             chosen = self.rng.choice(p, size=self.max_features, replace=False)
         else:
             chosen = np.arange(p)
-        split = _best_split(self.x[indices], y, [int(f) for f in chosen], self.min_leaf)
+        split = _best_split(self.x[indices], y, chosen, self.min_leaf)
         if split is None:
             return node
         _, f, threshold = split
@@ -228,15 +222,46 @@ class ForestModel:
                 raise ValueError(f"tree splits on a feature outside the {p} features")
 
     def predict_row(self, row: np.ndarray) -> float:
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (len(self.feature_names),):
-            raise SchemaMismatch(
-                f"expected {len(self.feature_names)} features, got shape {row.shape}"
-            )
-        return float(np.mean([tree.predict_one(row) for tree in self.trees]))
+        return float(self._predict_rows(np.asarray(row, dtype=np.float64)[None])[0])
 
     def predict(self, histories) -> np.ndarray:
-        return np.array([self.predict_row(h.feature_row()) for h in histories], dtype=np.float64)
+        rows = [h.feature_row() for h in histories]
+        return self._predict_rows(np.array(rows, dtype=np.float64, ndmin=2))
+
+    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Mean over the trees of each row's leaf value.
+
+        Every tree's arrays are joined into one node table, and a
+        (rows, trees) array of node indices moves one level down per step
+        until all of them rest on leaves. Each row's leaf values lie along
+        the contiguous axis, so their mean adds them in the same order as
+        a mean over one row's per-tree values.
+        """
+        p = len(self.feature_names)
+        if rows.ndim != 2 or rows.shape[1] != p:
+            raise SchemaMismatch(f"expected {p} features, got shape {rows.shape[1:]}")
+        sizes = [tree.n_nodes for tree in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        feature = np.concatenate([t.feature for t in self.trees])
+        threshold = np.concatenate([t.threshold for t in self.trees])
+        value = np.concatenate([t.value for t in self.trees])
+        shift = np.repeat(roots, sizes)
+        left = np.concatenate([t.left for t in self.trees]) + shift
+        right = np.concatenate([t.right for t in self.trees]) + shift
+        out = np.empty(len(rows), dtype=np.float64)
+        step = max(1, _CHUNK_ELEMENTS // len(self.trees))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            node = np.repeat(roots[None], len(block), axis=0)
+            at = np.arange(len(block))[:, None]
+            split = feature[node] != _LEAF
+            while split.any():
+                # a leaf's feature -1 reads the last column; np.where keeps the leaf
+                goes_left = block[at, feature[node]] < threshold[node]
+                node = np.where(split, np.where(goes_left, left[node], right[node]), node)
+                split = feature[node] != _LEAF
+            out[start : start + step] = value[node].mean(axis=1)
+        return out
 
 
 def _fit_one_tree(index: int, x: np.ndarray, y: np.ndarray, seed: int) -> RegressionTree:

@@ -2,8 +2,11 @@
 
 Neighbor count is chosen by 5-fold cross-validation on the training slice
 with contiguous time blocks (shuffled folds would leak future into past).
-Ties in CV error go to the smaller k; ties in distance break on training
-index, so prediction is fully deterministic.
+Each held-out window's distances are sorted once per fold, and every k
+reads its first k neighbours from that order. Ties in CV error go to the
+smaller k; ties in distance break on training index, so prediction is
+fully deterministic. Cross-validation, batched prediction and the
+one-window `predict_window` share one neighbour kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from ..errors import ShapeMismatch, TooFewSamples
 
 K_RANGE = tuple(range(2, 10))
 CV_FOLDS = 5
+# distances are computed for blocks of queries whose (query, input, lag)
+# differences hold at most this many float64 values: 2 MiB
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -53,10 +59,10 @@ class KnnModel:
         return self.train_inputs.shape[1]
 
     def predict(self, histories) -> np.ndarray:
-        return np.array(
-            [self.predict_window(h.last_closes(self.min_history)) for h in histories],
-            dtype=np.float64,
+        windows = np.array(
+            [h.last_closes(self.min_history) for h in histories], dtype=np.float64
         )
+        return self._predict_windows(windows.reshape(-1, self.min_history))
 
     def predict_window(self, window: np.ndarray) -> float:
         window = np.asarray(window, dtype=np.float64)
@@ -64,15 +70,43 @@ class KnnModel:
             raise ShapeMismatch(
                 f"expected a window of length {self.train_inputs.shape[1]}"
             )
+        return float(self._predict_windows(window[None])[0])
+
+    def _predict_windows(self, windows: np.ndarray) -> np.ndarray:
         if self.scaler is not None:
-            window = self.scaler.apply(window)
-        return _knn_predict(self.train_inputs, self.train_targets, window, self.k)
+            windows = self.scaler.apply(windows)
+        return _neighbour_means(self.train_inputs, self.train_targets, windows, (self.k,))[:, 0]
 
 
-def _knn_predict(inputs: np.ndarray, targets: np.ndarray, window: np.ndarray, k: int) -> float:
-    distances = np.sqrt(((inputs - window) ** 2).sum(axis=1))
-    nearest = np.argsort(distances, kind="stable")[:k]
-    return float(targets[nearest].mean())
+def _neighbour_means(
+    inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray, ks
+) -> np.ndarray:
+    """(queries, ks) array: mean target of each query's k nearest inputs, per k.
+
+    Each query's Euclidean distances are summed over the contiguous last
+    axis and stably argsorted once; every k reads the first k of that order,
+    and a (queries, k) block's row means add in the same order as a mean
+    over one query's k targets.
+    """
+    out = np.empty((len(queries), len(ks)), dtype=np.float64)
+    step = max(1, _CHUNK_ELEMENTS // inputs.size)
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        distances = np.sqrt(((inputs - block[:, None, :]) ** 2).sum(axis=2))
+        order = np.argsort(distances, axis=1, kind="stable")
+        nearest = targets[order[:, : max(ks)]]
+        for j, k in enumerate(ks):
+            out[start : start + step, j] = nearest[:, :k].mean(axis=1)
+    return out
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """Each value ** 2 by libm pow, as a float64 scalar's `** 2` computes it.
+
+    An array's `** 2` multiplies instead, which rounds differently for
+    about 1 value in 1000; Python floats in an object array keep the pow.
+    """
+    return np.power(values.astype(object), 2).astype(np.float64)
 
 
 def knn_fit_cv(
@@ -82,26 +116,26 @@ def knn_fit_cv(
     scaler: MinMaxScaler | None = None,
     train_end=None,
 ) -> KnnModel:
-    """Pick k by contiguous-block CV RMSE over the training rows (argmin, ties to smaller k)."""
+    """Pick k by contiguous-block CV RMSE over the training rows (argmin, ties to smaller k).
+
+    A held-out block's neighbours are sorted once for all k. A k larger
+    than the rows outside the block skips that block; those rows are at
+    least half of the n >= 10, so every block scores k = 2..5.
+    """
     n = len(targets)
     if n < 10:
         raise TooFewSamples(f"need >= 10 training samples, got {n}")
-    blocks = np.array_split(np.arange(n), folds)
-    cv_rmse: dict[int, float] = {}
-    for k in K_RANGE:
-        fold_errors = []
-        for block in blocks:
-            if len(block) == 0:
-                continue
-            rest = np.setdiff1d(np.arange(n), block, assume_unique=True)
-            if len(rest) < k:
-                continue
-            sq = [
-                (_knn_predict(inputs[rest], targets[rest], inputs[i], k) - targets[i]) ** 2
-                for i in block
-            ]
-            fold_errors.append(float(np.sqrt(np.mean(sq))))
-        cv_rmse[k] = float(np.mean(fold_errors)) if fold_errors else np.inf
+    fold_errors: dict[int, list[float]] = {k: [] for k in K_RANGE}
+    for block in np.array_split(np.arange(n), folds):
+        if len(block) == 0:
+            continue
+        rest = np.setdiff1d(np.arange(n), block, assume_unique=True)
+        ks = [k for k in K_RANGE if k <= len(rest)]
+        predicted = _neighbour_means(inputs[rest], targets[rest], inputs[block], ks)
+        sq = _squares(predicted - targets[block, None]).T.copy()  # (k, held-out row)
+        for k, rmse in zip(ks, np.sqrt(sq.mean(axis=1))):
+            fold_errors[k].append(float(rmse))
+    cv_rmse = {k: float(np.mean(e)) if e else np.inf for k, e in fold_errors.items()}
     best_k = min(K_RANGE, key=lambda k: (cv_rmse[k], k))
     return KnnModel(
         k=best_k,

@@ -416,6 +416,8 @@ def predict_next(artifact: NeuralModelArtifact, recent_closes: np.ndarray) -> np
     return artifact.scaler.inverse(lstm_batch_forward(artifact.params, artifact.topology, scaled))
 
 
+# a diverging run overflows; its finiteness checks report that as the one error
+@np.errstate(over="ignore", invalid="ignore")
 def lstm_train(
     inputs: np.ndarray,
     targets: np.ndarray,

@@ -49,3 +49,52 @@ def exhaustive_tree(
     node["left"] = exhaustive_tree(x[mask], y[mask], max_depth, min_leaf, depth + 1)
     node["right"] = exhaustive_tree(x[~mask], y[~mask], max_depth, min_leaf, depth + 1)
     return node
+
+
+def best_split_per_feature(
+    x: np.ndarray, y: np.ndarray, features, min_leaf: int
+) -> tuple[float, int, float] | None:
+    """The (cost, feature, threshold) of the best split, one feature at a time.
+
+    The same prefix-sum arithmetic as the production scan, but each feature
+    is sorted and scanned on its own and the candidates are compared as
+    tuples, so the one-pass cost matrix can be checked against it exactly.
+    """
+    n = len(y)
+    if n < 2 * min_leaf:
+        return None
+    best = None
+    for f in sorted(features):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        ks = np.arange(min_leaf, n - min_leaf + 1)
+        ks = ks[xs[ks - 1] != xs[ks]]
+        if len(ks) == 0:
+            continue
+        left_sum = csum[ks - 1]
+        left_sq = csq[ks - 1]
+        right_sum = csum[-1] - left_sum
+        cost = (left_sq - left_sum * left_sum / ks) + (
+            (csq[-1] - left_sq) - right_sum * right_sum / (n - ks)
+        )
+        i = int(np.argmin(cost))
+        lo, hi = float(xs[ks[i] - 1]), float(xs[ks[i]])
+        threshold = (lo + hi) / 2.0
+        if not threshold > lo:
+            threshold = hi
+        candidate = (float(cost[i]), int(f), threshold)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+def leaf_value(tree, row: np.ndarray) -> float:
+    """The value of the leaf that `row` reaches, walked one node at a time."""
+    node = 0
+    while tree.feature[node] != -1:
+        go_left = row[tree.feature[node]] < tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return float(tree.value[node])

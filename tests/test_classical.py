@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stockcast.config import load_config
-from stockcast.dataset import build_windows, chronological_split
+from stockcast.dataset import build_windows, chronological_split, fit_scaler
 from stockcast.errors import SeriesTooShort, TooFewSamples
 from stockcast.evaluation import HistorySlice
 from stockcast.models.arima import (
@@ -17,7 +17,8 @@ from stockcast.models.arima import (
     one_step_forecast,
     pacf_to_ar,
 )
-from stockcast.models.knn import KnnModel, knn_fit_cv
+from stockcast.models import knn
+from stockcast.models.knn import K_RANGE, KnnModel, knn_fit_cv
 from stockcast.models.linear import linreg_fit
 from stockcast.models.trend import additive_trend_fit
 from stockcast.pipeline import PipelineData, train_model
@@ -97,6 +98,71 @@ def test_knn_cv_chooses_k_in_range_and_is_deterministic():
     b = knn_fit_cv(inputs[:n_train], targets[:n_train])
     assert 2 <= a.k <= 9
     assert a.k == b.k and a.cv_rmse == b.cv_rmse
+
+
+def naive_knn(inputs: np.ndarray, targets: np.ndarray, window: np.ndarray, k: int) -> float:
+    distances = np.sqrt(((inputs - window) ** 2).sum(axis=1))
+    return float(targets[np.argsort(distances, kind="stable")[:k]].mean())
+
+
+def naive_cv_rmse(inputs: np.ndarray, targets: np.ndarray, folds: int) -> dict[int, float]:
+    """CV RMSE by k, one k, one block and one held-out row at a time."""
+    n = len(targets)
+    cv_rmse = {}
+    for k in K_RANGE:
+        fold_errors = []
+        for block in np.array_split(np.arange(n), folds):
+            rest = np.setdiff1d(np.arange(n), block, assume_unique=True)
+            if len(block) == 0 or len(rest) < k:
+                continue
+            sq = [
+                (naive_knn(inputs[rest], targets[rest], inputs[i], k) - targets[i]) ** 2
+                for i in block
+            ]
+            fold_errors.append(float(np.sqrt(np.mean(sq))))
+        cv_rmse[k] = float(np.mean(fold_errors)) if fold_errors else np.inf
+    return cv_rmse
+
+
+def test_cv_squares_round_as_float64_scalar_squares():
+    values = np.random.Generator(np.random.PCG64(9)).normal(0.0, 10.0, (200, 100))
+    multiplied = values * values
+    scalar = np.array([[np.float64(v) ** 2 for v in row] for row in values])
+    assert not np.array_equal(multiplied, scalar)  # the sample holds values that tell them apart
+    assert np.array_equal(knn._squares(values), scalar)
+
+
+@pytest.mark.parametrize(
+    "n, folds",
+    [(10, 2), (12, 5), (12, 13), (40, 3), (40, 7), (300, 5)],
+    ids=["rest-below-k", "small", "an-empty-block", "ties-3-folds", "ties-7-folds", "long"],
+)
+def test_knn_cv_equals_the_per_k_oracle(n, folds):
+    rng = np.random.Generator(np.random.PCG64(n * 100 + folds))
+    distinct = rng.integers(0, 3, size=(max(4, n // 4), 3)).astype(np.float64)
+    inputs = distinct[rng.integers(0, len(distinct), size=n)]  # duplicate windows tie
+    targets = rng.normal(100.0, 5.0, n)
+    model = knn_fit_cv(inputs, targets, folds=folds)
+    expected = naive_cv_rmse(inputs, targets, folds)
+    assert model.cv_rmse == expected
+    assert model.k == min(K_RANGE, key=lambda k: (expected[k], k))
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 6])
+def test_batched_knn_predict_equals_predict_window(monkeypatch, chunk_rows):
+    panel = make_panel(n=90, seed=8)
+    inputs, targets = build_windows(panel.close[:60], 5)
+    inputs = np.round(inputs)  # rounded windows repeat, so distances tie
+    scaler = fit_scaler(panel.close[:60])
+    model = knn_fit_cv(scaler.apply(inputs), targets, scaler=scaler)
+    if chunk_rows is not None:
+        monkeypatch.setattr(knn, "_CHUNK_ELEMENTS", chunk_rows * model.train_inputs.size)
+    histories = [HistorySlice(panel, end=j) for j in range(4, len(panel))]
+    windows = [h.last_closes(5) for h in histories]
+    expected = np.array([model.predict_window(w) for w in windows])
+    assert np.array_equal(model.predict(histories), expected)
+    naive = [naive_knn(model.train_inputs, targets, scaler.apply(w), model.k) for w in windows]
+    assert np.array_equal(expected, naive)
 
 
 def test_knn_requires_enough_samples():

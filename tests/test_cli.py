@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,34 @@ def test_out_of_range_setting_fails_at_load_naming_its_section(
     captured = capsys.readouterr()
     assert captured.err == f"stockcast: [{command}] error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "edit, extra",
+    [(("seed = 42", "seed = -5"), []), (("seed = 42", "seed = 42"), ["--seed", "-5"])],
+    ids=["config-seed", "seed-option"],
+)
+def test_negative_seed_fails_at_load_naming_the_key(mini, tmp_path, capsys, edit, extra):
+    bad = mini.parent / f"bad_{tmp_path.name}.ini"
+    bad.write_text(mini.read_text().replace(*edit, 1))
+    assert run("train", "--config", bad, "--model", "forest", "--out", tmp_path, *extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "stockcast: [train] error: [run] seed must be >= 0, not -5\n"
+    assert captured.out == ""
+
+
+def test_diverging_lstm_prints_one_error_line_and_no_warning(mini, tmp_path, capsys):
+    bad = mini.parent / f"bad_{tmp_path.name}.ini"
+    bad.write_text(mini.read_text().replace("patience = 2", "patience = 2\nlearning_rate = 1e300"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("train", "--config", bad, "--model", "lstm", "--ticker", "AAA",
+                   "--out", tmp_path)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "stockcast: [train] error: non-finite loss at epoch 1\n"
+    assert captured.out == ""
+    assert [str(w.message) for w in caught] == []
 
 
 def test_overridden_keys_are_still_read(mini, tmp_path):

@@ -3,16 +3,19 @@ import pytest
 
 from stockcast.dataset import build_feature_table, chronological_split
 from stockcast.errors import SchemaMismatch, TooFewSamples
+from stockcast.evaluation import HistorySlice
+from stockcast.models import forest
 from stockcast.models.artifacts import dumps_artifact
 from stockcast.models.forest import (
     ForestConfig,
     ForestModel,
     RegressionTree,
+    _best_split,
     fit_tree,
     forest_train,
 )
 
-from cart_oracle import exhaustive_tree
+from cart_oracle import best_split_per_feature, exhaustive_tree, leaf_value
 from conftest import make_panel
 
 
@@ -25,6 +28,16 @@ def assert_tree_equals_oracle(tree: RegressionTree, oracle: dict, node: int = 0)
     assert tree.threshold[node] == oracle["threshold"]
     assert_tree_equals_oracle(tree, oracle["left"], tree.left[node])
     assert_tree_equals_oracle(tree, oracle["right"], tree.right[node])
+
+
+class FeatureRow:
+    """A stand-in history that serves one given feature row."""
+
+    def __init__(self, row: np.ndarray) -> None:
+        self.row = row
+
+    def feature_row(self) -> np.ndarray:
+        return self.row
 
 
 def small_table(n=30, seed=0) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +77,8 @@ def test_adjacent_doubles_split_without_an_empty_leaf():
     y = np.array([3.0, 5.0])
     tree = fit_tree(x, y)
     assert not np.any(np.isnan(tree.value))
-    assert np.array_equal(tree.predict(x), y)
+    one_tree = ForestModel(trees=(tree,), feature_names=("x",), config=ForestConfig(n_trees=1))
+    assert np.array_equal(one_tree.predict([FeatureRow(r) for r in x]), y)
     assert_tree_equals_oracle(tree, exhaustive_tree(x, y, max_depth=None))
 
 
@@ -122,3 +136,40 @@ def test_bootstrap_changes_trees_but_seed_fixes_them():
     c = forest_train(*table, ForestConfig(n_trees=5, seed=10))
     assert dumps_artifact(a) == dumps_artifact(b)
     assert dumps_artifact(a) != dumps_artifact(c)
+
+
+def test_one_pass_split_scan_equals_the_per_feature_scan():
+    rng = np.random.Generator(np.random.PCG64(31))
+    for _ in range(400):
+        n = int(rng.integers(1, 30))
+        p = int(rng.integers(1, 6))
+        x = rng.integers(0, 4, size=(n, p)).astype(np.float64)  # many tied values
+        nudged = rng.random((n, p)) < 0.3
+        x[nudged] = np.nextafter(x[nudged], np.inf)  # adjacent doubles beside the ties
+        if p > 1 and rng.random() < 0.3:
+            x[:, -1] = x[:, 0]  # equal costs on two features: the smaller index wins
+        y = rng.integers(-3, 4, size=n).astype(np.float64) * rng.choice([1.0, 0.1])
+        features = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+        min_leaf = int(rng.integers(1, 4))
+        expected = best_split_per_feature(x, y, features, min_leaf)
+        assert _best_split(x, y, features, min_leaf) == expected
+
+
+def per_tree_means(model: ForestModel, rows: np.ndarray) -> np.ndarray:
+    """Each row's np.mean over the trees of its leaf value, one row at a time."""
+    return np.array([np.mean([leaf_value(t, row) for t in model.trees]) for row in rows])
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+def test_batched_forest_prediction_equals_per_row_tree_means(monkeypatch, chunk_rows):
+    panel = make_panel(n=90, seed=5)
+    features, targets = build_feature_table(panel)
+    model = forest_train(features[:60], targets[:60], ForestConfig(n_trees=11, seed=4))
+    if chunk_rows is not None:
+        monkeypatch.setattr(forest, "_CHUNK_ELEMENTS", chunk_rows * len(model.trees))
+    histories = [HistorySlice(panel, end=j) for j in range(len(panel))]
+    expected = per_tree_means(model, np.array([h.feature_row() for h in histories]))
+    assert np.array_equal(model.predict(histories), expected)
+    # the one-row call of a --predict-date evaluation
+    assert np.array_equal(model.predict(histories[70:71]), expected[70:71])
+    assert model.predict_row(histories[70].feature_row()) == expected[70]

@@ -291,11 +291,16 @@ def _scaler_range(lo, hi):
         ("bilstm", _scaler_range(float("nan"), 3.0), "scaler needs finite lo < hi, not lo=nan"),
         ("lstm", _scaler_range(1.0, float("inf")),
          "scaler needs finite lo < hi, not lo=1.0, hi=inf"),
+        ("arima", lambda doc: doc["payload"]["ma"].clear(),
+         "ma must hold the spec's 1 coefficients, not shape (0,)"),
+        ("arima", lambda doc: doc["payload"]["seasonal_ar"].append(0.5),
+         "seasonal_ar must hold the spec's 0 coefficients, not shape (1,)"),
     ],
     ids=["knn-inputs-not-2d", "knn-target-dropped", "knn-k-zero", "knn-k-past-rows",
          "lstm-short-w-h", "lstm-short-w-x", "lstm-dense-dropped", "lstm-backward-layers",
          "bilstm-no-backward-layers", "bilstm-narrow-dense", "linreg-short-coefficients",
-         "scaler-hi-equals-lo", "scaler-hi-below-lo", "scaler-nan-lo", "scaler-infinite-hi"],
+         "scaler-hi-equals-lo", "scaler-hi-below-lo", "scaler-nan-lo", "scaler-infinite-hi",
+         "arima-ma-emptied", "arima-seasonal-ar-added"],
 )
 def test_model_invariant_violation_is_an_artifact_error(trained, kind, edit, message):
     _, models = trained
@@ -343,6 +348,19 @@ def test_artifact_file_errors_name_the_file(trained, tmp_path):
         load_artifact(path)
     path.write_text(corrupted(models["knn"], lambda doc: doc.update(format_version=4)))
     with pytest.raises(ArtifactError, match="AAA_knn.json: unsupported artifact version 4"):
+        load_artifact(path)
+
+
+def test_arima_coefficients_beyond_the_spec_are_refused_naming_the_file(trained, tmp_path):
+    _, models = trained
+    path = save_artifact(models["arima"], tmp_path / "AAA_arima.json")
+    padded = corrupted(models["arima"], lambda doc: doc["payload"]["ma"].extend([0.1, 0.2]))
+    path.write_text(padded)
+    message = (
+        "AAA_arima.json: malformed arima artifact: "
+        "ma must hold the spec's 1 coefficients, not shape (3,)"
+    )
+    with pytest.raises(ArtifactError, match=re.escape(message)):
         load_artifact(path)
 
 
