@@ -84,7 +84,6 @@ class ArimaModel:
     seasonal_ar: np.ndarray
     ma: np.ndarray
     seasonal_ma: np.ndarray
-    train_series: np.ndarray
     converged: bool
     n_evals: int
     css: float
@@ -105,22 +104,7 @@ class ArimaModel:
         return len(difference_poly(self.spec))
 
     def predict(self, histories) -> np.ndarray:
-        """`one_step_forecast` of every history, from one residual pass.
-
-        The histories must be prefixes of one series, as the walk-forward's
-        slices of one panel are. The residuals are conditional with a zero
-        start, so e[:n] depends on w[:n] only: the longest history is
-        differenced and filtered once, and each forecast reads its prefix of
-        `w` and `e`.
-        """
-        series = [np.asarray(h.all_closes(), dtype=np.float64) for h in histories]
-        longest = max(series, key=len)
-        c = difference_poly(self.spec)
-        _check_covers(min(series, key=len), c)
-        w = apply_differencing(longest, self.spec)
-        a, m = _fitted_polys(self)
-        e = _residuals(w, a, m)
-        return np.array([_next_value(y, w, e, a, m, c) for y in series], dtype=np.float64)
+        return _forecasts(self, [h.all_closes() for h in histories])
 
 
 def difference_poly(spec: ArimaSpec) -> np.ndarray:
@@ -206,8 +190,7 @@ def arima_fit(series: np.ndarray, spec: ArimaSpec = ArimaSpec(), train_end=None)
         params = _transform(np.zeros(0), spec)
         css = css_objective(w, params, spec)
         return ArimaModel(
-            spec=spec, train_series=series, converged=True, n_evals=0, css=css,
-            train_end=train_end, **params,
+            spec=spec, converged=True, n_evals=0, css=css, train_end=train_end, **params,
         )
 
     # scipy costs most of the package's import time; only fitting needs it
@@ -229,7 +212,6 @@ def arima_fit(series: np.ndarray, spec: ArimaSpec = ArimaSpec(), train_end=None)
     params = _transform(result.x, spec)
     return ArimaModel(
         spec=spec,
-        train_series=series,
         converged=bool(result.success),
         n_evals=evals,
         css=float(result.fun),
@@ -244,11 +226,6 @@ def _fitted_polys(model: ArimaModel) -> tuple[np.ndarray, np.ndarray]:
         "ma": model.ma, "seasonal_ma": model.seasonal_ma,
     }
     return _expanded_polys(params, model.spec)
-
-
-def _check_covers(history: np.ndarray, c: np.ndarray) -> None:
-    if len(history) < len(c):
-        raise ShapeMismatch(f"history must cover at least {len(c)} observations")
 
 
 def _next_value(
@@ -273,27 +250,26 @@ def _next_value(
     return float(y_next)
 
 
-def one_step_forecast(model: ArimaModel, history: np.ndarray) -> float:
-    """Mean forecast of the next value given raw history through today.
+def _forecasts(model: ArimaModel, histories: list) -> np.ndarray:
+    """The mean next-value forecast after each of `histories`, from one
+    residual pass.
 
-    Runs the residual recursion over the differenced history with the
-    fitted coefficients, then forecasts one step from its end.
+    The histories must be prefixes of one series, as the walk-forward's
+    slices of one panel are. The residuals are conditional with a zero
+    start, so e[:n] depends on w[:n] only: the longest history is
+    differenced and filtered once with the fitted coefficients, and each
+    forecast reads its prefix of `w` and `e`.
     """
-    history = np.asarray(history, dtype=np.float64)
+    series = [np.asarray(h, dtype=np.float64) for h in histories]
     c = difference_poly(model.spec)
-    _check_covers(history, c)
-    w = apply_differencing(history, model.spec)
+    if min(map(len, series)) < len(c):
+        raise ShapeMismatch(f"history must cover at least {len(c)} observations")
+    w = apply_differencing(max(series, key=len), model.spec)
     a, m = _fitted_polys(model)
-    return _next_value(history, w, _residuals(w, a, m), a, m, c)
+    e = _residuals(w, a, m)
+    return np.array([_next_value(y, w, e, a, m, c) for y in series], dtype=np.float64)
 
 
-def arima_forecast(model: ArimaModel, horizon: int = 1) -> float:
-    """Forecast `horizon` steps past the end of the training series."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    history = model.train_series
-    value = one_step_forecast(model, history)
-    for _ in range(horizon - 1):
-        history = np.append(history, value)
-        value = one_step_forecast(model, history)
-    return value
+def one_step_forecast(model: ArimaModel, history: np.ndarray) -> float:
+    """Mean forecast of the next value given raw history through today."""
+    return float(_forecasts(model, [history])[0])

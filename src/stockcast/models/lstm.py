@@ -369,7 +369,7 @@ class NeuralModelArtifact:
 
     topology: LstmTopology
     params: LstmParams
-    scaler: MinMaxScaler | None
+    scaler: MinMaxScaler
     history: tuple[dict, ...]
     seed: int
     best_epoch: int
@@ -410,8 +410,6 @@ def predict_next(artifact: NeuralModelArtifact, recent_closes: np.ndarray) -> np
     window = artifact.topology.window
     if recent.ndim != 2 or recent.shape[1] != window:
         raise ShapeMismatch(f"expected (N, {window}) recent closes")
-    if artifact.scaler is None:
-        raise ShapeMismatch("artifact has no scaler; cannot accept raw prices")
     scaled = artifact.scaler.apply(recent)
     return artifact.scaler.inverse(lstm_batch_forward(artifact.params, artifact.topology, scaled))
 
@@ -424,7 +422,7 @@ def lstm_train(
     n_train: int,
     topology: LstmTopology,
     config: TrainConfig,
-    scaler: MinMaxScaler | None = None,
+    scaler: MinMaxScaler,
     train_end=None,
 ) -> NeuralModelArtifact:
     """Mini-batch Adam training with early stopping on validation RMSE.

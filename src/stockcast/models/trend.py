@@ -18,7 +18,6 @@ class TrendModel:
 
     intercept: float
     slope: float
-    n_train: int
     train_end: date | None = None
 
     def predict_index(self, t: int) -> float:
@@ -40,4 +39,4 @@ def additive_trend_fit(closes: np.ndarray, train_end=None) -> TrendModel:
     denom = float(((t - t_mean) ** 2).sum())
     slope = float(((t - t_mean) * (closes - y_mean)).sum()) / denom
     intercept = y_mean - slope * t_mean
-    return TrendModel(intercept=float(intercept), slope=slope, n_train=n, train_end=train_end)
+    return TrendModel(intercept=float(intercept), slope=slope, train_end=train_end)

@@ -42,9 +42,6 @@ class SentimentScore:
     neu: float
     compound: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {"pos": self.pos, "neg": self.neg, "neu": self.neu, "compound": self.compound}
-
 
 EMPTY_SCORE = SentimentScore(0.0, 0.0, 0.0, 0.0)
 NEUTRAL_SCORE = SentimentScore(0.0, 0.0, 1.0, 0.0)

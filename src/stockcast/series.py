@@ -158,10 +158,6 @@ def _ordinals(dates: Sequence[TradingDate]) -> np.ndarray:
     return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
-# the record a trading day gets when it has no scored news
-NEUTRAL_SENTIMENT = {"pos": 0.0, "neg": 0.0, "neu": 1.0, "compound": 0.0}
-
-
 def align_panel(
     prices: PriceSeries,
     macro: MacroPanel,
@@ -169,10 +165,10 @@ def align_panel(
 ) -> AlignedPanel:
     """Join prices, macro series, and optional daily sentiment on the price calendar.
 
-    Macro gaps are filled with the most recent earlier value. Sentiment
-    gaps always get the neutral default record (a day without news is a
-    legitimate state, not a data gap). `sentiment` is a sequence of
-    DailySentiment records, at most one per date.
+    Macro gaps are filled with the most recent earlier value. `sentiment`
+    is a sequence of DailySentiment records, one per price date in order,
+    as `aggregate_daily` returns them over the price calendar; any other
+    dates are a ValueError.
 
     Raises EmptyIntersection when a macro column has no value at or before
     the first price date.
@@ -192,14 +188,13 @@ def align_panel(
 
     senti_block = None
     if sentiment is not None:
-        by_date = {}
-        for rec in sentiment:
-            if rec.date in by_date:
-                raise DuplicateDate(rec.date)
-            by_date[rec.date] = (rec.score.pos, rec.score.neg, rec.score.neu, rec.score.compound)
-        neutral = tuple(NEUTRAL_SENTIMENT.values())
-        block = np.array([by_date.get(d, neutral) for d in dates], dtype=np.float64)
-        senti_block = SentimentColumns(**dict(zip(NEUTRAL_SENTIMENT, block.T.copy())))
+        if tuple(rec.date for rec in sentiment) != dates:
+            raise ValueError(
+                f"{prices.ticker}: sentiment records must cover exactly the price dates"
+            )
+        scores = [rec.score for rec in sentiment]
+        block = np.array([(s.pos, s.neg, s.neu, s.compound) for s in scores], dtype=np.float64)
+        senti_block = SentimentColumns(*block.T.copy())
 
     return AlignedPanel(
         dates=dates, close=prices.close, sentiment=senti_block, ticker=prices.ticker, **columns

@@ -182,12 +182,12 @@ def test_arima_degenerate_and_ma1_recovery():
     null_model = ArimaModel(
         spec=ArimaSpec(),
         ar=np.zeros(0), seasonal_ar=np.zeros(2), ma=np.zeros(1), seasonal_ma=np.zeros(0),
-        train_series=series, converged=True, n_evals=0, css=0.0,
+        converged=True, n_evals=0, css=0.0,
     )
-    from stockcast.models.arima import arima_forecast
+    from stockcast.models.arima import one_step_forecast
 
     expected = series[-1] + series[-12] - series[-13]  # pure differencing recursion
-    assert arima_forecast(null_model) == pytest.approx(expected, abs=1e-12)
+    assert one_step_forecast(null_model, series) == pytest.approx(expected, abs=1e-12)
 
     rng = np.random.Generator(np.random.PCG64(123))
     eps = rng.normal(0, 1.0, 501)
@@ -240,8 +240,8 @@ def test_walk_forward_never_reads_target_or_later():
             ArimaModel(
                 spec=ArimaSpec(order=(0, 1, 1), seasonal_order=(0, 0, 0, 1)),
                 ar=np.zeros(0), seasonal_ar=np.zeros(0), ma=np.array([0.3]),
-                seasonal_ma=np.zeros(0), train_series=closes[:split_row],
-                converged=True, n_evals=0, css=0.0, train_end=train_end,
+                seasonal_ma=np.zeros(0), converged=True, n_evals=0, css=0.0,
+                train_end=train_end,
             ),
         ]
         for model in models:

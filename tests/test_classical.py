@@ -12,7 +12,6 @@ from stockcast.models.arima import (
     ArimaSpec,
     apply_differencing,
     arima_fit,
-    arima_forecast,
     css_objective,
     one_step_forecast,
     pacf_to_ar,
@@ -202,23 +201,23 @@ def test_null_parameters_follow_pure_differencing_recursion():
     spec = ArimaSpec(order=(0, 1, 0), seasonal_order=(0, 0, 0, 1))
     model = ArimaModel(
         spec=spec, ar=np.zeros(0), seasonal_ar=np.zeros(0), ma=np.zeros(0),
-        seasonal_ma=np.zeros(0), train_series=series, converged=True, n_evals=0, css=0.0,
+        seasonal_ma=np.zeros(0), converged=True, n_evals=0, css=0.0,
     )
-    assert arima_forecast(model) == series[-1]
+    assert one_step_forecast(model, series) == series[-1]
     # full default differencing: y_T + y_{T-11} - y_{T-12}
     default = ArimaSpec()
     model = ArimaModel(
         spec=default, ar=np.zeros(0), seasonal_ar=pacf_to_ar(np.zeros(2)), ma=-pacf_to_ar(np.zeros(1)),
-        seasonal_ma=np.zeros(0), train_series=series, converged=True, n_evals=0, css=0.0,
+        seasonal_ma=np.zeros(0), converged=True, n_evals=0, css=0.0,
     )
     expected = series[-1] + series[-12] - series[-13]
-    assert arima_forecast(model) == pytest.approx(expected, abs=1e-12)
+    assert one_step_forecast(model, series) == pytest.approx(expected, abs=1e-12)
 
 
 def test_constant_series_forecasts_constant():
     series = np.full(100, 250.0)
     model = arima_fit(series, ArimaSpec())
-    assert arima_forecast(model) == pytest.approx(250.0, abs=1e-9)
+    assert one_step_forecast(model, series) == pytest.approx(250.0, abs=1e-9)
 
 
 def test_ma1_recovery_and_grid_search_oracle():
@@ -254,7 +253,7 @@ def test_hand_recursion_three_steps():
     spec = ArimaSpec(order=(0, 1, 1), seasonal_order=(0, 0, 0, 1))
     model = ArimaModel(
         spec=spec, ar=np.zeros(0), seasonal_ar=np.zeros(0), ma=np.array([theta]),
-        seasonal_ma=np.zeros(0), train_series=series, converged=True, n_evals=0, css=0.0,
+        seasonal_ma=np.zeros(0), converged=True, n_evals=0, css=0.0,
     )
 
     def hand_forecast(history: np.ndarray) -> float:
@@ -265,10 +264,9 @@ def test_hand_recursion_three_steps():
         return history[-1] + theta * e
 
     history = series.copy()
-    for step in range(1, 4):
+    for _ in range(3):
         expected = hand_forecast(history)
         assert one_step_forecast(model, history) == pytest.approx(expected, abs=1e-12)
-        assert arima_forecast(model, horizon=step) == pytest.approx(expected, abs=1e-12)
         history = np.append(history, expected)
 
 

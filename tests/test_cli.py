@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stockcast
 from stockcast.cli import main
-from stockcast.config import load_config
+from stockcast.config import WINDOW_MAX, load_config
 from stockcast.errors import ConfigError
 from stockcast.models.artifacts import ALL_KINDS, SENTIMENT_KINDS
 from stockcast.pipeline import PipelineData
@@ -351,3 +357,89 @@ def test_importing_the_cli_does_not_import_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# every config key a run reads outside [universe] and [paths]
+EDGE_KEYS = (
+    ("dataset", "window"), ("dataset", "train_fraction"), ("dataset", "split_index"),
+    ("sentiment", "remove_stopwords"), ("sentiment", "remove_special_chars"),
+    ("sentiment", "per_headline_average"),
+    ("lstm", "layers"), ("lstm", "dense"), ("lstm", "epochs"), ("lstm", "batch_size"),
+    ("lstm", "learning_rate"), ("lstm", "patience"),
+    ("forest", "n_trees"),
+    ("arima", "order"), ("arima", "seasonal_order"), ("arima", "max_evals"),
+    ("knn", "folds"),
+    ("gridsearch", "windows"),
+    ("run", "seed"),
+)
+# keys that set an amount of work: 10**30 of them would run without end
+WORK_KEYS = {"n_trees", "epochs", "patience", "folds", "max_evals"}
+EDGE_VALUES = ("0", "1", "-1", str(10**30), "", "2.5", str(WINDOW_MAX))
+
+
+def with_setting(text: str, section: str, key: str, value: str) -> str:
+    """Config `text` with [section] key set to `value`; split_index replaces
+    train_fraction, as exactly one of them may be set."""
+    line = f"{key} = {value}"
+    if key == "split_index":
+        text = re.sub(r"^train_fraction = .*\n", "", text, flags=re.M)
+    if re.search(rf"^{key} = ", text, flags=re.M):
+        return re.sub(rf"^{key} = .*$", lambda _: line, text, flags=re.M)
+    if f"[{section}]\n" in text:
+        return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    return f"{text}\n[{section}]\n{line}\n"
+
+
+@st.composite
+def edge_settings(draw):
+    section, key = draw(st.sampled_from(EDGE_KEYS))
+    values = [v for v in EDGE_VALUES if not (key in WORK_KEYS and v == str(10**30))]
+    return section, key, draw(st.sampled_from(values))
+
+
+@pytest.fixture(scope="module")
+def trained_mini(mini):
+    """An out directory holding every artifact and a saved report of the mini dataset."""
+    out = mini.parent / "trained"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("train", "--config", mini, "--out", out) == 0
+        assert run("evaluate", "--config", mini, "--out", out) == 0
+    return out
+
+
+COMMANDS = ("ingest-check", "sentiment", "build-dataset", "train", "evaluate", "report",
+            "gridsearch-window")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(COMMANDS),
+    kind=st.sampled_from(ALL_KINDS),
+    setting=edge_settings(),
+)
+# a diverging LSTM once printed numpy's overflow warnings before its error
+@example(command="train", kind="lstm", setting=("lstm", "learning_rate", "1e300"))
+def test_any_edge_setting_ends_in_success_or_one_error_line(
+    mini, trained_mini, command, kind, setting
+):
+    edited = mini.parent / "edge.ini"
+    edited.write_text(with_setting(mini.read_text(), *setting))
+    # evaluate and report read the trained artifacts and report; the others
+    # write into a fresh directory
+    out = trained_mini if command in ("evaluate", "report") else mini.parent / "edge_out"
+    shutil.rmtree(mini.parent / "edge_out", ignore_errors=True)
+    args = [command, "--config", edited, "--out", out]
+    if command in ("train", "evaluate", "gridsearch-window"):
+        args += ["--model", kind]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(*args)
+    err = stderr.getvalue()
+    assert code in (0, 1)
+    if code == 0:
+        assert err == ""
+    else:
+        assert re.fullmatch(rf"stockcast: \[{command}\] error: [^\n]+\n", err), err
+    assert [str(w.message) for w in caught] == []

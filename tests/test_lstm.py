@@ -213,8 +213,8 @@ def test_training_is_bit_deterministic():
     n_train = chronological_split(len(targets), 0.9)
     topology = LstmTopology(layer_sizes=(6,), dense_sizes=(4, 1), window=12)
     config = TrainConfig(epochs=3, batch_size=16, seed=42)
-    a = lstm_train(inputs, targets, n_train, topology, config)
-    b = lstm_train(inputs, targets, n_train, topology, config)
+    a = lstm_train(inputs, targets, n_train, topology, config, scaler=MinMaxScaler(0.0, 1.0))
+    b = lstm_train(inputs, targets, n_train, topology, config, scaler=MinMaxScaler(0.0, 1.0))
     assert dumps_artifact(a) == dumps_artifact(b)
 
 
@@ -223,7 +223,7 @@ def test_epochs_zero_returns_initial_params():
     n_train = chronological_split(len(targets), 0.9)
     topology = LstmTopology(layer_sizes=(5,), dense_sizes=(1,), window=12)
     config = TrainConfig(epochs=0, batch_size=8, seed=11)
-    artifact = lstm_train(inputs, targets, n_train, topology, config)
+    artifact = lstm_train(inputs, targets, n_train, topology, config, scaler=MinMaxScaler(0.0, 1.0))
     assert artifact.history == ()
     assert artifact.best_epoch == 0
     expected = init_params(topology, 11)
@@ -235,7 +235,7 @@ def test_training_reduces_validation_loss():
     n_train = chronological_split(len(targets), 0.9)
     topology = LstmTopology(layer_sizes=(8,), dense_sizes=(4, 1), window=12)
     config = TrainConfig(epochs=25, batch_size=16, seed=1, early_stop_patience=25)
-    artifact = lstm_train(inputs, targets, n_train, topology, config)
+    artifact = lstm_train(inputs, targets, n_train, topology, config, scaler=MinMaxScaler(0.0, 1.0))
     losses = [h["val_loss"] for h in artifact.history]
     assert losses[-1] < losses[0]
     # best-so-far validation loss is monotone by construction
@@ -247,7 +247,7 @@ def test_train_rejects_batch_larger_than_train_slice():
     inputs, targets = make_sine_dataset(n=40, window=5)
     with pytest.raises(TooFewSamples):
         lstm_train(inputs, targets, 10, LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=5),
-                   TrainConfig(epochs=1, batch_size=32, seed=0))
+                   TrainConfig(epochs=1, batch_size=32, seed=0), scaler=MinMaxScaler(0.0, 1.0))
 
 
 @pytest.mark.parametrize("n_train", [35, 36])
@@ -256,7 +256,7 @@ def test_train_rejects_a_split_without_validation_rows(n_train):
     with pytest.raises(TooFewSamples, match="no validation rows"):
         lstm_train(inputs, targets, n_train,
                    LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=5),
-                   TrainConfig(epochs=1, batch_size=8, seed=0))
+                   TrainConfig(epochs=1, batch_size=8, seed=0), scaler=MinMaxScaler(0.0, 1.0))
 
 
 def test_predict_next_inverse_scaling_plumbing(monkeypatch):

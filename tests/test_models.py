@@ -205,7 +205,7 @@ def test_decode_errors_name_the_path_of_the_bad_value(trained):
 
 def test_a_version_1_artifact_is_refused(trained):
     _, models = trained
-    for old in (1, 2, 3, 4):
+    for old in (1, 2, 3, 4, 5):
         text = corrupted(models["arima"], lambda doc: doc.update(format_version=old))
         with pytest.raises(ArtifactError, match=f"unsupported artifact version {old}"):
             loads_artifact(text)
@@ -349,6 +349,11 @@ def test_artifact_file_errors_name_the_file(trained, tmp_path):
     path.write_text(corrupted(models["knn"], lambda doc: doc.update(format_version=4)))
     with pytest.raises(ArtifactError, match="AAA_knn.json: unsupported artifact version 4"):
         load_artifact(path)
+    path = tmp_path / "AAA_lstm.json"
+    path.write_text(corrupted(models["lstm"], lambda doc: doc["payload"].update(scaler=None)))
+    message = "AAA_lstm.json: malformed lstm artifact: payload.scaler must be an object, not null"
+    with pytest.raises(ArtifactError, match=re.escape(message)):
+        load_artifact(path)
 
 
 def test_arima_coefficients_beyond_the_spec_are_refused_naming_the_file(trained, tmp_path):
@@ -362,6 +367,15 @@ def test_arima_coefficients_beyond_the_spec_are_refused_naming_the_file(trained,
     )
     with pytest.raises(ArtifactError, match=re.escape(message)):
         load_artifact(path)
+
+
+def test_the_arima_artifact_holds_no_training_series(trained):
+    _, models = trained
+    payload = json.loads(dumps_artifact(models["arima"]))["payload"]
+    assert sorted(payload) == [
+        "ar", "converged", "css", "ma", "n_evals", "seasonal_ar", "seasonal_ma", "spec",
+        "train_end",
+    ]
 
 
 def test_readme_names_the_artifact_format_version():

@@ -122,14 +122,20 @@ def test_aligned_macro_is_latest_quote_on_or_before(data):
 
 
 def test_sentiment_gaps_get_neutral_default():
+    # `aggregate_daily` gives a day without news the neutral record, so the
+    # panel stacks one record per price date, and records that skip a date
+    # are an error, not a gap to fill
     dates = [D1, D2, D3]
     prices = make_prices(dates, [10, 11, 12])
     score = SentimentScore(pos=0.5, neg=0.1, neu=0.4, compound=0.6)
     records = [DailySentiment(D2, "TEST", score, 2)]
-    panel = align_panel(prices, make_macro_panel(dates), sentiment=records)
-    assert panel.sentiment is not None
+    full = [DailySentiment(D1, "TEST", NEUTRAL_SCORE, 0), *records,
+            DailySentiment(D3, "TEST", NEUTRAL_SCORE, 0)]
+    panel = align_panel(prices, make_macro_panel(dates), sentiment=full)
     assert list(panel.sentiment.neu) == [1.0, 0.4, 1.0]
     assert list(panel.sentiment.compound) == [0.0, 0.6, 0.0]
+    with pytest.raises(ValueError, match="TEST: sentiment records must cover exactly the price dates"):
+        align_panel(prices, make_macro_panel(dates), sentiment=records)
 
 
 def test_duplicate_sentiment_dates_rejected():
@@ -139,7 +145,7 @@ def test_duplicate_sentiment_dates_rejected():
         DailySentiment(D2, "TEST", NEUTRAL_SCORE, 0),
         DailySentiment(D2, "TEST", NEUTRAL_SCORE, 0),
     ]
-    with pytest.raises(DuplicateDate):
+    with pytest.raises(ValueError, match="TEST: sentiment records must cover exactly the price dates"):
         align_panel(prices, make_macro_panel(dates), sentiment=records)
 
 
