@@ -35,7 +35,7 @@ from .persistence import PersistenceModel
 from .trend import TrendModel
 
 FORMAT_NAME = "stockcast-artifact"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 MODEL_KINDS = ("lstm", "bilstm", "linreg", "arima", "knn", "additive", "forest")
 ALL_KINDS = MODEL_KINDS + ("persistence",)

@@ -48,27 +48,27 @@ class ForestConfig:
 
 @dataclass
 class RegressionTree:
-    """Flat-array binary tree: feature[i] == -1 marks a leaf.
+    """Flat-array binary tree in preorder: feature[i] == -1 marks a leaf.
 
-    A split node's children come after it in the arrays, as `_TreeBuilder`
-    emits them, so every walk from the root ends at a leaf.
+    A split node's left child is the next node, i + 1, and its right child
+    comes after the left subtree, as `_TreeBuilder` emits them. Since every
+    child lies after its parent, every walk from the root ends at a leaf.
     """
 
     feature: NDArray[np.int64]
     threshold: np.ndarray
-    left: NDArray[np.int64]
     right: NDArray[np.int64]
     value: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.feature.size
-        arrays = (self.feature, self.threshold, self.left, self.right, self.value)
+        arrays = (self.feature, self.threshold, self.right, self.value)
         if n == 0 or any(a.shape != (n,) for a in arrays):
             raise ValueError("tree arrays must be non-empty vectors of equal length")
         split = np.flatnonzero(self.feature != _LEAF)
-        for child in (self.left[split], self.right[split]):
-            if not ((child > split) & (child < n)).all():
-                raise ValueError("tree children must index later nodes of the tree")
+        right = self.right[split]
+        if not ((right > split + 1) & (right < n)).all():
+            raise ValueError("a split node's right child must lie after its left child i + 1")
 
     @property
     def n_nodes(self) -> int:
@@ -136,14 +136,12 @@ class _TreeBuilder:
         self.rng = rng
         self.feature: list[int] = []
         self.threshold: list[float] = []
-        self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
 
     def _new_node(self) -> int:
         self.feature.append(_LEAF)
         self.threshold.append(0.0)
-        self.left.append(_LEAF)
         self.right.append(_LEAF)
         self.value.append(0.0)
         return len(self.feature) - 1
@@ -170,7 +168,7 @@ class _TreeBuilder:
         mask = self.x[indices, f] < threshold
         self.feature[node] = f
         self.threshold[node] = threshold
-        self.left[node] = self.build(indices[mask], depth + 1)
+        self.build(indices[mask], depth + 1)  # the left child is node + 1
         self.right[node] = self.build(indices[~mask], depth + 1)
         return node
 
@@ -178,7 +176,6 @@ class _TreeBuilder:
         return RegressionTree(
             feature=np.array(self.feature, dtype=np.int64),
             threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int64),
             right=np.array(self.right, dtype=np.int64),
             value=np.array(self.value, dtype=np.float64),
         )
@@ -245,9 +242,7 @@ class ForestModel:
         feature = np.concatenate([t.feature for t in self.trees])
         threshold = np.concatenate([t.threshold for t in self.trees])
         value = np.concatenate([t.value for t in self.trees])
-        shift = np.repeat(roots, sizes)
-        left = np.concatenate([t.left for t in self.trees]) + shift
-        right = np.concatenate([t.right for t in self.trees]) + shift
+        right = np.concatenate([t.right for t in self.trees]) + np.repeat(roots, sizes)
         out = np.empty(len(rows), dtype=np.float64)
         step = max(1, _CHUNK_ELEMENTS // len(self.trees))
         for start in range(0, len(rows), step):
@@ -258,7 +253,7 @@ class ForestModel:
             while split.any():
                 # a leaf's feature -1 reads the last column; np.where keeps the leaf
                 goes_left = block[at, feature[node]] < threshold[node]
-                node = np.where(split, np.where(goes_left, left[node], right[node]), node)
+                node = np.where(split, np.where(goes_left, node + 1, right[node]), node)
                 split = feature[node] != _LEAF
             out[start : start + step] = value[node].mean(axis=1)
         return out

@@ -1,4 +1,4 @@
-"""K-nearest-neighbors regression over sliding windows.
+"""K-nearest-neighbors regression over the sliding windows of one series.
 
 Neighbor count is chosen by 5-fold cross-validation on the training slice
 with contiguous time blocks (shuffled folds would leak future into past).
@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..dataset import MinMaxScaler
+from ..dataset import MinMaxScaler, build_windows
 from ..errors import ShapeMismatch, TooFewSamples
 
 K_RANGE = tuple(range(2, 10))
@@ -29,53 +29,55 @@ _CHUNK_ELEMENTS = 1 << 18
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Stored training windows plus the chosen k.
+    """The training closes, the window length and the chosen k.
 
-    When a scaler is present, the stored windows are scaled and raw query
-    windows are scaled before the distance computation; targets stay in
-    price units either way.
+    The training rows are the sliding windows of the scaled closes, each
+    targeting the close after it in price units; query windows are scaled
+    the same way before the distance computation.
     """
 
     kind: ClassVar[str] = "knn"
 
     k: int
-    train_inputs: np.ndarray
-    train_targets: np.ndarray
+    window: int
+    train_closes: np.ndarray
     cv_rmse: dict[int, float]
-    scaler: MinMaxScaler | None = None
+    scaler: MinMaxScaler
     train_end: date | None = None
 
     def __post_init__(self) -> None:
-        if self.train_inputs.ndim != 2:
-            raise ValueError("train_inputs must be a 2-D array of windows")
-        rows = len(self.train_inputs)
-        if self.train_targets.shape != (rows,):
-            raise ValueError(f"train_targets must hold one target per window, {rows} in all")
+        if self.train_closes.ndim != 1:
+            raise ValueError("train_closes must be a 1-D series")
+        n, rows = len(self.train_closes), len(self.train_closes) - self.window
+        if self.window < 1 or rows < 1:
+            raise ValueError(f"train_closes ({n}) must be longer than a window >= 1 ({self.window})")
         if not 1 <= self.k <= rows:
             raise ValueError(f"k must be between 1 and the {rows} training windows, not {self.k}")
 
     @property
     def min_history(self) -> int:
-        return self.train_inputs.shape[1]
+        return self.window
 
     def predict(self, histories) -> np.ndarray:
-        windows = np.array(
-            [h.last_closes(self.min_history) for h in histories], dtype=np.float64
-        )
-        return self._predict_windows(windows.reshape(-1, self.min_history))
+        windows = np.array([h.last_closes(self.window) for h in histories], dtype=np.float64)
+        return self._predict_windows(windows.reshape(-1, self.window))
 
     def predict_window(self, window: np.ndarray) -> float:
         window = np.asarray(window, dtype=np.float64)
-        if window.shape != (self.train_inputs.shape[1],):
-            raise ShapeMismatch(
-                f"expected a window of length {self.train_inputs.shape[1]}"
-            )
+        if window.shape != (self.window,):
+            raise ShapeMismatch(f"expected a window of length {self.window}")
         return float(self._predict_windows(window[None])[0])
 
     def _predict_windows(self, windows: np.ndarray) -> np.ndarray:
-        if self.scaler is not None:
-            windows = self.scaler.apply(windows)
-        return _neighbour_means(self.train_inputs, self.train_targets, windows, (self.k,))[:, 0]
+        inputs, targets = _training_rows(self.train_closes, self.window, self.scaler)
+        return _neighbour_means(inputs, targets, self.scaler.apply(windows), (self.k,))[:, 0]
+
+
+def _training_rows(
+    closes: np.ndarray, window: int, scaler: MinMaxScaler
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled windows of `closes` and the raw close that follows each."""
+    return build_windows(scaler.apply(closes), window)[0], closes[window:]
 
 
 def _neighbour_means(
@@ -109,14 +111,10 @@ def _squares(values: np.ndarray) -> np.ndarray:
     return np.power(values.astype(object), 2).astype(np.float64)
 
 
-def knn_fit_cv(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    folds: int = CV_FOLDS,
-    scaler: MinMaxScaler | None = None,
-    train_end=None,
-) -> KnnModel:
-    """Pick k by contiguous-block CV RMSE over the training rows (argmin, ties to smaller k).
+def choose_k(
+    inputs: np.ndarray, targets: np.ndarray, folds: int = CV_FOLDS
+) -> tuple[int, dict[int, float]]:
+    """The k with the least contiguous-block CV RMSE (ties to smaller k), and every k's RMSE.
 
     A held-out block's neighbours are sorted once for all k. A k larger
     than the rows outside the block skips that block; those rows are at
@@ -136,12 +134,13 @@ def knn_fit_cv(
         for k, rmse in zip(ks, np.sqrt(sq.mean(axis=1))):
             fold_errors[k].append(float(rmse))
     cv_rmse = {k: float(np.mean(e)) if e else np.inf for k, e in fold_errors.items()}
-    best_k = min(K_RANGE, key=lambda k: (cv_rmse[k], k))
-    return KnnModel(
-        k=best_k,
-        train_inputs=inputs.copy(),
-        train_targets=targets.copy(),
-        cv_rmse=cv_rmse,
-        scaler=scaler,
-        train_end=train_end,
-    )
+    return min(K_RANGE, key=lambda k: (cv_rmse[k], k)), cv_rmse
+
+
+def knn_fit_cv(
+    closes: np.ndarray, window: int, scaler: MinMaxScaler, folds: int = CV_FOLDS, train_end=None
+) -> KnnModel:
+    """Pick k by `choose_k` over the training closes' windows and keep the closes."""
+    closes = np.array(closes, dtype=np.float64)
+    k, cv_rmse = choose_k(*_training_rows(closes, window, scaler), folds)
+    return KnnModel(k, window, closes, cv_rmse, scaler, train_end)

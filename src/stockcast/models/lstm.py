@@ -2,8 +2,9 @@
 
 Everything runs in float64 numpy. Gate order inside the fused weight
 matrices is [input, forget, cell, output]. The bidirectional variant runs
-a second parameter stack over the reversed window and concatenates the two
-final hidden states before the dense layers, which are linear.
+a second layer stack, an ordinary one, over the reversed window and
+concatenates the two final hidden states before the dense layers, which
+are linear.
 
 One forward pass serves training and inference. Only training keeps the
 BPTT caches; inference keeps only the running hidden and cell states, so
@@ -16,7 +17,7 @@ returned artifact is bit-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
@@ -53,6 +54,12 @@ class LstmTopology:
             raise ValueError("final dense layer must have size 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        # a layer's (D, 4H) and (H, 4H) weights and a BiLSTM head's must fit numpy
+        dims, head = [1, *self.layer_sizes], [2 * self.layer_sizes[-1], *self.dense_sizes]
+        largest = max([4 * h * max(d, h) for d, h in zip(dims, dims[1:])]
+                      + [d * o for d, o in zip(head, head[1:])])
+        if 8 * largest > np.iinfo(np.intp).max:
+            raise ValueError(f"sizes need a weight array of {largest} values, more than numpy can hold")
 
 
 @dataclass(frozen=True)
@@ -91,17 +98,15 @@ class DenseParams:
 
 @dataclass
 class LstmParams:
-    layers: list[LayerParams]
+    stacks: list[list[LayerParams]]  # one layer stack per direction: forward, then reversed
     dense: list[DenseParams]
-    backward_layers: list[LayerParams] = field(default_factory=list)
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter tensors in a fixed, serialization-stable order."""
         out: list[np.ndarray] = []
-        for layer in self.layers:
-            out += [layer.w_x, layer.w_h, layer.b]
-        for layer in self.backward_layers:
-            out += [layer.w_x, layer.w_h, layer.b]
+        for stack in self.stacks:
+            for layer in stack:
+                out += [layer.w_x, layer.w_h, layer.b]
         for dense in self.dense:
             out += [dense.w, dense.b]
         return out
@@ -120,11 +125,11 @@ class LstmParams:
 
     def copy(self) -> "LstmParams":
         return LstmParams(
-            layers=[LayerParams(l.w_x.copy(), l.w_h.copy(), l.b.copy()) for l in self.layers],
-            dense=[DenseParams(d.w.copy(), d.b.copy()) for d in self.dense],
-            backward_layers=[
-                LayerParams(l.w_x.copy(), l.w_h.copy(), l.b.copy()) for l in self.backward_layers
+            stacks=[
+                [LayerParams(l.w_x.copy(), l.w_h.copy(), l.b.copy()) for l in stack]
+                for stack in self.stacks
             ],
+            dense=[DenseParams(d.w.copy(), d.b.copy()) for d in self.dense],
         )
 
 
@@ -143,19 +148,17 @@ def _init_layer(rng: np.random.Generator, d_in: int, hidden: int) -> LayerParams
 def init_params(topology: LstmTopology, seed: int) -> LstmParams:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
     dims = [1, *topology.layer_sizes[:-1]]
-    layers = [_init_layer(rng, d, h) for d, h in zip(dims, topology.layer_sizes)]
-    backward = (
+    stacks = [
         [_init_layer(rng, d, h) for d, h in zip(dims, topology.layer_sizes)]
-        if topology.bidirectional
-        else []
-    )
-    final_h = topology.layer_sizes[-1] * (2 if topology.bidirectional else 1)
+        for _ in range(1 + topology.bidirectional)
+    ]
+    final_h = topology.layer_sizes[-1] * len(stacks)
     dense_dims = [final_h, *topology.dense_sizes]
     dense = []
     for d_in, d_out in zip(dense_dims, dense_dims[1:]):
         limit = np.sqrt(6.0 / (d_in + d_out))
         dense.append(DenseParams(rng.uniform(-limit, limit, size=(d_in, d_out)), np.zeros(d_out)))
-    return LstmParams(layers=layers, dense=dense, backward_layers=backward)
+    return LstmParams(stacks=stacks, dense=dense)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -271,34 +274,24 @@ def _layer_backward(
 
 @dataclass
 class _ForwardCache:
-    stacks: list[list[_LayerCache]]   # [forward, backward?] layer caches, empty without keep_cache
+    stacks: list[list[_LayerCache]]   # one list per stack, empty without keep_cache
     dense_inputs: list[np.ndarray]
     output: np.ndarray                # (B,)
 
 
-def _forward(
-    params: LstmParams,
-    topology: LstmTopology,
-    inputs: np.ndarray,
-    keep_cache: bool = True,
-) -> _ForwardCache:
+def _forward(params: LstmParams, inputs: np.ndarray, keep_cache: bool = True) -> _ForwardCache:
     """The network over a (B, W) batch of scaled windows.
 
-    Runs the forward stack and, for a BiLSTM, the backward stack over the
-    reversed window, then the linear dense head. `keep_cache` keeps each
-    layer's BPTT cache for lstm_gradients; inference passes False.
+    Runs the first stack over the window and a second one, a BiLSTM's,
+    over the reversed window, then the linear dense head. `keep_cache`
+    keeps each layer's BPTT cache for lstm_gradients; inference passes False.
     """
     seq = inputs[:, :, None]
-    directions = [(params.layers, seq)]
-    if topology.bidirectional:
-        if not params.backward_layers:
-            raise ShapeMismatch("bidirectional topology requires backward parameters")
-        directions.append((params.backward_layers, seq[:, ::-1]))
     all_caches: list[list[_LayerCache]] = []
     finals = []
-    for layers, current in directions:
+    for stack, current in zip(params.stacks, (seq, seq[:, ::-1])):
         caches: list[_LayerCache] = []
-        for layer in layers:
+        for layer in stack:
             current, cache = _layer_forward(layer, current, keep_cache)
             if cache is not None:
                 caches.append(cache)
@@ -323,7 +316,7 @@ def lstm_batch_forward(params: LstmParams, topology: LstmTopology, inputs: np.nd
     out = np.empty(len(inputs))
     for start in range(0, len(inputs), _INFERENCE_ROWS):
         rows = inputs[start : start + _INFERENCE_ROWS]
-        out[start : start + len(rows)] = _forward(params, topology, rows, keep_cache=False).output
+        out[start : start + len(rows)] = _forward(params, rows, keep_cache=False).output
     return out
 
 
@@ -340,7 +333,7 @@ def lstm_gradients(
         raise TooFewSamples("empty batch")
     if inputs.ndim != 2 or inputs.shape[1] != topology.window or len(inputs) != len(targets):
         raise ShapeMismatch("batch shapes do not match the topology")
-    cache = _forward(params, topology, inputs)
+    cache = _forward(params, inputs)
     batch = len(inputs)
     residual = cache.output - targets
     loss = float(residual @ residual) / batch
@@ -353,14 +346,16 @@ def lstm_gradients(
 
     # d_a holds dL/d(final hidden states), one column block per stack
     hidden_last = topology.layer_sizes[-1]
-    stack_grads: list[list[LayerParams]] = [[], []]
-    for s, (layers, caches) in enumerate(zip([params.layers, params.backward_layers], cache.stacks)):
+    stack_grads: list[list[LayerParams]] = []
+    for s, (stack, caches) in enumerate(zip(params.stacks, cache.stacks)):
         d_out = np.zeros_like(caches[-1].h_seq)
         d_out[:, -1] = d_a[:, s * hidden_last : (s + 1) * hidden_last]
-        for li in range(len(layers) - 1, -1, -1):
-            layer_grads, d_out = _layer_backward(layers[li], caches[li], d_out)
-            stack_grads[s].insert(0, layer_grads)
-    return loss, LstmParams(layers=stack_grads[0], dense=dense_grads, backward_layers=stack_grads[1])
+        grads: list[LayerParams] = []
+        for li in range(len(stack) - 1, -1, -1):
+            layer_grads, d_out = _layer_backward(stack[li], caches[li], d_out)
+            grads.insert(0, layer_grads)
+        stack_grads.append(grads)
+    return loss, LstmParams(stacks=stack_grads, dense=dense_grads)
 
 
 @dataclass(frozen=True)
@@ -377,13 +372,16 @@ class NeuralModelArtifact:
 
     def __post_init__(self) -> None:
         t, p = self.topology, self.params
+        n_stacks = 1 + t.bidirectional
+        if len(p.stacks) != n_stacks:
+            raise ValueError(f"params.stacks must have {n_stacks} items, not {len(p.stacks)}")
         dims = [1, *t.layer_sizes[:-1]]
-        lstm = [((d, 4 * h), (h, 4 * h), (4 * h,)) for d, h in zip(dims, t.layer_sizes)]
-        dense_dims = [t.layer_sizes[-1] * (2 if t.bidirectional else 1), *t.dense_sizes]
+        stack = [((d, 4 * h), (h, 4 * h), (4 * h,)) for d, h in zip(dims, t.layer_sizes)]
+        dense_dims = [t.layer_sizes[-1] * n_stacks, *t.dense_sizes]
         dense = [((d, o), (o,)) for d, o in zip(dense_dims, dense_dims[1:])]
-        backward = lstm if t.bidirectional else []
-        for name, need in (("layers", lstm), ("backward_layers", backward), ("dense", dense)):
-            have = [tuple(a.shape for a in vars(layer).values()) for layer in getattr(p, name)]
+        parts = [(f"stacks[{i}]", layers, stack) for i, layers in enumerate(p.stacks)]
+        for name, layers, need in parts + [("dense", p.dense, dense)]:
+            have = [tuple(a.shape for a in vars(layer).values()) for layer in layers]
             if have != need:
                 raise ValueError(f"params.{name} must have shapes {need}, not {have}")
 

@@ -173,12 +173,7 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
             )
         return linreg_fit(inputs[:n_windows], targets[:n_windows], train_end=train_end)
     if kind == "knn":
-        scaler = fit_scaler(closes[:s])
-        inputs, targets = build_windows(closes, w)
-        return knn_fit_cv(
-            scaler.apply(inputs[:n_windows]), targets[:n_windows],
-            folds=config.knn_folds, scaler=scaler, train_end=train_end,
-        )
+        return knn_fit_cv(closes[:s], w, fit_scaler(closes[:s]), config.knn_folds, train_end)
     if kind == "arima":
         return arima_fit(closes[:s], config.arima, train_end=train_end)
     if kind == "additive":

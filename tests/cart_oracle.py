@@ -96,5 +96,5 @@ def leaf_value(tree, row: np.ndarray) -> float:
     node = 0
     while tree.feature[node] != -1:
         go_left = row[tree.feature[node]] < tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
+        node = node + 1 if go_left else tree.right[node]
     return float(tree.value[node])

@@ -232,9 +232,7 @@ def test_walk_forward_never_reads_target_or_later():
                 train_end=train_end,
             ),
             KnnModel(
-                k=2,
-                train_inputs=inputs[: split_row - 5],
-                train_targets=window_targets[: split_row - 5],
+                k=2, window=5, train_closes=closes[:split_row],
                 cv_rmse={}, scaler=scaler, train_end=train_end,
             ),
             ArimaModel(

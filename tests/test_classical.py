@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stockcast.config import load_config
-from stockcast.dataset import build_windows, chronological_split, fit_scaler
-from stockcast.errors import SeriesTooShort, TooFewSamples
+from stockcast.dataset import MinMaxScaler, build_windows, chronological_split, fit_scaler
+from stockcast.errors import SeriesTooShort, ShapeMismatch, TooFewSamples
 from stockcast.evaluation import HistorySlice
 from stockcast.models.arima import (
     ArimaModel,
@@ -17,7 +17,7 @@ from stockcast.models.arima import (
     pacf_to_ar,
 )
 from stockcast.models import knn
-from stockcast.models.knn import K_RANGE, KnnModel, knn_fit_cv
+from stockcast.models.knn import K_RANGE, KnnModel, choose_k, knn_fit_cv
 from stockcast.models.linear import linreg_fit
 from stockcast.models.trend import additive_trend_fit
 from stockcast.pipeline import PipelineData, train_model
@@ -66,35 +66,53 @@ def test_linreg_too_few_rows():
 # --- knn ------------------------------------------------------------------
 
 
+def nearest_mean(inputs: np.ndarray, targets: np.ndarray, query, k: int) -> float:
+    """The neighbour kernel's mean target of the k inputs nearest to one query."""
+    return float(knn._neighbour_means(inputs, targets, np.asarray(query)[None], (k,))[0, 0])
+
+
 def test_knn_two_nearest_average():
     inputs = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [12.0, 12.0]])
     targets = np.array([10.0, 14.0, 99.0, 98.0])
-    model = KnnModel(k=2, train_inputs=inputs, train_targets=targets, cv_rmse={})
-    assert model.predict_window(np.array([0.4, 0.0])) == 12.0
+    assert nearest_mean(inputs, targets, [0.4, 0.0], 2) == 12.0
 
 
 def test_knn_duplicated_zero_distance_point_dominates():
     inputs = np.array([[5.0, 5.0], [5.0, 5.0], [40.0, 40.0]])
     targets = np.array([7.0, 7.0, 100.0])
-    model = KnnModel(k=2, train_inputs=inputs, train_targets=targets, cv_rmse={})
-    assert model.predict_window(np.array([5.0, 5.0])) == 7.0
+    assert nearest_mean(inputs, targets, [5.0, 5.0], 2) == 7.0
 
 
 def test_knn_with_k_equal_n_predicts_global_mean():
     rng = np.random.Generator(np.random.PCG64(5))
     inputs = rng.normal(0, 1, (9, 4))
     targets = rng.normal(0, 1, 9)
-    model = KnnModel(k=9, train_inputs=inputs, train_targets=targets, cv_rmse={})
-    assert model.predict_window(np.zeros(4)) == pytest.approx(targets.mean(), abs=1e-12)
+    assert nearest_mean(inputs, targets, np.zeros(4), 9) == pytest.approx(
+        targets.mean(), abs=1e-12
+    )
+
+
+def test_knn_model_predicts_from_the_windows_of_its_training_closes():
+    # windows (1, 2) (2, 3) (3, 10) (10, 11) (11, 2) are followed by 3 10 11 2 3.5
+    closes = np.array([1.0, 2.0, 3.0, 10.0, 11.0, 2.0, 3.5])
+    model = KnnModel(
+        k=2, window=2, train_closes=closes, cv_rmse={}, scaler=MinMaxScaler(1.0, 11.0)
+    )
+    assert model.min_history == 2
+    assert model.predict_window(np.array([2.0, 3.0])) == 6.5  # the targets of (2, 3) and (1, 2)
+    with pytest.raises(ShapeMismatch):
+        model.predict_window(np.array([2.0, 3.0, 4.0]))
+    with pytest.raises(ValueError, match="k must be between 1 and the 5 training windows"):
+        KnnModel(k=6, window=2, train_closes=closes, cv_rmse={}, scaler=model.scaler)
 
 
 def test_knn_cv_chooses_k_in_range_and_is_deterministic():
     rng = np.random.Generator(np.random.PCG64(3))
     series = np.sin(np.arange(120) / 7.0) + rng.normal(0, 0.05, 120)
-    inputs, targets = build_windows(series, 6)
-    n_train = chronological_split(len(targets), 0.8)
-    a = knn_fit_cv(inputs[:n_train], targets[:n_train])
-    b = knn_fit_cv(inputs[:n_train], targets[:n_train])
+    n_train = chronological_split(len(series) - 6, 0.8)
+    closes = series[: n_train + 6]
+    a = knn_fit_cv(closes, 6, fit_scaler(closes))
+    b = knn_fit_cv(closes, 6, fit_scaler(closes))
     assert 2 <= a.k <= 9
     assert a.k == b.k and a.cv_rmse == b.cv_rmse
 
@@ -141,33 +159,33 @@ def test_knn_cv_equals_the_per_k_oracle(n, folds):
     distinct = rng.integers(0, 3, size=(max(4, n // 4), 3)).astype(np.float64)
     inputs = distinct[rng.integers(0, len(distinct), size=n)]  # duplicate windows tie
     targets = rng.normal(100.0, 5.0, n)
-    model = knn_fit_cv(inputs, targets, folds=folds)
+    k, cv_rmse = choose_k(inputs, targets, folds=folds)
     expected = naive_cv_rmse(inputs, targets, folds)
-    assert model.cv_rmse == expected
-    assert model.k == min(K_RANGE, key=lambda k: (expected[k], k))
+    assert cv_rmse == expected
+    assert k == min(K_RANGE, key=lambda k: (expected[k], k))
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 1, 6])
 def test_batched_knn_predict_equals_predict_window(monkeypatch, chunk_rows):
     panel = make_panel(n=90, seed=8)
-    inputs, targets = build_windows(panel.close[:60], 5)
-    inputs = np.round(inputs)  # rounded windows repeat, so distances tie
-    scaler = fit_scaler(panel.close[:60])
-    model = knn_fit_cv(scaler.apply(inputs), targets, scaler=scaler)
+    closes = np.round(panel.close[:60])  # rounded closes repeat, so distances tie
+    scaler = fit_scaler(closes)
+    model = knn_fit_cv(closes, 5, scaler)
+    inputs, targets = build_windows(closes, 5)
     if chunk_rows is not None:
-        monkeypatch.setattr(knn, "_CHUNK_ELEMENTS", chunk_rows * model.train_inputs.size)
+        monkeypatch.setattr(knn, "_CHUNK_ELEMENTS", chunk_rows * inputs.size)
     histories = [HistorySlice(panel, end=j) for j in range(4, len(panel))]
     windows = [h.last_closes(5) for h in histories]
     expected = np.array([model.predict_window(w) for w in windows])
     assert np.array_equal(model.predict(histories), expected)
-    naive = [naive_knn(model.train_inputs, targets, scaler.apply(w), model.k) for w in windows]
+    naive = [naive_knn(scaler.apply(inputs), targets, scaler.apply(w), model.k) for w in windows]
     assert np.array_equal(expected, naive)
 
 
 def test_knn_requires_enough_samples():
-    inputs, targets = build_windows(np.arange(8.0), 2)
+    closes = np.arange(8.0)  # 6 windows of 2
     with pytest.raises(TooFewSamples):
-        knn_fit_cv(inputs, targets)
+        knn_fit_cv(closes, 2, fit_scaler(closes))
 
 
 # --- arima ----------------------------------------------------------------

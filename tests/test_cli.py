@@ -108,6 +108,10 @@ def test_config_typo_or_bad_value_names_its_key(mini, tmp_path, old, new, messag
         ("gridsearch-window", "windows = 5, 10", "windows = ,",
          "[gridsearch] windows must list at least one window"),
         ("train", "dense = 3, 1", "dense = 25, 2", "[lstm] final dense layer must have size 1"),
+        ("train", "layers = 5", f"layers = {10**30}",
+         f"[lstm] sizes need a weight array of {4 * 10**60} values, more than numpy can hold"),
+        ("train", "dense = 3, 1", f"dense = {10**30}, 1",
+         f"[lstm] sizes need a weight array of {10**31} values, more than numpy can hold"),
         ("train", "n_trees = 8", "n_trees = 0", "[forest] n_trees must be >= 1"),
         ("train", "epochs = 2", "epochs = -1", "[lstm] epochs must be >= 0"),
         ("train", "seasonal_order = 0, 0, 0, 1", "seasonal_order = 2, 1, 0, 0",
@@ -196,14 +200,14 @@ def test_corrupt_forest_child_index_is_an_evaluate_error(mini, tmp_path, capsys)
 
     def child_past_the_end(doc):
         tree = doc["payload"]["trees"][0]
-        tree["left"][next(i for i, f in enumerate(tree["feature"]) if f != -1)] = 10**6
+        tree["right"][next(i for i, f in enumerate(tree["feature"]) if f != -1)] = 10**6
 
     path.write_text(edit_artifact(path.read_text(), child_past_the_end))
     capsys.readouterr()
     assert run("evaluate", *common) == 1
     err = capsys.readouterr().err
     assert "[evaluate] error: AAA_forest.json: malformed forest artifact" in err
-    assert "later nodes" in err
+    assert "right child must lie after its left child" in err
 
 
 @pytest.mark.parametrize(

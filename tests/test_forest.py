@@ -26,7 +26,7 @@ def assert_tree_equals_oracle(tree: RegressionTree, oracle: dict, node: int = 0)
         return
     assert tree.feature[node] == oracle["feature"]
     assert tree.threshold[node] == oracle["threshold"]
-    assert_tree_equals_oracle(tree, oracle["left"], tree.left[node])
+    assert_tree_equals_oracle(tree, oracle["left"], node + 1)
     assert_tree_equals_oracle(tree, oracle["right"], tree.right[node])
 
 
@@ -107,7 +107,6 @@ def test_forest_of_identical_stumps_predicts_their_constant():
     stump = RegressionTree(
         feature=np.array([-1]),
         threshold=np.array([0.0]),
-        left=np.array([-1]),
         right=np.array([-1]),
         value=np.array([41.5]),
     )

@@ -90,9 +90,9 @@ def test_tiny_network_matches_hand_computed_recurrence():
     b = np.array([0.01, -0.02, 0.03, 0.04, -0.01, 0.02, -0.03, 0.05])
     dense_w = np.array([[1.5], [-2.0]])
     dense_b = np.array([0.25])
-    params.layers[0].w_x[...] = w_x
-    params.layers[0].w_h[...] = w_h
-    params.layers[0].b[...] = b
+    params.stacks[0][0].w_x[...] = w_x
+    params.stacks[0][0].w_h[...] = w_h
+    params.stacks[0][0].b[...] = b
     params.dense[0].w[...] = dense_w
     params.dense[0].b[...] = dense_b
 
@@ -160,7 +160,7 @@ def test_gate_activations_bounded_and_cells_finite():
     topology = small_topology()
     params = randomized_params(topology)
     x = RNG.normal(0, 2, (7, 8))
-    cache = _forward(params, topology, x)
+    cache = _forward(params, x)
     for layer_cache in cache.stacks[0]:
         hidden = layer_cache.c.shape[2]
         gates = layer_cache.gates
@@ -178,8 +178,8 @@ def test_cache_free_forward_equals_training_forward(bidirectional):
     params = randomized_params(topology)
     x = RNG.normal(0, 1, (11, 8))
     inference = lstm_batch_forward(params, topology, x)
-    assert np.array_equal(inference, _forward(params, topology, x).output)
-    free = _forward(params, topology, x, keep_cache=False)
+    assert np.array_equal(inference, _forward(params, x).output)
+    free = _forward(params, x, keep_cache=False)
     assert free.stacks and all(caches == [] for caches in free.stacks)
 
 

@@ -139,7 +139,13 @@ def first_split(tree: dict) -> int:
 def _self_loop(doc):
     tree = doc["payload"]["trees"][0]
     node = first_split(tree)
-    tree["left"][node] = node
+    tree["right"][node] = node
+
+
+def _right_child_at_left_child(doc):
+    tree = doc["payload"]["trees"][0]
+    node = first_split(tree)
+    tree["right"][node] = node + 1
 
 
 def _child_past_the_end(doc):
@@ -158,20 +164,21 @@ def _short_value_array(doc):
 
 def _float_child_index(doc):
     tree = doc["payload"]["trees"][0]
-    tree["left"][first_split(tree)] += 0.5
+    tree["right"][first_split(tree)] += 0.5
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_self_loop, "later nodes"),
-        (_child_past_the_end, "later nodes"),
+        (_self_loop, "right child must lie after its left child i + 1"),
+        (_right_child_at_left_child, "right child must lie after its left child i + 1"),
+        (_child_past_the_end, "right child must lie after its left child i + 1"),
         (_feature_past_the_end, "feature"),
         (_short_value_array, "equal length"),
-        (_float_child_index, "payload.trees[0].left must be an array of int64, not float64"),
+        (_float_child_index, "payload.trees[0].right must be an array of int64, not float64"),
     ],
-    ids=["self-loop", "child-past-the-end", "feature-past-the-end", "short-value-array",
-         "float-child-index"],
+    ids=["self-loop", "right-child-at-left-child", "child-past-the-end", "feature-past-the-end",
+         "short-value-array", "float-child-index"],
 )
 def test_corrupt_forest_tree_is_an_artifact_error(trained, edit, message):
     # loading alone must refuse these; predicting from a self-loop would never end
@@ -185,7 +192,7 @@ def test_decode_errors_name_the_path_of_the_bad_value(trained):
     _, models = trained
 
     def bad_weight(doc):
-        doc["payload"]["params"]["layers"][0]["w_x"] = "weights"
+        doc["payload"]["params"]["stacks"][0][0]["w_x"] = "weights"
 
     def extra_topology_key(doc):
         doc["payload"]["topology"]["cell"] = "gru"
@@ -194,7 +201,8 @@ def test_decode_errors_name_the_path_of_the_bad_value(trained):
         doc["payload"]["spec"]["order"] = [0, 1]
 
     for kind, edit, message in [
-        ("lstm", bad_weight, "payload.params.layers[0].w_x must be an array of float64, not str"),
+        ("lstm", bad_weight,
+         "payload.params.stacks[0][0].w_x must be an array of float64, not str"),
         ("bilstm", extra_topology_key, "payload.topology has unknown key 'cell'"),
         ("arima", short_order, "payload.spec.order must have 3 items, not 2"),
     ]:
@@ -205,14 +213,14 @@ def test_decode_errors_name_the_path_of_the_bad_value(trained):
 
 def test_a_version_1_artifact_is_refused(trained):
     _, models = trained
-    for old in (1, 2, 3, 4, 5):
+    for old in (1, 2, 3, 4, 5, 6):
         text = corrupted(models["arima"], lambda doc: doc.update(format_version=old))
         with pytest.raises(ArtifactError, match=f"unsupported artifact version {old}"):
             loads_artifact(text)
 
 
 def _packed_bias(doc) -> dict:
-    return doc["payload"]["params"]["layers"][0]["b"]
+    return doc["payload"]["params"]["stacks"][0][0]["b"]
 
 
 def _short_data(doc):
@@ -246,17 +254,22 @@ def test_malformed_binary_array_is_an_artifact_error(trained, edit, message):
     edit(doc)
     with pytest.raises(ArtifactError) as exc:
         loads_artifact(json.dumps(doc))
-    assert f"malformed lstm artifact: payload.params.layers[0].{message}" in str(exc.value)
+    assert f"malformed lstm artifact: payload.params.stacks[0][0].{message}" in str(exc.value)
 
 
-def _flatten_knn_inputs(doc):
-    rows = doc["payload"]["train_inputs"]
-    rows[:] = [v for row in list(rows) for v in row]
+def _knn_closes_as_rows(doc):
+    closes = doc["payload"]["train_closes"]
+    closes[:] = [[v] for v in list(closes)]
 
 
-def _lstm_backward_layers(doc):
-    params = doc["payload"]["params"]
-    params["backward_layers"] = params["layers"]
+def _knn_closes_cut_to_window(doc):
+    payload = doc["payload"]
+    del payload["train_closes"][payload["window"] :]
+
+
+def _lstm_second_stack(doc):
+    stacks = doc["payload"]["params"]["stacks"]
+    stacks.append(stacks[0])
 
 
 def _scaler_range(lo, hi):
@@ -269,19 +282,20 @@ def _scaler_range(lo, hi):
 @pytest.mark.parametrize(
     "kind, edit, message",
     [
-        ("knn", _flatten_knn_inputs, "train_inputs must be a 2-D array"),
-        ("knn", lambda doc: doc["payload"]["train_targets"].pop(), "one target per window"),
+        ("knn", _knn_closes_as_rows, "train_closes must be a 1-D series"),
+        ("knn", _knn_closes_cut_to_window, "train_closes (10) must be longer than a window >= 1 (10)"),
+        ("knn", lambda doc: doc["payload"].update(window=0), "longer than a window >= 1 (0)"),
         ("knn", lambda doc: doc["payload"].update(k=0), "k must be between 1 and the"),
         ("knn", lambda doc: doc["payload"].update(k=10**6), "training windows, not 1000000"),
-        ("lstm", lambda doc: doc["payload"]["params"]["layers"][0]["w_h"].pop(),
-         "params.layers must have shapes [((1, 20), (5, 20), (20,))]"),
-        ("lstm", lambda doc: doc["payload"]["params"]["layers"][0]["w_x"][0].pop(),
-         "params.layers must have shapes"),
+        ("lstm", lambda doc: doc["payload"]["params"]["stacks"][0][0]["w_h"].pop(),
+         "params.stacks[0] must have shapes [((1, 20), (5, 20), (20,))]"),
+        ("lstm", lambda doc: doc["payload"]["params"]["stacks"][0][0]["w_x"][0].pop(),
+         "params.stacks[0] must have shapes"),
         ("lstm", lambda doc: doc["payload"]["params"]["dense"].pop(),
          "params.dense must have shapes [((5, 3), (3,)), ((3, 1), (1,))], not [((5, 3), (3,))]"),
-        ("lstm", _lstm_backward_layers, "params.backward_layers must have shapes [], not"),
-        ("bilstm", lambda doc: doc["payload"]["params"]["backward_layers"].clear(),
-         "params.backward_layers must have shapes [((1, 20), (5, 20), (20,))], not []"),
+        ("lstm", _lstm_second_stack, "params.stacks must have 1 items, not 2"),
+        ("bilstm", lambda doc: doc["payload"]["params"]["stacks"].pop(),
+         "params.stacks must have 2 items, not 1"),
         ("bilstm", lambda doc: doc["payload"]["params"]["dense"][0]["w"].pop(),
          "params.dense must have shapes [((10, 3), (3,)), ((3, 1), (1,))]"),
         ("linreg", lambda doc: doc["payload"]["coefficients"].pop(),
@@ -296,7 +310,7 @@ def _scaler_range(lo, hi):
         ("arima", lambda doc: doc["payload"]["seasonal_ar"].append(0.5),
          "seasonal_ar must hold the spec's 0 coefficients, not shape (1,)"),
     ],
-    ids=["knn-inputs-not-2d", "knn-target-dropped", "knn-k-zero", "knn-k-past-rows",
+    ids=["knn-closes-2d", "knn-closes-within-window", "knn-window-zero", "knn-k-zero", "knn-k-past-rows",
          "lstm-short-w-h", "lstm-short-w-x", "lstm-dense-dropped", "lstm-backward-layers",
          "bilstm-no-backward-layers", "bilstm-narrow-dense", "linreg-short-coefficients",
          "scaler-hi-equals-lo", "scaler-hi-below-lo", "scaler-nan-lo", "scaler-infinite-hi",
@@ -378,9 +392,22 @@ def test_the_arima_artifact_holds_no_training_series(trained):
     ]
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def test_readme_names_the_artifact_format_version():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     assert re.findall(r"artifact format is version (\d+)", readme) == [str(FORMAT_VERSION)]
+
+
+def test_the_readme_snippet_reads_back_the_first_lstm_weight(trained, tmp_path, monkeypatch):
+    (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    _, models = trained
+    save_artifact(models["lstm"], tmp_path / "out" / "artifacts" / "ALFA_lstm.json")
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(snippet, scope)
+    assert np.array_equal(scope["w_x"], models["lstm"].params.stacks[0][0].w_x)
 
 
 JSON_VALUES = st.recursive(
