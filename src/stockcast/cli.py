@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import date
 
 from . import __version__
 from .config import load_config
-from .errors import StockcastError
+from .errors import ConfigError, StockcastError
 from .models.artifacts import ALL_KINDS, MODEL_KINDS
 from .pipeline import (
     PipelineData,
@@ -25,6 +24,7 @@ from .pipeline import (
     write_report_outputs,
 )
 from .reporting import report_from_json
+from .series import parse_trading_date
 
 MODEL_CHOICES = [*ALL_KINDS, "all"]
 
@@ -84,7 +84,7 @@ def cmd_ingest_check(data: PipelineData) -> None:
             f"prices {ticker}: {len(dates)} rows "
             f"({dates[0]} .. {dates[-1]}), skipped {parsed.skipped}"
         )
-    for name, series in data.macro.columns():
+    for name, series in data.macro.items():
         print(f"macro {name}: {len(series)} rows ({series.dates[0]} .. {series.dates[-1]})")
     news = data.news
     print(f"news: {len(news.items)} headlines, skipped {news.skipped}")
@@ -131,7 +131,10 @@ def cmd_train(data: PipelineData, kinds: list[str], tickers: list[str]) -> None:
 
 
 def cmd_evaluate(data: PipelineData, kinds, tickers, svg: bool, predict_date) -> None:
-    parsed_date = date.fromisoformat(predict_date) if predict_date else None
+    try:
+        parsed_date = parse_trading_date(predict_date) if predict_date else None
+    except ValueError as exc:
+        raise ConfigError(f"--predict-date: {exc}") from None
     report = evaluate_models(data, kinds, tickers, predict_date=parsed_date)
     written = write_report_outputs(data, report, svg=svg)
     for entry in report.entries:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, MissingSentiment, TooFewSamples, WindowTooLong
-from .series import AlignedPanel
+from .series import MACRO_COLUMNS, SENTIMENT_COLUMNS, AlignedPanel
 
-FEATURE_NAMES = ("close", "pos", "neg", "neu", "compound", "gold", "brent", "gsec", "usd_inr")
+FEATURE_NAMES = ("close", *SENTIMENT_COLUMNS, *MACRO_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -11,24 +11,23 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass
-from datetime import date
 from typing import Collection, Iterator
 
-from .errors import (
-    EmptyFile,
-    MissingHeader,
-    ParseError,
-    UnknownTicker,
+from .errors import EmptyFile, MissingHeader, ParseError, UnknownTicker
+from .series import (
+    MACRO_COLUMNS,
+    POSITIVE_MACRO,
+    MacroSeries,
+    PriceSeries,
+    TradingDate,
+    parse_trading_date,
 )
-from .series import MACRO_COLUMNS, POSITIVE_MACRO, MacroSeries, PriceSeries, TradingDate
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 MACRO_HEADER = ["Date", "Value"]
 NEWS_HEADER = ["Date", "Ticker", "Headline"]
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _NULL_TOKENS = {"", "null", "na", "n/a"}
 
 
@@ -42,14 +41,10 @@ class NewsItem:
 
 
 @dataclass(frozen=True)
-class ParsedPrices:
-    series: PriceSeries
-    skipped: int
+class ParsedSeries:
+    """A parsed price or macro file; `skipped` counts rows dropped for an empty cell."""
 
-
-@dataclass(frozen=True)
-class ParsedMacro:
-    series: MacroSeries
+    series: PriceSeries | MacroSeries
     skipped: int
 
 
@@ -95,11 +90,8 @@ def _rows(text: str, expected_header: list[str]) -> Iterator[tuple[int, list[str
 
 
 def _parse_date(line: int, text: str) -> TradingDate:
-    value = text.strip()
-    if not _DATE_RE.match(value):
-        raise ParseError(line, "Date", f"expected YYYY-MM-DD, got {value!r}")
     try:
-        return date.fromisoformat(value)
+        return parse_trading_date(text.strip())
     except ValueError as exc:
         raise ParseError(line, "Date", str(exc)) from None
 
@@ -118,7 +110,7 @@ def _parse_number(line: int, column: str, text: str) -> float | None:
     return number
 
 
-def parse_price_csv(data: bytes | str, ticker: str) -> ParsedPrices:
+def parse_price_csv(data: bytes | str, ticker: str) -> ParsedSeries:
     """Parse an OHLCV file into a date-sorted PriceSeries of closes.
 
     Rows with an empty or null numeric cell are dropped and tallied in the
@@ -150,12 +142,10 @@ def parse_price_csv(data: bytes | str, ticker: str) -> ParsedPrices:
     if not rows:
         raise EmptyFile("no usable price rows")
     rows.sort(key=lambda item: item[0])
-    return ParsedPrices(
-        PriceSeries(ticker, tuple(d for d, _ in rows), [c for _, c in rows]), skipped
-    )
+    return ParsedSeries(PriceSeries(ticker, [d for d, _ in rows], [c for _, c in rows]), skipped)
 
 
-def parse_macro_csv(data: bytes | str, column: str) -> ParsedMacro:
+def parse_macro_csv(data: bytes | str, column: str) -> ParsedSeries:
     """Parse a two-column macro file into a sorted, duplicate-free series.
 
     `column` is one of MACRO_COLUMNS and fixes the positivity requirement
@@ -180,10 +170,7 @@ def parse_macro_csv(data: bytes | str, column: str) -> ParsedMacro:
     if not rows:
         raise EmptyFile("no usable macro rows")
     rows.sort(key=lambda item: item[0])
-    return ParsedMacro(
-        MacroSeries(column, tuple(d for d, _ in rows), tuple(v for _, v in rows)),
-        skipped,
-    )
+    return ParsedSeries(MacroSeries(column, [d for d, _ in rows], [v for _, v in rows]), skipped)
 
 
 def parse_news_file(data: bytes | str, universe: Collection[str] | None = None) -> ParsedNews:

@@ -26,6 +26,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from ..errors import ArtifactError, SchemaMismatch
+from ..series import parse_trading_date
 from .arima import ArimaModel
 from .forest import ForestModel
 from .knn import KnnModel
@@ -199,7 +200,7 @@ def _decode(hint, value, where: str, binary: bool = False):
         return origin(_decode(a, v, f"{where}[{i}]", binary) for i, (a, v) in items)
     if hint is date:
         try:
-            return date.fromisoformat(value)
+            return parse_trading_date(value)
         except (TypeError, ValueError):
             raise SchemaMismatch(f"{where} must be an ISO date, not {value!r}") from None
     if type(value) not in _SCALARS[hint]:

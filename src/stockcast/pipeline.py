@@ -9,14 +9,14 @@ all models are scored on the same days.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import replace
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .config import RunConfig
 from .dataset import build_feature_table, build_windows, chronological_split, fit_scaler
-from .errors import ArtifactError, ConfigError, StockcastError, TooFewSamples
+from .errors import ArtifactError, ConfigError, NewsAfterCalendarEnd, StockcastError, TooFewSamples
 from .evaluation import ForecastReport, correlation_matrix, walk_forward
 from .ingest import parse_macro_csv, parse_news_file, parse_price_csv
 from .models.arima import arima_fit
@@ -27,11 +27,18 @@ from .models.linear import linreg_fit
 from .models.lstm import lstm_train
 from .models.persistence import PersistenceModel
 from .models.trend import additive_trend_fit
-from .reporting import emit_report, report_to_json
-from .sentiment import DailySentiment, aggregate_daily, load_lexicon, load_stopwords
-from .series import MACRO_COLUMNS, AlignedPanel, MacroPanel, align_panel
+from .reporting import csv_text, emit_report, report_to_json
+from .sentiment import (
+    BUNDLED_LEXICON,
+    BUNDLED_STOPWORDS,
+    DailySentiment,
+    aggregate_daily,
+    parse_lexicon,
+    parse_stopwords,
+)
+from .series import MACRO_COLUMNS, SENTIMENT_COLUMNS, AlignedPanel, MacroSeries, align_panel
 
-CORRELATION_COLUMNS = ("close", "gold", "brent", "gsec", "usd_inr")
+CORRELATION_COLUMNS = ("close", *MACRO_COLUMNS)
 
 
 def _parse_file(path: Path, parse):
@@ -47,25 +54,17 @@ class PipelineData:
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
-        self._lexicon = None
-        self._stopwords = None
         self._prices: dict[str, object] = {}
-        self._macro = None
-        self._news = None
         self._sentiment: dict[str, list[DailySentiment]] = {}
         self._panels: dict[tuple[str, bool], AlignedPanel] = {}
 
-    @property
+    @cached_property
     def lexicon(self):
-        if self._lexicon is None:
-            self._lexicon = load_lexicon(self.config.lexicon_path)
-        return self._lexicon
+        return _parse_file(self.config.lexicon_path or BUNDLED_LEXICON, parse_lexicon)
 
-    @property
+    @cached_property
     def stopwords(self):
-        if self._stopwords is None:
-            self._stopwords = load_stopwords(self.config.stopwords_path)
-        return self._stopwords
+        return _parse_file(self.config.stopwords_path or BUNDLED_STOPWORDS, parse_stopwords)
 
     def prices(self, ticker: str):
         if ticker not in self.config.tickers:
@@ -78,40 +77,37 @@ class PipelineData:
             )
         return self._prices[ticker]
 
-    @property
-    def macro(self) -> MacroPanel:
-        if self._macro is None:
-            parsed = {
-                name: _parse_file(
-                    self.config.macro_paths[name],
-                    lambda data, name=name: parse_macro_csv(data, name),
-                )
-                for name in MACRO_COLUMNS
-            }
-            self._macro = MacroPanel(**{name: parsed[name].series for name in MACRO_COLUMNS})
-        return self._macro
+    @cached_property
+    def macro(self) -> dict[str, MacroSeries]:
+        return {
+            name: _parse_file(
+                self.config.macro_paths[name], lambda data, name=name: parse_macro_csv(data, name)
+            ).series
+            for name in MACRO_COLUMNS
+        }
 
-    @property
+    @cached_property
     def news(self):
-        if self._news is None:
-            self._news = _parse_file(
-                self.config.news_path,
-                lambda data: parse_news_file(data, universe=set(self.config.tickers)),
-            )
-        return self._news
+        return _parse_file(
+            self.config.news_path,
+            lambda data: parse_news_file(data, universe=set(self.config.tickers)),
+        )
 
     def sentiment_records(self, ticker: str) -> list[DailySentiment]:
         if ticker not in self._sentiment:
             calendar = self.prices(ticker).series.dates
-            self._sentiment[ticker] = aggregate_daily(
-                self.news.items,
-                calendar,
-                ticker,
-                self.lexicon,
-                self.stopwords,
-                config=self.config.preprocess,
-                per_headline_average=self.config.per_headline_average,
-            )
+            try:
+                self._sentiment[ticker] = aggregate_daily(
+                    self.news.items,
+                    calendar,
+                    ticker,
+                    self.lexicon,
+                    self.stopwords,
+                    config=self.config.preprocess,
+                    per_headline_average=self.config.per_headline_average,
+                )
+            except NewsAfterCalendarEnd as exc:
+                raise StockcastError(f"{self.config.news_path}: {ticker}: {exc}") from exc
         return self._sentiment[ticker]
 
     def panel(self, ticker: str, sentiment: bool = True) -> AlignedPanel:
@@ -263,47 +259,32 @@ def write_report_outputs(data: PipelineData, report: ForecastReport, svg: bool =
 
 
 def render_sentiment_csv(records: list[DailySentiment]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date", "pos", "neg", "neu", "compound", "headline_count"])
-    for r in records:
-        writer.writerow(
-            [r.date.isoformat(), repr(r.score.pos), repr(r.score.neg), repr(r.score.neu),
-             repr(r.score.compound), r.headline_count]
-        )
-    return out.getvalue()
+    scores = attrgetter(*SENTIMENT_COLUMNS)
+    return csv_text(
+        ["date", *SENTIMENT_COLUMNS, "headline_count"],
+        ([r.date.isoformat(), *map(repr, scores(r.score)), r.headline_count] for r in records),
+    )
 
 
 def render_panel_csv(panel: AlignedPanel) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = ["date", "close", "gold", "brent", "gsec", "usd_inr"]
-    if panel.has_sentiment:
-        header += ["pos", "neg", "neu", "compound"]
-    writer.writerow(header)
-    for i, d in enumerate(panel.dates):
-        row = [d.isoformat()] + [repr(float(panel.column(c)[i])) for c in header[1:]]
-        writer.writerow(row)
-    return out.getvalue()
+    columns = ["close", *MACRO_COLUMNS, *(SENTIMENT_COLUMNS if panel.has_sentiment else ())]
+    values = zip(*(panel.column(c).tolist() for c in columns))
+    return csv_text(
+        ["date", *columns],
+        ([d.isoformat(), *map(repr, row)] for d, row in zip(panel.dates, values)),
+    )
 
 
 def render_correlation_csv(panel: AlignedPanel) -> str:
     names, matrix = correlation_matrix(panel, CORRELATION_COLUMNS)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["column", *names])
-    for name, row in zip(names, matrix):
-        writer.writerow([name, *[repr(float(v)) for v in row]])
-    return out.getvalue()
+    return csv_text(
+        ["column", *names],
+        ([name, *(repr(float(v)) for v in row)] for name, row in zip(names, matrix)),
+    )
 
 
 def render_gridsearch_csv(rows: list[tuple[int, float]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["window", "val_rmse"])
-    for w, score in rows:
-        writer.writerow([w, repr(score)])
-    return out.getvalue()
+    return csv_text(["window", "val_rmse"], ([w, repr(score)] for w, score in rows))
 
 
 def gridsearch_window(data: PipelineData, kind: str, ticker: str) -> list[tuple[int, float]]:

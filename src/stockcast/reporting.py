@@ -12,6 +12,7 @@ import io
 import json
 from datetime import date
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -38,25 +39,30 @@ def _model_order(kind: str) -> int:
     return ALL_KINDS.index(kind) if kind in ALL_KINDS else len(ALL_KINDS)
 
 
-def render_metrics_csv(report: ForecastReport) -> str:
+def csv_text(header: list[str], rows: Iterable[list]) -> str:
+    """CSV text of a header and rows, each line ending in a bare newline."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(METRICS_HEADER)
-    entries = sorted(report.entries, key=lambda e: (e.ticker, _model_order(e.model), e.model))
-    for e in entries:
-        writer.writerow([e.ticker, e.model, repr(e.metrics.rmse), repr(e.metrics.mape), e.metrics.n])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def render_metrics_csv(report: ForecastReport) -> str:
+    entries = sorted(report.entries, key=lambda e: (e.ticker, _model_order(e.model), e.model))
+    return csv_text(
+        METRICS_HEADER,
+        ([e.ticker, e.model, repr(e.metrics.rmse), repr(e.metrics.mape), e.metrics.n]
+         for e in entries),
+    )
 
 
 def render_series_csv(entry: ReportEntry) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SERIES_HEADER)
-    for d, a in zip(entry.train_dates, entry.train_actual):
-        writer.writerow([d.isoformat(), "train", repr(float(a)), ""])
-    for d, a, p in zip(entry.dates, entry.actual, entry.predicted):
-        writer.writerow([d.isoformat(), "validation", repr(float(a)), repr(float(p))])
-    return out.getvalue()
+    rows = [[d.isoformat(), "train", repr(float(a)), ""]
+            for d, a in zip(entry.train_dates, entry.train_actual)]
+    rows += [[d.isoformat(), "validation", repr(float(a)), repr(float(p))]
+             for d, a, p in zip(entry.dates, entry.actual, entry.predicted)]
+    return csv_text(SERIES_HEADER, rows)
 
 
 def _comparison_table(report: ForecastReport, ticker: str) -> list[str]:

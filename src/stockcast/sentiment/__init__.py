@@ -1,7 +1,7 @@
 """Lexicon sentiment engine: preprocessing, scoring, daily aggregation."""
 
 from .daily import DailySentiment, aggregate_daily, effective_trading_date
-from .lexicon import Lexicon, load_lexicon, load_stopwords, parse_lexicon
+from .lexicon import BUNDLED_LEXICON, BUNDLED_STOPWORDS, Lexicon, parse_lexicon, parse_stopwords
 from .preprocess import PreprocessConfig, preprocess_text
 from .scorer import (
     EMPTY_SCORE,
@@ -13,6 +13,8 @@ from .scorer import (
 )
 
 __all__ = [
+    "BUNDLED_LEXICON",
+    "BUNDLED_STOPWORDS",
     "DailySentiment",
     "EMPTY_SCORE",
     "Lexicon",
@@ -21,9 +23,8 @@ __all__ = [
     "SentimentScore",
     "aggregate_daily",
     "effective_trading_date",
-    "load_lexicon",
-    "load_stopwords",
     "parse_lexicon",
+    "parse_stopwords",
     "preprocess_text",
     "score_text",
     "token_valences",

@@ -2,7 +2,8 @@
 
 The lexicon file is tab-separated `token<TAB>valence`, UTF-8, `#` comments
 allowed. Negators and boosters are fixed vocabulary of the scoring rules and
-ship as code constants rather than data files.
+ship as code constants rather than data files. A malformed lexicon line is a
+ParseError naming its 1-based line number.
 """
 
 from __future__ import annotations
@@ -10,7 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
+
+from ..errors import ParseError
+from ..ingest import _decode
+
+BUNDLED_LEXICON = resources.files("stockcast.sentiment") / "data" / "lexicon.txt"
+BUNDLED_STOPWORDS = resources.files("stockcast.sentiment") / "data" / "stopwords.txt"
 
 BOOSTER_INCREMENT = 0.293
 BOOSTER_DECREMENT = -0.293
@@ -64,10 +70,7 @@ class Lexicon:
 
     def __post_init__(self) -> None:
         for token, valence in self.valences.items():
-            if not token or token != token.lower():
-                raise ValueError(f"lexicon token {token!r} must be lowercase and non-empty")
-            if not math.isfinite(valence):
-                raise ValueError(f"lexicon token {token!r} has non-finite valence")
+            _check_entry(token, valence)
 
     def is_negator(self, token: str) -> bool:
         return token in self.negators or "n't" in token
@@ -77,33 +80,32 @@ class Lexicon:
         return token in self.boosters or self.is_negator(token)
 
 
-def parse_lexicon(text: str) -> Lexicon:
+def _check_entry(token: str, valence: float) -> None:
+    if not token or token != token.lower():
+        raise ValueError(f"lexicon token {token!r} must be lowercase and non-empty")
+    if not math.isfinite(valence):
+        raise ValueError(f"lexicon token {token!r} has non-finite valence")
+
+
+def parse_lexicon(data: bytes | str) -> Lexicon:
     valences: dict[str, float] = {}
-    for raw in text.splitlines():
+    for number, raw in enumerate(_decode(data).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) < 2:
-            raise ValueError(f"malformed lexicon line: {raw!r}")
-        valences[parts[0]] = float(parts[1])
+            raise ParseError(number, None, f"malformed lexicon line: {raw!r}")
+        try:
+            valence = float(parts[1])
+            _check_entry(parts[0], valence)
+        except ValueError as exc:
+            raise ParseError(number, None, str(exc)) from None
+        valences[parts[0]] = valence
     return Lexicon(valences=valences)
 
 
-def load_lexicon(path: str | Path | None = None) -> Lexicon:
-    """Load a lexicon file, defaulting to the bundled one."""
-    if path is None:
-        text = resources.files("stockcast.sentiment").joinpath("data/lexicon.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    return parse_lexicon(text)
-
-
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load a one-token-per-line stopword list, defaulting to the bundled one."""
-    if path is None:
-        text = resources.files("stockcast.sentiment").joinpath("data/stopwords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    words = (line.strip() for line in text.splitlines())
+def parse_stopwords(data: bytes | str) -> frozenset[str]:
+    """A one-token-per-line stopword list; `#` starts a comment line."""
+    words = (line.strip() for line in _decode(data).splitlines())
     return frozenset(w for w in words if w and not w.startswith("#"))

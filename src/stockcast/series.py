@@ -8,10 +8,11 @@ backward, so no aligned row can see a value from a later calendar date.
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,10 +21,23 @@ from .errors import DuplicateDate, EmptyIntersection
 TradingDate = date
 
 MACRO_COLUMNS = ("gold", "brent", "gsec", "usd_inr")
+SENTIMENT_COLUMNS = ("pos", "neg", "neu", "compound")
 
 # columns that must stay strictly positive (yields may legitimately go
 # negative, exchange rates and commodity prices may not)
 POSITIVE_MACRO = frozenset({"gold", "brent", "usd_inr"})
+
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_trading_date(text: str) -> TradingDate:
+    """A date read from outside, written exactly as YYYY-MM-DD, else a ValueError.
+
+    `date.fromisoformat` alone also takes 20210201 or 2021-W05-1 on Python 3.11+.
+    """
+    if not _DATE_RE.fullmatch(text):
+        raise ValueError(f"expected YYYY-MM-DD, got {text!r}")
+    return date.fromisoformat(text)
 
 
 def _check_strictly_increasing(dates: Sequence[TradingDate]) -> None:
@@ -65,48 +79,25 @@ class MacroSeries:
 
     name: str
     dates: tuple[TradingDate, ...]
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.dates) != len(self.values):
+        values = np.array(self.values, dtype=np.float64)
+        values.flags.writeable = False  # shared by every panel aligned from it
+        object.__setattr__(self, "values", values)
+        if len(values) != len(self.dates):
             raise ValueError("dates and values must have equal length")
         _check_strictly_increasing(self.dates)
-        for d, v in zip(self.dates, self.values):
-            if not math.isfinite(v):
-                raise ValueError(f"{self.name} on {d}: value must be finite")
-            if self.name in POSITIVE_MACRO and v <= 0:
-                raise ValueError(f"{self.name} on {d}: value must be > 0")
+        finite = np.isfinite(values)
+        ok = finite & (values > 0) if self.name in POSITIVE_MACRO else finite
+        if not ok.all():
+            i = int(np.argmin(ok))
+            rule = "be > 0" if finite[i] else "be finite"
+            raise ValueError(f"{self.name} on {self.dates[i]}: value must {rule}")
 
     def __len__(self) -> int:
         return len(self.dates)
-
-
-@dataclass(frozen=True)
-class MacroPanel:
-    """The four macro columns, each on its own calendar."""
-
-    gold: MacroSeries
-    brent: MacroSeries
-    gsec: MacroSeries
-    usd_inr: MacroSeries
-
-    def columns(self) -> Iterable[tuple[str, MacroSeries]]:
-        return ((name, getattr(self, name)) for name in MACRO_COLUMNS)
-
-
-@dataclass(frozen=True)
-class SentimentColumns:
-    """Per-trading-day sentiment block of an aligned panel."""
-
-    pos: np.ndarray
-    neg: np.ndarray
-    neu: np.ndarray
-    compound: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"pos": self.pos, "neg": self.neg, "neu": self.neu, "compound": self.compound}
 
 
 @dataclass(frozen=True)
@@ -122,7 +113,7 @@ class AlignedPanel:
     brent: np.ndarray
     gsec: np.ndarray
     usd_inr: np.ndarray
-    sentiment: SentimentColumns | None = None
+    sentiment: dict[str, np.ndarray] | None = None  # keyed by SENTIMENT_COLUMNS
     ticker: str = ""
 
     def __post_init__(self) -> None:
@@ -130,7 +121,9 @@ class AlignedPanel:
         n = len(self.dates)
         cols = [self.close, self.gold, self.brent, self.gsec, self.usd_inr]
         if self.sentiment is not None:
-            cols += list(self.sentiment.as_dict().values())
+            if tuple(self.sentiment) != SENTIMENT_COLUMNS:
+                raise ValueError(f"sentiment columns must be {', '.join(SENTIMENT_COLUMNS)}")
+            cols += list(self.sentiment.values())
         for col in cols:
             if len(col) != n:
                 raise ValueError("all panel columns must match the calendar length")
@@ -149,8 +142,8 @@ class AlignedPanel:
         """Column lookup by name, including sentiment columns when present."""
         if name in ("close", *MACRO_COLUMNS):
             return getattr(self, name)
-        if self.sentiment is not None and name in ("pos", "neg", "neu", "compound"):
-            return getattr(self.sentiment, name)
+        if self.sentiment is not None and name in self.sentiment:
+            return self.sentiment[name]
         raise KeyError(name)
 
 
@@ -160,12 +153,13 @@ def _ordinals(dates: Sequence[TradingDate]) -> np.ndarray:
 
 def align_panel(
     prices: PriceSeries,
-    macro: MacroPanel,
+    macro: Mapping[str, MacroSeries],
     sentiment: Sequence | None = None,
 ) -> AlignedPanel:
     """Join prices, macro series, and optional daily sentiment on the price calendar.
 
-    Macro gaps are filled with the most recent earlier value. `sentiment`
+    `macro` maps each of MACRO_COLUMNS to its series. Macro gaps are
+    filled with the most recent earlier value. `sentiment`
     is a sequence of DailySentiment records, one per price date in order,
     as `aggregate_daily` returns them over the price calendar; any other
     dates are a ValueError.
@@ -179,23 +173,22 @@ def align_panel(
     days = _ordinals(dates)
     columns: dict[str, np.ndarray] = {}
 
-    for name, series in macro.columns():
+    for name in MACRO_COLUMNS:
         # index of the latest macro date at or before each trading date
-        source = np.searchsorted(_ordinals(series.dates), days, side="right") - 1
+        source = np.searchsorted(_ordinals(macro[name].dates), days, side="right") - 1
         if source[0] < 0:
             raise EmptyIntersection(f"no {name} value on or before {dates[0]}")
-        columns[name] = np.array(series.values, dtype=np.float64)[source]
+        columns[name] = macro[name].values[source]
 
-    senti_block = None
+    senti = None
     if sentiment is not None:
         if tuple(rec.date for rec in sentiment) != dates:
             raise ValueError(
                 f"{prices.ticker}: sentiment records must cover exactly the price dates"
             )
-        scores = [rec.score for rec in sentiment]
-        block = np.array([(s.pos, s.neg, s.neu, s.compound) for s in scores], dtype=np.float64)
-        senti_block = SentimentColumns(*block.T.copy())
+        scores = map(attrgetter(*SENTIMENT_COLUMNS), (rec.score for rec in sentiment))
+        senti = dict(zip(SENTIMENT_COLUMNS, np.array(list(scores), dtype=np.float64).T.copy()))
 
     return AlignedPanel(
-        dates=dates, close=prices.close, sentiment=senti_block, ticker=prices.ticker, **columns
+        dates=dates, close=prices.close, sentiment=senti, ticker=prices.ticker, **columns
     )

@@ -7,13 +7,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from stockcast.series import (
-    AlignedPanel,
-    MacroPanel,
-    MacroSeries,
-    PriceSeries,
-    SentimentColumns,
-)
+from stockcast.series import AlignedPanel, MacroSeries, PriceSeries
 
 
 def weekdays(start: date, count: int) -> list[date]:
@@ -35,13 +29,13 @@ def make_macro(dates: list[date], base: float = 100.0, name: str = "gold") -> Ma
     return MacroSeries(name, tuple(dates), tuple(base + i for i in range(len(dates))))
 
 
-def make_macro_panel(dates: list[date]) -> MacroPanel:
-    return MacroPanel(
-        gold=make_macro(dates, 1800.0, "gold"),
-        brent=make_macro(dates, 70.0, "brent"),
-        gsec=make_macro(dates, 6.0, "gsec"),
-        usd_inr=make_macro(dates, 74.0, "usd_inr"),
-    )
+def make_macro_panel(dates: list[date]) -> dict[str, MacroSeries]:
+    return {
+        "gold": make_macro(dates, 1800.0, "gold"),
+        "brent": make_macro(dates, 70.0, "brent"),
+        "gsec": make_macro(dates, 6.0, "gsec"),
+        "usd_inr": make_macro(dates, 74.0, "usd_inr"),
+    }
 
 
 def make_panel(
@@ -60,9 +54,7 @@ def make_panel(
         pos = rng.uniform(0, 0.4, n)
         neg = rng.uniform(0, 0.4, n)
         neu = 1.0 - pos - neg
-        sentiment = SentimentColumns(
-            pos=pos, neg=neg, neu=neu, compound=rng.uniform(-0.9, 0.9, n)
-        )
+        sentiment = {"pos": pos, "neg": neg, "neu": neu, "compound": rng.uniform(-0.9, 0.9, n)}
     return AlignedPanel(
         dates=tuple(dates),
         close=closes,

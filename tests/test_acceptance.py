@@ -34,7 +34,7 @@ from stockcast.models.lstm import (
 )
 from stockcast.models.persistence import PersistenceModel
 from stockcast.models.trend import additive_trend_fit
-from stockcast.sentiment import load_lexicon, score_text
+from stockcast.sentiment import BUNDLED_LEXICON, parse_lexicon, score_text
 
 from cart_oracle import exhaustive_tree
 from conftest import make_panel
@@ -162,7 +162,7 @@ def test_cart_equals_exhaustive_oracle():
 
 @criterion("sentiment-fixtures")
 def test_sentiment_fixture_corpus():
-    lexicon = load_lexicon()
+    lexicon = parse_lexicon(BUNDLED_LEXICON.read_bytes())
     fixtures = json.loads(FIXTURES.read_text())
     assert len(fixtures) >= 20
     for fixture in fixtures:

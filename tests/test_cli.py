@@ -347,6 +347,47 @@ def test_a_bad_news_file_fails_only_the_commands_that_read_it(tmp_path, capsys, 
         assert f"[{command}] error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, content, where",
+    [
+        ("lexicon.txt", b"good\t1.9\nbad\tx\n", "lexicon.txt: line 2: "),
+        ("lexicon.txt", b"# valences\nbad\tnan\n", "lexicon.txt: line 2: "),
+        ("lexicon.txt", b"good\t1.9\n\nbad\t1e400\n", "lexicon.txt: line 3: "),
+        ("lexicon.txt", b"good\t1.9\nbad\t-2.5\xff\n", "lexicon.txt: "),
+        ("stopwords.txt", b"the\n\xff\n", "stopwords.txt: "),
+        ("news.csv", b"2030-01-01,AAA,late news\n", "news.csv: AAA: news dated 2030-01-01 "),
+    ],
+    ids=["lexicon-not-a-number", "lexicon-nan", "lexicon-overflow", "lexicon-not-utf8",
+         "stopwords-not-utf8", "news-after-calendar"],
+)
+def test_every_sentiment_input_error_names_its_file(tmp_path, capsys, name, content, where):
+    config = write_mini_dataset(tmp_path / "data")
+    if name == "news.csv":
+        with (config.parent / name).open("ab") as fh:
+            fh.write(content)
+    else:
+        (config.parent / name).write_bytes(content)
+        config.write_text(config.read_text().replace(
+            "news = news.csv", f"news = news.csv\n{name.split('.')[0]} = {name}"
+        ))
+    assert run("sentiment", "--config", config, "--ticker", "AAA", "--out", tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("stockcast: [sentiment] error: ")
+    assert f"{config.parent / name}: " in captured.err
+    assert where in captured.err
+
+
+@pytest.mark.parametrize("text", ["20210201", "2021-W05-1", "2021-2-1", "2021-02-30"])
+def test_predict_date_must_be_written_as_yyyy_mm_dd(mini, tmp_path, capsys, text):
+    code = run("evaluate", "--config", mini, "--model", "additive", "--ticker", "AAA",
+               "--out", tmp_path, "--predict-date", text)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("stockcast: [evaluate] error: --predict-date: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_ticker_outside_universe_fails(mini, capsys):
     assert run("sentiment", "--config", mini, "--ticker", "ZZZ") == 1
     assert "universe" in capsys.readouterr().err

@@ -120,11 +120,7 @@ def test_feature_table_requires_sentiment():
 
 def test_feature_table_neutral_sentiment_propagates():
     panel = make_panel(n=5, with_sentiment=True)
-    neutral = panel.sentiment
-    object.__setattr__(neutral, "pos", np.zeros(5))
-    object.__setattr__(neutral, "neg", np.zeros(5))
-    object.__setattr__(neutral, "neu", np.ones(5))
-    object.__setattr__(neutral, "compound", np.zeros(5))
+    panel.sentiment.update(pos=np.zeros(5), neg=np.zeros(5), neu=np.ones(5), compound=np.zeros(5))
     features, _ = build_feature_table(panel)
     pos_col = features[:, list(FEATURE_NAMES).index("pos")]
     neu_col = features[:, list(FEATURE_NAMES).index("neu")]

@@ -13,11 +13,8 @@ from stockcast.errors import (
     StockcastError,
     UnknownTicker,
 )
-from stockcast.ingest import (
-    parse_macro_csv,
-    parse_news_file,
-    parse_price_csv,
-)
+from stockcast.ingest import ParsedSeries, parse_macro_csv, parse_news_file, parse_price_csv
+from stockcast.series import MacroSeries, PriceSeries
 
 PRICE_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"
 
@@ -110,7 +107,18 @@ def test_macro_sorting_and_positivity():
         parse_macro_csv("Date,Value\n2021-06-01,-1.0\n", "gold")
     # yields may be negative
     parsed = parse_macro_csv("Date,Value\n2021-06-01,-0.25\n", "gsec")
-    assert parsed.series.values == (-0.25,)
+    assert list(parsed.series.values) == [-0.25]
+
+
+def test_price_and_macro_parsers_both_return_parsed_series():
+    prices = parse_price_csv(
+        price_csv("2021-06-28,2098,2110,2080,2086,2086,5000000", "2021-06-29,,1,1,1,1,1"), "RIL"
+    )
+    macro = parse_macro_csv("Date,Value\n2021-06-01,6.1\n2021-06-02,null\n2021-06-03,6.2\n", "gsec")
+    assert type(prices) is ParsedSeries and type(prices.series) is PriceSeries
+    assert type(macro) is ParsedSeries and type(macro.series) is MacroSeries
+    assert (prices.skipped, macro.skipped) == (1, 1)
+    assert list(macro.series.values) == [6.1, 6.2]
 
 
 def test_macro_long_synthetic_file_round_trips():

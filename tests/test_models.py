@@ -109,6 +109,14 @@ def test_malformed_persistence_artifact_is_an_artifact_error(trained, edit, mess
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["20210201", "2021-W05-1", "2021-2-1", "2021-02-30"])
+def test_a_date_not_written_as_yyyy_mm_dd_is_refused(trained, text):
+    _, models = trained
+    edit = lambda doc: doc["payload"].update(train_end=text)  # noqa: E731
+    with pytest.raises(ArtifactError, match=re.escape(f"train_end must be an ISO date, not {text!r}")):
+        loads_artifact(corrupted(models["persistence"], edit))
+
+
 def test_envelope_kind_must_match_the_decoded_model(trained):
     _, models = trained
     text = corrupted(models["lstm"], lambda doc: doc.update(kind="bilstm"))

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockcast.errors import NewsAfterCalendarEnd
+from stockcast.errors import NewsAfterCalendarEnd, ParseError
 from stockcast.ingest import NewsItem
 from stockcast.sentiment import (
+    BUNDLED_LEXICON,
+    BUNDLED_STOPWORDS,
     EMPTY_SCORE,
     NEUTRAL_SCORE,
     PreprocessConfig,
     aggregate_daily,
-    load_lexicon,
-    load_stopwords,
     parse_lexicon,
+    parse_stopwords,
     preprocess_text,
     score_text,
     valence_sum,
@@ -26,8 +27,8 @@ from vader_reference import ReferenceAnalyzer
 
 FIXTURES = Path(__file__).parent / "fixtures" / "sentiment_fixtures.json"
 
-LEXICON = load_lexicon()
-STOPWORDS = load_stopwords()
+LEXICON = parse_lexicon(BUNDLED_LEXICON.read_bytes())
+STOPWORDS = parse_stopwords(BUNDLED_STOPWORDS.read_bytes())
 BOTH = PreprocessConfig(remove_stopwords=True, remove_special_chars=True)
 
 
@@ -62,10 +63,10 @@ def test_preprocess_protects_boosters():
 def test_lexicon_parsing_comments_and_errors():
     lex = parse_lexicon("# header comment\ngood\t1.9\n\nbad\t-2.5\n")
     assert lex.valences == {"good": 1.9, "bad": -2.5}
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="^line 1: malformed lexicon line"):
         parse_lexicon("justoneword\n")
-    with pytest.raises(ValueError):
-        parse_lexicon("Upper\t1.0\n")  # tokens must be lowercase
+    with pytest.raises(ParseError, match="^line 2: lexicon token 'Upper' must be lowercase"):
+        parse_lexicon("good\t1.9\nUpper\t1.0\n")  # tokens must be lowercase
 
 
 def test_bundled_lexicon_excludes_modifier_vocabulary():

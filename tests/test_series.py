@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -8,15 +9,9 @@ from hypothesis import strategies as st
 from stockcast.errors import DuplicateDate, EmptyIntersection
 from stockcast.sentiment import NEUTRAL_SCORE, SentimentScore
 from stockcast.sentiment.daily import DailySentiment
-from stockcast.series import (
-    MACRO_COLUMNS,
-    MacroPanel,
-    MacroSeries,
-    PriceSeries,
-    align_panel,
-)
+from stockcast.series import MACRO_COLUMNS, POSITIVE_MACRO, MacroSeries, PriceSeries, align_panel
 
-from conftest import make_macro_panel, make_prices, weekdays
+from conftest import make_macro_panel, make_panel, make_prices, weekdays
 
 D1, D2, D3 = date(2021, 6, 1), date(2021, 6, 2), date(2021, 6, 3)
 
@@ -48,22 +43,22 @@ def test_alignment_is_idempotent():
     dates = weekdays(date(2021, 1, 4), 30)
     prices = make_prices(dates, range(100, 130))
     macro_dates = [d for i, d in enumerate(dates) if i % 3 != 1]  # gaps
-    macro = MacroPanel(
-        gold=MacroSeries("gold", tuple(macro_dates), tuple(1800.0 + i for i in range(len(macro_dates)))),
-        brent=MacroSeries("brent", tuple(macro_dates), tuple(70.0 + i for i in range(len(macro_dates)))),
-        gsec=MacroSeries("gsec", tuple(macro_dates), tuple(6.0 + i for i in range(len(macro_dates)))),
-        usd_inr=MacroSeries("usd_inr", tuple(macro_dates), tuple(74.0 + i for i in range(len(macro_dates)))),
-    )
+    macro = {
+        "gold": MacroSeries("gold", tuple(macro_dates), tuple(1800.0 + i for i in range(len(macro_dates)))),
+        "brent": MacroSeries("brent", tuple(macro_dates), tuple(70.0 + i for i in range(len(macro_dates)))),
+        "gsec": MacroSeries("gsec", tuple(macro_dates), tuple(6.0 + i for i in range(len(macro_dates)))),
+        "usd_inr": MacroSeries("usd_inr", tuple(macro_dates), tuple(74.0 + i for i in range(len(macro_dates)))),
+    }
     first = align_panel(prices, macro)
     # feed the aligned columns back in as gap-free series
     realigned = align_panel(
         prices,
-        MacroPanel(
-            gold=MacroSeries("gold", first.dates, tuple(first.gold)),
-            brent=MacroSeries("brent", first.dates, tuple(first.brent)),
-            gsec=MacroSeries("gsec", first.dates, tuple(first.gsec)),
-            usd_inr=MacroSeries("usd_inr", first.dates, tuple(first.usd_inr)),
-        ),
+        {
+            "gold": MacroSeries("gold", first.dates, tuple(first.gold)),
+            "brent": MacroSeries("brent", first.dates, tuple(first.brent)),
+            "gsec": MacroSeries("gsec", first.dates, tuple(first.gsec)),
+            "usd_inr": MacroSeries("usd_inr", first.dates, tuple(first.usd_inr)),
+        },
     )
     assert np.array_equal(first.gold, realigned.gold)
     assert np.array_equal(first.brent, realigned.brent)
@@ -84,12 +79,12 @@ def test_forward_fill_never_looks_ahead(data):
     # encode the source date's index in the value so provenance is checkable
     values = tuple(float(dates.index(d)) for d in macro_dates)
     series = MacroSeries("gsec", tuple(macro_dates), values)
-    macro = MacroPanel(
-        gold=MacroSeries("gold", tuple(macro_dates), tuple(v + 1800.0 for v in values)),
-        brent=MacroSeries("brent", tuple(macro_dates), tuple(v + 70.0 for v in values)),
-        gsec=series,
-        usd_inr=MacroSeries("usd_inr", tuple(macro_dates), tuple(v + 74.0 for v in values)),
-    )
+    macro = {
+        "gold": MacroSeries("gold", tuple(macro_dates), tuple(v + 1800.0 for v in values)),
+        "brent": MacroSeries("brent", tuple(macro_dates), tuple(v + 70.0 for v in values)),
+        "gsec": series,
+        "usd_inr": MacroSeries("usd_inr", tuple(macro_dates), tuple(v + 74.0 for v in values)),
+    }
     panel = align_panel(prices, macro)
     assert len(panel) == n
     for row, value in enumerate(panel.gsec):
@@ -108,14 +103,12 @@ def test_aligned_macro_is_latest_quote_on_or_before(data):
         for name in MACRO_COLUMNS
     }
     # a distinct value per quote, so picking the wrong row cannot pass
-    macro = MacroPanel(
-        **{
-            name: MacroSeries(name, tuple(cal), tuple(1.0 + 100 * c + i for i in range(len(cal))))
-            for c, (name, cal) in enumerate(calendars.items())
-        }
-    )
+    macro = {
+        name: MacroSeries(name, tuple(cal), tuple(1.0 + 100 * c + i for i in range(len(cal))))
+        for c, (name, cal) in enumerate(calendars.items())
+    }
     panel = align_panel(make_prices(days, [100.0] * len(days)), macro)
-    for name, series in macro.columns():
+    for name, series in macro.items():
         for day, value in zip(days, panel.column(name)):
             latest = max(i for i, d in enumerate(series.dates) if d <= day)
             assert value == series.values[latest]
@@ -132,10 +125,17 @@ def test_sentiment_gaps_get_neutral_default():
     full = [DailySentiment(D1, "TEST", NEUTRAL_SCORE, 0), *records,
             DailySentiment(D3, "TEST", NEUTRAL_SCORE, 0)]
     panel = align_panel(prices, make_macro_panel(dates), sentiment=full)
-    assert list(panel.sentiment.neu) == [1.0, 0.4, 1.0]
-    assert list(panel.sentiment.compound) == [0.0, 0.6, 0.0]
+    assert list(panel.sentiment["neu"]) == [1.0, 0.4, 1.0]
+    assert list(panel.sentiment["compound"]) == [0.0, 0.6, 0.0]
     with pytest.raises(ValueError, match="TEST: sentiment records must cover exactly the price dates"):
         align_panel(prices, make_macro_panel(dates), sentiment=records)
+
+
+def test_panel_sentiment_holds_exactly_the_four_columns_in_order():
+    panel = make_panel(n=5)
+    for keys in (("pos", "neg", "neu"), ("neg", "pos", "neu", "compound")):
+        with pytest.raises(ValueError, match="^sentiment columns must be pos, neg, neu, compound$"):
+            replace(panel, sentiment={k: panel.sentiment[k] for k in keys})
 
 
 def test_duplicate_sentiment_dates_rejected():
@@ -171,3 +171,28 @@ def test_macro_series_positivity():
         MacroSeries("gold", (D1,), (-1.0,))
     # yields may be negative
     MacroSeries("gsec", (D1,), (-0.5,))
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVE_MACRO))
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1.0, float("nan"), -1.0), "on 2021-06-02: value must be finite"),
+        ((1.0, float("inf"), 2.0), "on 2021-06-02: value must be finite"),
+        ((1.0, -1.0, float("nan")), "on 2021-06-02: value must be > 0"),
+        ((1.0, 2.0, 0.0), "on 2021-06-03: value must be > 0"),
+    ],
+)
+def test_macro_series_names_its_first_bad_date(name, values, message):
+    with pytest.raises(ValueError, match=f"^{name} {message}$"):
+        MacroSeries(name, (D1, D2, D3), values)
+
+
+def test_macro_series_values_are_a_read_only_float64_array():
+    series = MacroSeries("gsec", (D1, D2, D3), (6, -0.25, 0))  # yields may be <= 0
+    assert isinstance(series.values, np.ndarray) and series.values.dtype == np.float64
+    assert list(series.values) == [6.0, -0.25, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        series.values[0] = 1.0
+    with pytest.raises(ValueError, match="^gsec on 2021-06-03: value must be finite$"):
+        MacroSeries("gsec", (D1, D2, D3), (6.0, -0.25, float("-inf")))

@@ -19,7 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from stockcast.sentiment import load_lexicon  # noqa: E402
+from stockcast.sentiment import BUNDLED_LEXICON, parse_lexicon  # noqa: E402
 from vader_reference import ReferenceAnalyzer  # noqa: E402
 
 CORPUS = [
@@ -55,7 +55,7 @@ CORPUS = [
 
 
 def main() -> None:
-    analyzer = ReferenceAnalyzer(load_lexicon())
+    analyzer = ReferenceAnalyzer(parse_lexicon(BUNDLED_LEXICON.read_bytes()))
     fixtures = []
     for text in CORPUS:
         scores = analyzer.polarity_scores(text)
