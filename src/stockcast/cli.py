@@ -12,7 +12,7 @@ import sys
 from . import __version__
 from .config import load_config
 from .errors import ConfigError, StockcastError
-from .models.artifacts import ALL_KINDS, MODEL_KINDS
+from .models.artifacts import KINDS, MODEL_KINDS
 from .pipeline import (
     PipelineData,
     evaluate_models,
@@ -25,8 +25,6 @@ from .pipeline import (
 )
 from .reporting import report_from_json
 from .series import parse_trading_date
-
-MODEL_CHOICES = [*ALL_KINDS, "all"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override [run] seed")
         p.add_argument("--out", default=None, help="override [run] out_dir")
         if model:
-            p.add_argument("--model", choices=MODEL_CHOICES, default="all")
+            p.add_argument("--model", choices=[*KINDS, "all"], default="all")
         if ticker:
             p.add_argument("--ticker", default="all")
 
@@ -64,15 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid = sub.add_parser("gridsearch-window", help="sweep the sliding-window length")
     add_common(grid, model=True, ticker=True)
     return parser
-
-
-def _resolve_tickers(config, value: str) -> list[str]:
-    # PipelineData.prices rejects a ticker outside the universe
-    return list(config.tickers) if value == "all" else [value]
-
-
-def _resolve_models(value: str) -> list[str]:
-    return list(MODEL_KINDS) if value == "all" else [value]
 
 
 def cmd_ingest_check(data: PipelineData) -> None:
@@ -174,26 +163,25 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, seed_override=args.seed, out_override=args.out)
         data = PipelineData(config)
+        # PipelineData.prices rejects a ticker outside the universe
+        ticker = getattr(args, "ticker", "all")
+        tickers = list(config.tickers) if ticker == "all" else [ticker]
+        model = getattr(args, "model", "all")
+        kinds = list(MODEL_KINDS) if model == "all" else [model]
         if args.command == "ingest-check":
             cmd_ingest_check(data)
         elif args.command == "sentiment":
-            cmd_sentiment(data, _resolve_tickers(config, args.ticker))
+            cmd_sentiment(data, tickers)
         elif args.command == "build-dataset":
-            cmd_build_dataset(data, _resolve_tickers(config, args.ticker))
+            cmd_build_dataset(data, tickers)
         elif args.command == "train":
-            cmd_train(data, _resolve_models(args.model), _resolve_tickers(config, args.ticker))
+            cmd_train(data, kinds, tickers)
         elif args.command == "evaluate":
-            cmd_evaluate(
-                data,
-                _resolve_models(args.model),
-                _resolve_tickers(config, args.ticker),
-                svg=args.svg,
-                predict_date=args.predict_date,
-            )
+            cmd_evaluate(data, kinds, tickers, svg=args.svg, predict_date=args.predict_date)
         elif args.command == "report":
             cmd_report(data, svg=args.svg)
         elif args.command == "gridsearch-window":
-            cmd_gridsearch(data, args.model, _resolve_tickers(config, args.ticker))
+            cmd_gridsearch(data, model, tickers)
         return 0
     except (StockcastError, OSError, ValueError) as exc:
         print(f"stockcast: [{stage}] error: {exc}", file=sys.stderr)

@@ -21,10 +21,14 @@ class ConfigError(StockcastError):
 class EmptyIntersection(StockcastError):
     """No macro value exists at or before the first price date."""
 
+    def __init__(self, column: str, first_date) -> None:
+        super().__init__(f"no {column} value on or before {first_date}")
+        self.column = column
+
 
 class DuplicateDate(StockcastError):
-    def __init__(self, date) -> None:
-        super().__init__(f"duplicate date {date}")
+    def __init__(self, date, line: int | None = None) -> None:
+        super().__init__(("" if line is None else f"line {line}: ") + f"duplicate date {date}")
         self.date = date
 
 
@@ -42,7 +46,7 @@ class ParseError(StockcastError):
 
 class MissingHeader(StockcastError):
     def __init__(self, expected: str, got: str) -> None:
-        super().__init__(f"expected header {expected!r}, got {got!r}")
+        super().__init__(f"line 1: expected header {expected!r}, got {got!r}")
         self.expected = expected
         self.got = got
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
-from .errors import EmptyFile, MissingHeader, ParseError, UnknownTicker
+from .errors import DuplicateDate, EmptyFile, MissingHeader, ParseError, UnknownTicker
 from .series import (
     MACRO_COLUMNS,
     POSITIVE_MACRO,
@@ -60,7 +60,8 @@ def _decode(data: bytes | str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(0, None, f"input is not valid UTF-8: {exc}") from None
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, None, f"input is not valid UTF-8: {exc}") from None
 
 
 def _rows(text: str, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -119,7 +120,7 @@ def parse_price_csv(data: bytes | str, ticker: str) -> ParsedSeries:
     than last-wins.
     """
     text = _decode(data)
-    rows: list[tuple[TradingDate, float]] = []
+    rows: dict[TradingDate, float] = {}
     skipped = 0
     for line, row in _rows(text, PRICE_HEADER):
         if len(row) != len(PRICE_HEADER):
@@ -138,11 +139,13 @@ def parse_price_csv(data: bytes | str, ticker: str) -> ParsedSeries:
             raise ParseError(line, None, f"{day}: open/close must lie within [low, high]")
         if volume < 0:
             raise ParseError(line, None, f"{day}: volume must be >= 0")
-        rows.append((day, close))
+        if day in rows:
+            raise DuplicateDate(day, line)
+        rows[day] = close
     if not rows:
         raise EmptyFile("no usable price rows")
-    rows.sort(key=lambda item: item[0])
-    return ParsedSeries(PriceSeries(ticker, [d for d, _ in rows], [c for _, c in rows]), skipped)
+    days = sorted(rows)
+    return ParsedSeries(PriceSeries(ticker, days, [rows[d] for d in days]), skipped)
 
 
 def parse_macro_csv(data: bytes | str, column: str) -> ParsedSeries:
@@ -154,7 +157,7 @@ def parse_macro_csv(data: bytes | str, column: str) -> ParsedSeries:
     if column not in MACRO_COLUMNS:
         raise ValueError(f"unknown macro column {column!r}")
     text = _decode(data)
-    rows: list[tuple[TradingDate, float]] = []
+    rows: dict[TradingDate, float] = {}
     skipped = 0
     for line, row in _rows(text, MACRO_HEADER):
         if len(row) != 2:
@@ -166,11 +169,13 @@ def parse_macro_csv(data: bytes | str, column: str) -> ParsedSeries:
             continue
         if column in POSITIVE_MACRO and value <= 0:
             raise ParseError(line, "Value", f"{column} must be > 0, got {value}")
-        rows.append((day, value))
+        if day in rows:
+            raise DuplicateDate(day, line)
+        rows[day] = value
     if not rows:
         raise EmptyFile("no usable macro rows")
-    rows.sort(key=lambda item: item[0])
-    return ParsedSeries(MacroSeries(column, [d for d, _ in rows], [v for _, v in rows]), skipped)
+    days = sorted(rows)
+    return ParsedSeries(MacroSeries(column, days, [rows[d] for d in days]), skipped)
 
 
 def parse_news_file(data: bytes | str, universe: Collection[str] | None = None) -> ParsedNews:

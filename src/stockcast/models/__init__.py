@@ -8,4 +8,8 @@ walk-forward harness and the pipeline ask of it:
   do not cover its input);
 - `predict(histories)`, which maps a sequence of the walk-forward's
   audited history slices to an `(N,)` array of next-day closes.
+
+`artifacts.KINDS` lists every kind in report order, with the class its
+artifact decodes to, its report label, and whether it is windowed and
+reads sentiment. `pipeline.train_model` is the one place that fits a kind.
 """

@@ -9,6 +9,9 @@ precision, so serialization round-trips bit-exactly; no timestamps or
 other run-varying fields are written, so a rerun with the same seed
 produces byte-identical files. The saved forecast report goes through
 the same pair with its arrays as plain JSON lists.
+
+`KINDS` is the one table of model kinds: each kind's artifact class,
+report label, and whether it is windowed and reads sentiment.
 """
 
 from __future__ import annotations
@@ -38,24 +41,27 @@ from .trend import TrendModel
 FORMAT_NAME = "stockcast-artifact"
 FORMAT_VERSION = 7
 
-MODEL_KINDS = ("lstm", "bilstm", "linreg", "arima", "knn", "additive", "forest")
-ALL_KINDS = MODEL_KINDS + ("persistence",)
-# the kinds that read the panel's sentiment columns; every other kind sees
-# prices only, so its panel is built without parsing or scoring the news
-SENTIMENT_KINDS = ("forest",)
+
+@dataclass(frozen=True)
+class KindSpec:
+    cls: type  # the model class an artifact's payload decodes to
+    label: str  # the kind's name in report.md
+    windowed: bool  # fits on sliding windows, whose length gridsearch-window sweeps
+    sentiment: bool = False  # reads the sentiment columns; no other kind reads the news
 
 
-# kind -> the model class its payload decodes to
-_CLASSES = {
-    "lstm": NeuralModelArtifact,
-    "bilstm": NeuralModelArtifact,
-    "linreg": LinearModel,
-    "arima": ArimaModel,
-    "knn": KnnModel,
-    "additive": TrendModel,
-    "forest": ForestModel,
-    "persistence": PersistenceModel,
+# every model kind, in report order; the persistence baseline comes last
+KINDS = {
+    "lstm": KindSpec(NeuralModelArtifact, "LSTM", windowed=True),
+    "bilstm": KindSpec(NeuralModelArtifact, "Bidirectional LSTM", windowed=True),
+    "linreg": KindSpec(LinearModel, "Linear regression", windowed=True),
+    "arima": KindSpec(ArimaModel, "ARIMA", windowed=False),
+    "knn": KindSpec(KnnModel, "KNN", windowed=True),
+    "additive": KindSpec(TrendModel, "Additive trend", windowed=False),
+    "forest": KindSpec(ForestModel, "Random forest (sentiment)", windowed=False, sentiment=True),
+    "persistence": KindSpec(PersistenceModel, "Persistence", windowed=False),
 }
+MODEL_KINDS = tuple(KINDS)[:-1]  # what `--model all` trains: every kind but persistence
 
 # JSON types each scalar annotation accepts (bool is not an int here)
 _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
@@ -213,7 +219,7 @@ def _decode(hint, value, where: str, binary: bool = False):
 
 def dumps_artifact(model) -> str:
     kind = getattr(model, "kind", None)
-    if kind not in _CLASSES:
+    if kind not in KINDS:
         raise ArtifactError(f"cannot serialize model of type {type(model).__name__}")
     doc = {
         "format": FORMAT_NAME,
@@ -234,13 +240,13 @@ def loads_artifact(text: str):
     if doc.get("format_version") != FORMAT_VERSION:
         raise ArtifactError(f"unsupported artifact version {doc.get('format_version')!r}")
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _CLASSES:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ArtifactError(f"unknown artifact kind {kind!r}")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise ArtifactError(f"{kind} artifact has no payload object")
     try:
-        model = _decode(_CLASSES[kind], payload, "payload", binary=True)
+        model = _decode(KINDS[kind].cls, payload, "payload", binary=True)
     except (SchemaMismatch, ValueError) as exc:
         raise ArtifactError(f"malformed {kind} artifact: {exc}") from None
     if model.kind != kind:

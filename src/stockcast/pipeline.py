@@ -16,11 +16,18 @@ from pathlib import Path
 
 from .config import RunConfig
 from .dataset import build_feature_table, build_windows, chronological_split, fit_scaler
-from .errors import ArtifactError, ConfigError, NewsAfterCalendarEnd, StockcastError, TooFewSamples
+from .errors import (
+    ArtifactError,
+    ConfigError,
+    EmptyIntersection,
+    NewsAfterCalendarEnd,
+    StockcastError,
+    TooFewSamples,
+)
 from .evaluation import ForecastReport, correlation_matrix, walk_forward
 from .ingest import parse_macro_csv, parse_news_file, parse_price_csv
 from .models.arima import arima_fit
-from .models.artifacts import SENTIMENT_KINDS, load_artifact, save_artifact
+from .models.artifacts import KINDS, load_artifact, save_artifact
 from .models.forest import forest_train
 from .models.knn import knn_fit_cv
 from .models.linear import linreg_fit
@@ -115,9 +122,12 @@ class PipelineData:
         key = (ticker, sentiment)
         if key not in self._panels:
             records = self.sentiment_records(ticker) if sentiment else None
-            self._panels[key] = align_panel(
-                self.prices(ticker).series, self.macro, sentiment=records
-            )
+            try:
+                self._panels[key] = align_panel(
+                    self.prices(ticker).series, self.macro, sentiment=records
+                )
+            except EmptyIntersection as exc:
+                raise StockcastError(f"{self.config.macro_paths[exc.column]}: {exc}") from exc
         return self._panels[key]
 
     def row_split(self, panel: AlignedPanel) -> int:
@@ -136,17 +146,20 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
 
     `window` overrides the configured window length of a windowed kind.
     """
-    if window is not None and kind not in ("lstm", "bilstm", "linreg", "knn"):
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    if window is not None and not spec.windowed:
         raise ConfigError(f"gridsearch supports windowed models, not {kind!r}")
     config = data.config
-    panel = data.panel(ticker, sentiment=kind in SENTIMENT_KINDS)
+    panel = data.panel(ticker, sentiment=spec.sentiment)
     s = data.row_split(panel)
     closes = panel.close
     train_end = panel.dates[s - 1]
     w = window if window is not None else config.window
 
     n_windows = s - w  # the windows whose target row is < s
-    if kind in ("lstm", "bilstm", "knn") and n_windows < 1:
+    if spec.windowed and n_windows < 1:
         raise TooFewSamples(f"split index {s} leaves no training windows of length {w}")
     if kind in ("lstm", "bilstm"):
         scaler = fit_scaler(closes[:s])
@@ -174,9 +187,7 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
         return arima_fit(closes[:s], config.arima, train_end=train_end)
     if kind == "additive":
         return additive_trend_fit(closes[:s], train_end=train_end)
-    if kind == "persistence":
-        return PersistenceModel(train_end=train_end)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return PersistenceModel(train_end=train_end)  # the one kind left: persistence
 
 
 def artifact_path(out_dir: Path, ticker: str, kind: str) -> Path:
@@ -188,7 +199,7 @@ def train_and_save(data: PipelineData, kind: str, ticker: str) -> tuple[Path, di
     model = train_model(data, kind, ticker)
     path = artifact_path(data.config.out_dir, ticker, kind)
     save_artifact(model, path)
-    panel = data.panel(ticker, sentiment=kind in SENTIMENT_KINDS)
+    panel = data.panel(ticker, sentiment=KINDS[kind].sentiment)
     s = data.row_split(panel)
     entry = walk_forward(model, panel, panel.dates[s:])
     info = {"val_rmse": entry.metrics.rmse, "val_mape": entry.metrics.mape, "n": entry.metrics.n}
@@ -221,7 +232,7 @@ def evaluate_models(
     )
     for ticker in tickers:
         for kind in kinds:
-            panel = data.panel(ticker, sentiment=kind in SENTIMENT_KINDS)
+            panel = data.panel(ticker, sentiment=KINDS[kind].sentiment)
             s = data.row_split(panel)
             targets = list(panel.dates[s:])
             if predict_date is not None:
@@ -243,14 +254,16 @@ def evaluate_models(
 
 def write_report_outputs(data: PipelineData, report: ForecastReport, svg: bool = False) -> list[Path]:
     out = data.config.out_dir / "report"
+    # each correlation is rendered before any file is written, so a report naming a
+    # ticker outside the universe writes nothing (CORRELATION_COLUMNS has no sentiment)
+    texts = {t: render_correlation_csv(data.panel(t, sentiment=False)) for t in report.tickers()}
     written = emit_report(report, out, svg=svg)
     json_path = out / "forecast_report.json"
     json_path.write_text(report_to_json(report), encoding="utf-8")
     written.append(json_path)
-    for ticker in report.tickers():
-        panel = data.panel(ticker, sentiment=False)  # CORRELATION_COLUMNS has no sentiment
+    for ticker, text in texts.items():
         path = out / f"correlation_{ticker}.csv"
-        path.write_text(render_correlation_csv(panel), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         written.append(path)
     return written
 
@@ -289,7 +302,7 @@ def render_gridsearch_csv(rows: list[tuple[int, float]]) -> str:
 
 def gridsearch_window(data: PipelineData, kind: str, ticker: str) -> list[tuple[int, float]]:
     """Validation RMSE per candidate window length for one windowed model."""
-    panel = data.panel(ticker, sentiment=kind in SENTIMENT_KINDS)
+    panel = data.panel(ticker, sentiment=KINDS[kind].sentiment)
     s = data.row_split(panel)
     targets = list(panel.dates[s:])
     results = []

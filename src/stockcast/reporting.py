@@ -16,27 +16,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyReport
+from .errors import EmptyReport, SchemaMismatch
 from .evaluation import ForecastReport, ReportEntry
-from .models.artifacts import ALL_KINDS, _decode, _encode
+from .models.artifacts import KINDS, _decode, _encode
 
 METRICS_HEADER = ["ticker", "model", "rmse", "mape", "n"]
 SERIES_HEADER = ["date", "split", "actual", "predicted"]
-
-MODEL_LABELS = {
-    "lstm": "LSTM",
-    "bilstm": "Bidirectional LSTM",
-    "linreg": "Linear regression",
-    "arima": "ARIMA",
-    "knn": "KNN",
-    "additive": "Additive trend",
-    "forest": "Random forest (sentiment)",
-    "persistence": "Persistence",
-}
-
-
-def _model_order(kind: str) -> int:
-    return ALL_KINDS.index(kind) if kind in ALL_KINDS else len(ALL_KINDS)
 
 
 def csv_text(header: list[str], rows: Iterable[list]) -> str:
@@ -49,7 +34,7 @@ def csv_text(header: list[str], rows: Iterable[list]) -> str:
 
 
 def render_metrics_csv(report: ForecastReport) -> str:
-    entries = sorted(report.entries, key=lambda e: (e.ticker, _model_order(e.model), e.model))
+    entries = sorted(report.entries, key=lambda e: (e.ticker, list(KINDS).index(e.model)))
     return csv_text(
         METRICS_HEADER,
         ([e.ticker, e.model, repr(e.metrics.rmse), repr(e.metrics.mape), e.metrics.n]
@@ -73,10 +58,8 @@ def _comparison_table(report: ForecastReport, ticker: str) -> list[str]:
         "| --- | --- |",
     ]
     entries = [e for e in report.entries if e.ticker == ticker]
-    entries.sort(key=lambda e: (_model_order(e.model), e.model))
-    for e in entries:
-        label = MODEL_LABELS.get(e.model, e.model)
-        lines.append(f"| {label} | {e.metrics.rmse:.2f} |")
+    for e in sorted(entries, key=lambda e: list(KINDS).index(e.model)):
+        lines.append(f"| {KINDS[e.model].label} | {e.metrics.rmse:.2f} |")
     return lines
 
 
@@ -216,4 +199,10 @@ def report_to_json(report: ForecastReport) -> str:
 
 
 def report_from_json(text: str) -> ForecastReport:
-    return _decode(ForecastReport, json.loads(text), "report")
+    report = _decode(ForecastReport, json.loads(text), "report")
+    for i, entry in enumerate(report.entries):
+        if entry.model not in KINDS:
+            raise SchemaMismatch(
+                f"report.entries[{i}].model must be a model kind, not {entry.model!r}"
+            )
+    return report

@@ -177,7 +177,7 @@ def align_panel(
         # index of the latest macro date at or before each trading date
         source = np.searchsorted(_ordinals(macro[name].dates), days, side="right") - 1
         if source[0] < 0:
-            raise EmptyIntersection(f"no {name} value on or before {dates[0]}")
+            raise EmptyIntersection(name, dates[0])
         columns[name] = macro[name].values[source]
 
     senti = None

@@ -14,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stockcast
-from stockcast.cli import main
+from stockcast.cli import build_parser, main
 from stockcast.config import WINDOW_MAX, load_config
 from stockcast.errors import ConfigError
-from stockcast.models.artifacts import ALL_KINDS, SENTIMENT_KINDS
+from stockcast.models.artifacts import KINDS
 from stockcast.pipeline import PipelineData
+from stockcast.sentiment import BUNDLED_LEXICON, BUNDLED_STOPWORDS
 
 from mini_data import edit_artifact, write_mini_dataset
 
@@ -162,6 +163,13 @@ def test_overridden_keys_are_still_read(mini, tmp_path):
     assert (config.seed, config.out_dir) == (7, tmp_path)
 
 
+def test_model_choices_are_the_kinds_and_all():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for name in ("train", "evaluate", "gridsearch-window"):
+        model = next(a for a in commands[name]._actions if a.dest == "model")
+        assert model.choices == [*KINDS, "all"]
+
+
 def test_unknown_model_is_usage_error(mini, capsys):
     with pytest.raises(SystemExit) as exc:
         run("train", "--config", mini, "--model", "prophet")
@@ -210,20 +218,32 @@ def test_corrupt_forest_child_index_is_an_evaluate_error(mini, tmp_path, capsys)
     assert "right child must lie after its left child" in err
 
 
+# a saved report entry that decodes, but whose model is no kind
+UNKNOWN_MODEL_ENTRY = {
+    "ticker": "AAA", "model": "foo", "dates": ["2021-06-01"], "actual": [1.0],
+    "predicted": [1.0], "metrics": {"rmse": 0.0, "mape": 0.0, "n": 1},
+    "train_dates": [], "train_actual": [],
+}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
         ({"metadata": {}, "entries": [{"ticker": "AAA"}]}, "report.entries[0] lacks key 'model'"),
         ({"metadata": {}, "entries": {"ticker": "AAA"}}, "report.entries must be a list, not dict"),
+        ({"metadata": {}, "entries": [UNKNOWN_MODEL_ENTRY]},
+         "report.entries[0].model must be a model kind, not 'foo'"),
     ],
-    ids=["missing-key", "entries-not-a-list"],
+    ids=["missing-key", "entries-not-a-list", "unknown-model"],
 )
 def test_malformed_saved_report_is_a_report_error(mini, tmp_path, capsys, doc, message):
     (tmp_path / "report").mkdir()
     (tmp_path / "report" / "forecast_report.json").write_text(json.dumps(doc))
     assert run("report", "--config", mini, "--out", tmp_path) == 1
     err = capsys.readouterr().err
+    assert err.count("\n") == 1
     assert "[report] error:" in err and message in err
+    assert [p.name for p in (tmp_path / "report").iterdir()] == ["forecast_report.json"]
 
 
 def test_saved_report_naming_a_ticker_outside_universe_is_a_report_error(mini, tmp_path, capsys):
@@ -234,10 +254,13 @@ def test_saved_report_naming_a_ticker_outside_universe_is_a_report_error(mini, t
     doc = json.loads(path.read_text())
     doc["entries"][0]["ticker"] = "ZZZ"
     path.write_text(json.dumps(doc))
+    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
     capsys.readouterr()
     assert run("report", "--config", mini, "--out", tmp_path) == 1
     err = capsys.readouterr().err
+    assert err.count("\n") == 1
     assert "[report] error:" in err and "'ZZZ' not in configured universe" in err
+    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
 
 
 def test_train_all_then_evaluate_full_flow(mini, tmp_path, capsys):
@@ -317,7 +340,7 @@ def train_and_evaluate(config, out_dir, kind: str) -> dict:
     return outputs
 
 
-@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k not in SENTIMENT_KINDS])
+@pytest.mark.parametrize("kind", [k for k, spec in KINDS.items() if not spec.sentiment])
 def test_price_only_kinds_never_read_the_news(mini, tmp_path, monkeypatch, kind):
     expected = train_and_evaluate(mini, tmp_path / "read", kind)
     for name in NEWS_READERS:
@@ -353,16 +376,17 @@ def test_a_bad_news_file_fails_only_the_commands_that_read_it(tmp_path, capsys, 
         ("lexicon.txt", b"good\t1.9\nbad\tx\n", "lexicon.txt: line 2: "),
         ("lexicon.txt", b"# valences\nbad\tnan\n", "lexicon.txt: line 2: "),
         ("lexicon.txt", b"good\t1.9\n\nbad\t1e400\n", "lexicon.txt: line 3: "),
-        ("lexicon.txt", b"good\t1.9\nbad\t-2.5\xff\n", "lexicon.txt: "),
-        ("stopwords.txt", b"the\n\xff\n", "stopwords.txt: "),
+        ("lexicon.txt", b"good\t1.9\nbad\t-2.5\xff\n", "lexicon.txt: line 2: "),
+        ("stopwords.txt", b"the\n\xff\n", "stopwords.txt: line 2: "),
         ("news.csv", b"2030-01-01,AAA,late news\n", "news.csv: AAA: news dated 2030-01-01 "),
+        ("prices_AAA.csv", b"2021-07-20,1,1,1,1,1,\xff\n", "prices_AAA.csv: line 142: "),
     ],
     ids=["lexicon-not-a-number", "lexicon-nan", "lexicon-overflow", "lexicon-not-utf8",
-         "stopwords-not-utf8", "news-after-calendar"],
+         "stopwords-not-utf8", "news-after-calendar", "prices-not-utf8"],
 )
 def test_every_sentiment_input_error_names_its_file(tmp_path, capsys, name, content, where):
     config = write_mini_dataset(tmp_path / "data")
-    if name == "news.csv":
+    if name.endswith(".csv"):  # a line appended to an input of the mini dataset
         with (config.parent / name).open("ab") as fh:
             fh.write(content)
     else:
@@ -376,6 +400,17 @@ def test_every_sentiment_input_error_names_its_file(tmp_path, capsys, name, cont
     assert captured.err.startswith("stockcast: [sentiment] error: ")
     assert f"{config.parent / name}: " in captured.err
     assert where in captured.err
+
+
+def test_a_macro_file_starting_after_the_first_trading_day_is_named(tmp_path, capsys):
+    config = write_mini_dataset(tmp_path / "data")
+    path = config.parent / "macro_gold.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "".join(lines[2:]))  # drop the 2021-01-04 value
+    assert run("ingest-check", "--config", config) == 1
+    assert capsys.readouterr().err == (
+        f"stockcast: [ingest-check] error: {path}: no gold value on or before 2021-01-04\n"
+    )
 
 
 @pytest.mark.parametrize("text", ["20210201", "2021-W05-1", "2021-2-1", "2021-02-30"])
@@ -459,7 +494,7 @@ COMMANDS = ("ingest-check", "sentiment", "build-dataset", "train", "evaluate", "
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     command=st.sampled_from(COMMANDS),
-    kind=st.sampled_from(ALL_KINDS),
+    kind=st.sampled_from(list(KINDS)),
     setting=edge_settings(),
 )
 # a diverging LSTM once printed numpy's overflow warnings before its error
@@ -488,3 +523,66 @@ def test_any_edge_setting_ends_in_success_or_one_error_line(
     else:
         assert re.fullmatch(rf"stockcast: \[{command}\] error: [^\n]+\n", err), err
     assert [str(w.message) for w in caught] == []
+
+
+MUTATED_INPUTS = ("prices_AAA.csv", "macro_gold.csv", "news.csv", "lexicon.txt", "stopwords.txt")
+MUTATIONS = ("flip", "xff", "nul", "drop", "duplicate", "truncate", "crlf", "bom")
+# the errors that name no line: a macro file whose first value comes after the
+# first trading day, and a headline dated after the calendar, named by its date
+WHOLE_FILE_ERRORS = r"no \w+ value on or before [-\d]+|[A-Z]+: news dated [-\d]+ falls after .*"
+
+
+def mutated(data: bytes, how: str, at: int) -> bytes:
+    """`data` with one edit, at byte or line `at` modulo the file's length."""
+    lines = data.splitlines(keepends=True)
+    pos, i = at % len(data), at % len(lines)
+    if how == "flip":
+        return data[:pos] + bytes([data[pos] ^ 1 << at % 8]) + data[pos + 1 :]
+    if how in ("xff", "nul"):
+        return data[:pos] + (b"\xff" if how == "xff" else b"\0") + data[pos:]
+    if how == "drop":
+        return b"".join(lines[:i] + lines[i + 1 :])
+    if how == "duplicate":
+        return b"".join(lines[: i + 1] + lines[i:])
+    if how == "truncate":
+        return b"".join(lines[:i] + [lines[i][: len(lines[i]) // 2] + b"\n"] + lines[i + 1 :])
+    if how == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    return b"\xef\xbb\xbf" + data  # bom
+
+
+@pytest.fixture(scope="module")
+def mutable(tmp_path_factory):
+    """A mini dataset reading its own lexicon and stopwords, and its files' bytes."""
+    config = write_mini_dataset(tmp_path_factory.mktemp("mutable"))
+    shutil.copy(BUNDLED_LEXICON, config.parent / "lexicon.txt")
+    shutil.copy(BUNDLED_STOPWORDS, config.parent / "stopwords.txt")
+    config.write_text(config.read_text().replace(
+        "news = news.csv", "news = news.csv\nlexicon = lexicon.txt\nstopwords = stopwords.txt"
+    ))
+    return config, {name: (config.parent / name).read_bytes() for name in MUTATED_INPUTS}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(MUTATED_INPUTS), how=st.sampled_from(MUTATIONS),
+       at=st.integers(min_value=0, max_value=10**6))
+def test_any_mutated_input_ends_in_success_or_one_error_line_naming_it(mutable, name, how, at):
+    config, originals = mutable
+    for other, data in originals.items():
+        (config.parent / other).write_bytes(data)
+    path = config.parent / name
+    path.write_bytes(mutated(originals[name], how, at))
+    n_lines = len(path.read_bytes().splitlines())
+    for command in ("ingest-check", "sentiment"):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = run(command, "--config", config, "--out", config.parent / "out")
+        err = stderr.getvalue()
+        assert code in (0, 1)
+        if code == 0:
+            assert err == ""
+            continue
+        match = re.fullmatch(rf"stockcast: \[{command}\] error: {re.escape(str(path))}: "
+                             rf"(?:line (\d+)\b.*|{WHOLE_FILE_ERRORS})\n", err)
+        assert match, err
+        assert match[1] is None or 1 <= int(match[1]) <= n_lines, err

@@ -66,14 +66,16 @@ def test_rows_sorted_and_duplicates_rejected():
     )
     assert [d.day for d in parsed.series.dates] == [1, 2]
     assert list(parsed.series.close) == [10.0, 11.0]
-    with pytest.raises(DuplicateDate):
+    with pytest.raises(DuplicateDate, match="^line 3: duplicate date 2021-06-01$"):
         parse_price_csv(
             price_csv("2021-06-01,10,11,9,10,10,100", "2021-06-01,10,11,9,10,10,100"), "RIL"
         )
+    with pytest.raises(DuplicateDate, match="^line 4: duplicate date 2021-06-01$"):
+        parse_macro_csv("Date,Value\n2021-06-01,1\n2021-06-02,1\n2021-06-01,2\n", "gold")
 
 
 def test_missing_header():
-    with pytest.raises(MissingHeader):
+    with pytest.raises(MissingHeader, match="^line 1: expected header 'Date,Open,High"):
         parse_price_csv("Date,Open\n2021-06-01,10\n", "RIL")
 
 

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockcast.config import load_config
-from stockcast.errors import ArtifactError, StockcastError
+from stockcast.errors import ArtifactError, ConfigError, StockcastError
 from stockcast.evaluation import walk_forward
 from stockcast.models.artifacts import (
-    ALL_KINDS,
     FORMAT_VERSION,
+    KINDS,
     dumps_artifact,
     load_artifact,
     loads_artifact,
@@ -28,14 +28,18 @@ from mini_data import edit_artifact, write_mini_dataset
 
 
 @pytest.fixture(scope="module")
-def trained(tmp_path_factory):
+def pipeline_data(tmp_path_factory):
+    return PipelineData(load_config(write_mini_dataset(tmp_path_factory.mktemp("models"))))
+
+
+@pytest.fixture(scope="module")
+def trained(pipeline_data):
     """One model of every kind trained on the mini dataset's AAA panel."""
-    config = load_config(write_mini_dataset(tmp_path_factory.mktemp("models")))
-    data = PipelineData(config)
-    return data.panel("AAA"), {kind: train_model(data, kind, "AAA") for kind in ALL_KINDS}
+    data = pipeline_data
+    return data.panel("AAA"), {kind: train_model(data, kind, "AAA") for kind in KINDS}
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_model_predicts_from_min_history_and_not_before(trained, kind):
     panel, models = trained
     model = models[kind]
@@ -47,6 +51,21 @@ def test_model_predicts_from_min_history_and_not_before(trained, kind):
     assert np.all(np.isfinite(entry.predicted))
     with pytest.raises(StockcastError):  # one row earlier lacks the model's input
         walk_forward(model, panel, panel.dates[start - 1 :], enforce_train_boundary=False)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_a_windowed_kind_takes_a_window(pipeline_data, kind):
+    w = pipeline_data.config.window // 2
+    if KINDS[kind].windowed:
+        assert train_model(pipeline_data, kind, "AAA", window=w).min_history == w
+    else:
+        with pytest.raises(ConfigError, match=f"gridsearch supports windowed models, not {kind!r}"):
+            train_model(pipeline_data, kind, "AAA", window=w)
+
+
+def test_an_unknown_kind_is_a_config_error(pipeline_data):
+    with pytest.raises(ConfigError, match="unknown model kind 'prophet'"):
+        train_model(pipeline_data, "prophet", "AAA")
 
 
 def arrays_of(value, where="model"):
@@ -61,7 +80,7 @@ def arrays_of(value, where="model"):
     return []
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_artifact_round_trip_keeps_text_and_predictions(trained, kind):
     panel, models = trained
     text = dumps_artifact(models[kind])
@@ -446,7 +465,7 @@ def edit_somewhere(data, doc) -> None:
         node.append(data.draw(JSON_VALUES))
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_an_edited_artifact_loads_or_is_an_artifact_error(trained, kind, data):

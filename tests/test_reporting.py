@@ -5,6 +5,7 @@ import pytest
 
 from stockcast.errors import EmptyReport
 from stockcast.evaluation import ForecastReport, MetricSet, ReportEntry
+from stockcast.models.artifacts import KINDS
 from stockcast.reporting import (
     emit_report,
     render_metrics_csv,
@@ -108,3 +109,15 @@ def test_svg_emission_behind_flag(tmp_path):
     assert len(svgs) == 1
     body = svgs[0].read_text()
     assert body.startswith("<svg") and "polyline" in body
+
+
+def test_rows_follow_kinds_order_with_their_labels():
+    report = ForecastReport(metadata={"primary_ticker": "RIL"})
+    for ticker in ("TCS", "RIL"):
+        for model in reversed(KINDS):
+            report.add(make_entry(ticker, model))
+    rows = render_metrics_csv(report).splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [[t, k] for t in ("RIL", "TCS") for k in KINDS]
+    md = render_report_md(report).splitlines()
+    start = md.index("| Model | RMSE |") + 2
+    assert md[start : start + len(KINDS)] == [f"| {s.label} | 5.00 |" for s in KINDS.values()]
