@@ -11,7 +11,7 @@ import sys
 
 from . import __version__
 from .config import load_config
-from .errors import ConfigError, StockcastError
+from .errors import StockcastError
 from .models.artifacts import KINDS, MODEL_KINDS
 from .pipeline import (
     PipelineData,
@@ -123,7 +123,7 @@ def cmd_evaluate(data: PipelineData, kinds, tickers, svg: bool, predict_date) ->
     try:
         parsed_date = parse_trading_date(predict_date) if predict_date else None
     except ValueError as exc:
-        raise ConfigError(f"--predict-date: {exc}") from None
+        raise StockcastError(f"--predict-date: {exc}") from None
     report = evaluate_models(data, kinds, tickers, predict_date=parsed_date)
     written = write_report_outputs(data, report, svg=svg)
     for entry in report.entries:

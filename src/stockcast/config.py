@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import StockcastError
 from .models.arima import ArimaSpec
 from .models.forest import ForestConfig
 from .models.lstm import LstmTopology, TrainConfig
@@ -71,12 +71,12 @@ class _Reader:
         try:
             return kind(text)
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
+            raise StockcastError(f"[{section}] {key}: {exc}") from None
 
     def require(self, section: str, key: str) -> str:
         value = self.get(section, key)
         if value is None:
-            raise ConfigError(f"missing required config key [{section}] {key}")
+            raise StockcastError(f"missing required config key [{section}] {key}")
         return value
 
     def reject_unread(self) -> None:
@@ -85,7 +85,7 @@ class _Reader:
             for key in self.parser.options(section):
                 if (section, key) not in self.read:
                     where = self.parser.default_section if key in self.parser.defaults() else section
-                    raise ConfigError(f"unknown config key [{where}] {key}")
+                    raise StockcastError(f"unknown config key [{where}] {key}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -104,13 +104,13 @@ def _build(section: str, cls, **fields):
     try:
         return cls(**fields)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+        raise StockcastError(f"[{section}] {exc}") from None
 
 
 def _resolve_path(base: Path, section: str, key: str, value: str) -> Path:
     path = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
     if not path.exists():
-        raise ConfigError(f"[{section}] {key}: path does not exist: {path}")
+        raise StockcastError(f"[{section}] {key}: path does not exist: {path}")
     return path
 
 
@@ -121,12 +121,12 @@ def load_config(
 ) -> RunConfig:
     config_path = Path(path)
     if not config_path.exists():
-        raise ConfigError(f"config file not found: {config_path}")
+        raise StockcastError(f"config file not found: {config_path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(config_path.read_text(encoding="utf-8"))
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
+        raise StockcastError(f"malformed config: {exc}") from None
     base = config_path.parent
     cfg = _Reader(parser)
 
@@ -134,7 +134,7 @@ def load_config(
         t.strip() for t in cfg.require("universe", "tickers").split(",") if t.strip()
     )
     if not tickers:
-        raise ConfigError("[universe] tickers must list at least one symbol")
+        raise StockcastError("[universe] tickers must list at least one symbol")
 
     price_paths = {}
     for ticker in tickers:
@@ -154,15 +154,15 @@ def load_config(
 
     window = cfg.get("dataset", "window", int, 60)
     if not WINDOW_MIN <= window <= WINDOW_MAX:
-        raise ConfigError(f"[dataset] window must be in [{WINDOW_MIN}, {WINDOW_MAX}]")
+        raise StockcastError(f"[dataset] window must be in [{WINDOW_MIN}, {WINDOW_MAX}]")
     train_fraction = cfg.get("dataset", "train_fraction", float)
     split_index = cfg.get("dataset", "split_index", int)
     if (train_fraction is None) == (split_index is None):
-        raise ConfigError(
+        raise StockcastError(
             "[dataset] exactly one of train_fraction or split_index must be set"
         )
     if train_fraction is not None and not 0.0 < train_fraction < 1.0:
-        raise ConfigError("[dataset] train_fraction must be in (0, 1)")
+        raise StockcastError("[dataset] train_fraction must be in (0, 1)")
 
     preprocess = PreprocessConfig(
         remove_stopwords=cfg.get("sentiment", "remove_stopwords", _boolean, True),
@@ -174,7 +174,7 @@ def load_config(
     if seed_override is not None:
         seed = seed_override
     if seed < 0:
-        raise ConfigError(f"[run] seed must be >= 0, not {seed}")
+        raise StockcastError(f"[run] seed must be >= 0, not {seed}")
 
     topology = _build(
         "lstm",
@@ -200,7 +200,7 @@ def load_config(
     order = cfg.get("arima", "order", _int_list, (0, 1, 1))
     seasonal = cfg.get("arima", "seasonal_order", _int_list, (2, 1, 0, 12))
     if len(order) != 3 or len(seasonal) != 4:
-        raise ConfigError("[arima] order must have 3 values and seasonal_order 4")
+        raise StockcastError("[arima] order must have 3 values and seasonal_order 4")
     arima = _build(
         "arima",
         ArimaSpec,
@@ -209,13 +209,13 @@ def load_config(
 
     knn_folds = cfg.get("knn", "folds", int, 5)
     if knn_folds < 2:
-        raise ConfigError("[knn] folds must be >= 2")
+        raise StockcastError("[knn] folds must be >= 2")
     grid_windows = cfg.get("gridsearch", "windows", _int_list, DEFAULT_GRID_WINDOWS)
     if not grid_windows:
-        raise ConfigError("[gridsearch] windows must list at least one window")
+        raise StockcastError("[gridsearch] windows must list at least one window")
     for w in grid_windows:
         if not WINDOW_MIN <= w <= WINDOW_MAX:
-            raise ConfigError(f"[gridsearch] windows must lie in [{WINDOW_MIN}, {WINDOW_MAX}]")
+            raise StockcastError(f"[gridsearch] windows must lie in [{WINDOW_MIN}, {WINDOW_MAX}]")
 
     out_dir = base / cfg.get("run", "out_dir", str, "out")
     if out_override is not None:

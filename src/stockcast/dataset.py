@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRange, MissingSentiment, TooFewSamples, WindowTooLong
+from .errors import StockcastError
 from .series import MACRO_COLUMNS, SENTIMENT_COLUMNS, AlignedPanel
 
 FEATURE_NAMES = ("close", *SENTIMENT_COLUMNS, *MACRO_COLUMNS)
@@ -37,11 +37,11 @@ class MinMaxScaler:
 
 
 def fit_scaler(closes: np.ndarray) -> MinMaxScaler:
-    """Fit min/max on training closes only; a constant series is a DegenerateRange."""
+    """Fit min/max on training closes only; a constant series is an error."""
     closes = np.asarray(closes, dtype=np.float64)
     lo, hi = float(closes.min()), float(closes.max())
     if not hi > lo:
-        raise DegenerateRange("close")
+        raise StockcastError("feature 'close' is constant; min-max scaling undefined")
     return MinMaxScaler(lo, hi)
 
 
@@ -54,7 +54,7 @@ def build_windows(closes: np.ndarray, window_len: int) -> tuple[np.ndarray, np.n
     if window_len < 1:
         raise ValueError("window length must be >= 1")
     if window_len >= len(closes):
-        raise WindowTooLong(window_len, len(closes))
+        raise StockcastError(f"window length {window_len} must be < series length {len(closes)}")
     inputs = np.lib.stride_tricks.sliding_window_view(closes, window_len)[:-1].copy()
     return inputs, closes[window_len:].copy()
 
@@ -66,9 +66,9 @@ def build_feature_table(panel: AlignedPanel) -> tuple[np.ndarray, np.ndarray]:
     the close of row t+1. Strictly one-day-ahead, no same-day cells.
     """
     if not panel.has_sentiment:
-        raise MissingSentiment("panel has no sentiment columns")
+        raise StockcastError("panel has no sentiment columns")
     if len(panel) < 2:
-        raise TooFewSamples("need at least 2 panel rows")
+        raise StockcastError("need at least 2 panel rows")
     features = np.stack([panel.column(name)[:-1] for name in FEATURE_NAMES], axis=1)
     return features, panel.close[1:].copy()
 
@@ -76,7 +76,7 @@ def build_feature_table(panel: AlignedPanel) -> tuple[np.ndarray, np.ndarray]:
 def chronological_split(n: int, train_fraction: float = 0.95) -> int:
     """floor(n * fraction) training rows, clamped so both sides are non-empty."""
     if n < 2:
-        raise TooFewSamples(f"cannot split {n} samples")
+        raise StockcastError(f"cannot split {n} samples")
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train_fraction must be in (0, 1)")
     return max(1, min(int(np.floor(n * train_fraction)), n - 1))

@@ -16,13 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import FEATURE_NAMES
-from .errors import (
-    ConstantColumn,
-    EmptySeries,
-    LengthMismatch,
-    RangeError,
-    ZeroActual,
-)
+from .errors import StockcastError
 from .models.arima import one_step_forecast  # unused here; perfbench/tracing.py wraps it
 from .models.lstm import predict_next  # unused here; perfbench/tracing.py wraps it
 from .series import AlignedPanel, TradingDate
@@ -32,9 +26,9 @@ def rmse(pred: Sequence[float], actual: Sequence[float]) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if len(pred) != len(actual):
-        raise LengthMismatch(f"{len(pred)} predictions vs {len(actual)} actuals")
+        raise StockcastError(f"{len(pred)} predictions vs {len(actual)} actuals")
     if len(pred) == 0:
-        raise EmptySeries("rmse of empty series")
+        raise StockcastError("rmse of empty series")
     diff = pred - actual
     return float(np.sqrt(np.mean(diff * diff)))
 
@@ -44,12 +38,12 @@ def mape(pred: Sequence[float], actual: Sequence[float]) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if len(pred) != len(actual):
-        raise LengthMismatch(f"{len(pred)} predictions vs {len(actual)} actuals")
+        raise StockcastError(f"{len(pred)} predictions vs {len(actual)} actuals")
     if len(pred) == 0:
-        raise EmptySeries("mape of empty series")
+        raise StockcastError("mape of empty series")
     for i, a in enumerate(actual):
         if a == 0:
-            raise ZeroActual(i)
+            raise StockcastError(f"actual value at index {i} is zero; MAPE undefined")
     return float(100.0 * np.mean(np.abs(pred - actual) / np.abs(actual)))
 
 
@@ -71,7 +65,7 @@ class HistorySlice:
 
     def __init__(self, panel: AlignedPanel, end: int) -> None:
         if not 0 <= end < len(panel):
-            raise RangeError(f"history end {end} outside panel of {len(panel)} rows")
+            raise StockcastError(f"history end {end} outside panel of {len(panel)} rows")
         self._panel = panel
         self.end = end
         self.max_row_read = -1
@@ -82,7 +76,7 @@ class HistorySlice:
 
     def last_closes(self, count: int) -> np.ndarray:
         if count < 1 or count > self.end + 1:
-            raise RangeError(f"cannot serve {count} closes from {self.end + 1} rows")
+            raise StockcastError(f"cannot serve {count} closes from {self.end + 1} rows")
         self._mark(self.end)
         return self._panel.close[self.end - count + 1 : self.end + 1]
 
@@ -168,21 +162,21 @@ def walk_forward(
     model gets every step's history slice in one `predict` call.
     """
     if len(target_dates) == 0:
-        raise RangeError("validation range is empty")
+        raise StockcastError("validation range is empty")
     index_of = {d: i for i, d in enumerate(panel.dates)}
     indices = []
     for d in target_dates:
         if d not in index_of:
-            raise RangeError(f"{d} is not a panel date")
+            raise StockcastError(f"{d} is not a panel date")
         indices.append(index_of[d])
     for a, b in zip(indices, indices[1:]):
         if b <= a:
-            raise RangeError("validation dates must be strictly increasing")
+            raise StockcastError("validation dates must be strictly increasing")
     if indices[0] < 1:
-        raise RangeError("first validation date has no history before it")
+        raise StockcastError("first validation date has no history before it")
     train_end = model.train_end
     if enforce_train_boundary and train_end is not None and target_dates[0] <= train_end:
-        raise RangeError(
+        raise StockcastError(
             f"validation starts {target_dates[0]} but training ran through {train_end}"
         )
 
@@ -222,7 +216,7 @@ def correlation_matrix(
     for name in columns:
         col = panel.column(name)
         if np.all(col == col[0]):
-            raise ConstantColumn(name)
+            raise StockcastError(f"column {name!r} is constant; correlation undefined")
         data.append(col - col.mean())
     k = len(data)
     norms = [math.sqrt(float(z @ z)) for z in data]

@@ -1,9 +1,10 @@
 """Strict CSV parsers for the three input file families.
 
-All parsers are total over arbitrary byte input: every failure is a typed
-error carrying a 1-based line number. Dates are accepted in YYYY-MM-DD
-only; locale-ambiguous formats are rejected outright because a silent
-month/day swap corrupts the whole calendar.
+All parsers are total over arbitrary byte input: every failure is a
+StockcastError, and one about a row is a ParseError naming its 1-based
+line. Dates are accepted in YYYY-MM-DD only; locale-ambiguous formats are
+rejected outright because a silent month/day swap corrupts the whole
+calendar.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
-from .errors import DuplicateDate, EmptyFile, MissingHeader, ParseError, UnknownTicker
+from .errors import ParseError, StockcastError
 from .series import (
     MACRO_COLUMNS,
     POSITIVE_MACRO,
@@ -33,11 +34,12 @@ _NULL_TOKENS = {"", "null", "na", "n/a"}
 
 @dataclass(frozen=True)
 class NewsItem:
-    """One headline; file order is significant for daily concatenation."""
+    """One headline and the file line it came from; file order drives daily concatenation."""
 
     date: TradingDate
     ticker: str
     headline: str
+    line: int
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,15 @@ def _rows(text: str, expected_header: list[str]) -> Iterator[tuple[int, list[str
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptyFile("input has no rows") from None
+        raise StockcastError("input has no rows") from None
     except csv.Error as exc:
         raise ParseError(1, None, f"malformed CSV: {exc}") from None
     if header and header[0].startswith("﻿"):
         header[0] = header[0].lstrip("﻿")
     if header != expected_header:
-        raise MissingHeader(",".join(expected_header), ",".join(header))
+        raise ParseError(
+            1, None, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
+        )
     while True:
         try:
             row = next(reader)
@@ -140,10 +144,10 @@ def parse_price_csv(data: bytes | str, ticker: str) -> ParsedSeries:
         if volume < 0:
             raise ParseError(line, None, f"{day}: volume must be >= 0")
         if day in rows:
-            raise DuplicateDate(day, line)
+            raise ParseError(line, None, f"duplicate date {day}")
         rows[day] = close
     if not rows:
-        raise EmptyFile("no usable price rows")
+        raise StockcastError("no usable price rows")
     days = sorted(rows)
     return ParsedSeries(PriceSeries(ticker, days, [rows[d] for d in days]), skipped)
 
@@ -170,10 +174,10 @@ def parse_macro_csv(data: bytes | str, column: str) -> ParsedSeries:
         if column in POSITIVE_MACRO and value <= 0:
             raise ParseError(line, "Value", f"{column} must be > 0, got {value}")
         if day in rows:
-            raise DuplicateDate(day, line)
+            raise ParseError(line, None, f"duplicate date {day}")
         rows[day] = value
     if not rows:
-        raise EmptyFile("no usable macro rows")
+        raise StockcastError("no usable macro rows")
     days = sorted(rows)
     return ParsedSeries(MacroSeries(column, days, [rows[d] for d in days]), skipped)
 
@@ -182,7 +186,7 @@ def parse_news_file(data: bytes | str, universe: Collection[str] | None = None) 
     """Parse headlines, preserving file order (it drives daily concatenation).
 
     Blank headlines are skipped and tallied. When `universe` is given, any
-    other ticker is an UnknownTicker error.
+    other ticker is a ParseError.
     """
     text = _decode(data)
     items: list[NewsItem] = []
@@ -197,12 +201,12 @@ def parse_news_file(data: bytes | str, universe: Collection[str] | None = None) 
         if not ticker:
             raise ParseError(line, "Ticker", "ticker must be non-empty")
         if universe is not None and ticker not in universe:
-            raise UnknownTicker(ticker, line)
+            raise ParseError(line, None, f"ticker {ticker!r} is not in the configured universe")
         headline = row[2].strip()
         if not headline:
             skipped += 1
             continue
-        items.append(NewsItem(date=day, ticker=ticker, headline=headline))
+        items.append(NewsItem(date=day, ticker=ticker, headline=headline, line=line))
     if not saw_row:
-        raise EmptyFile("no news rows")
+        raise StockcastError("no news rows")
     return ParsedNews(tuple(items), skipped)

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import SeriesTooShort, ShapeMismatch
+from ..errors import StockcastError
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def arima_fit(series: np.ndarray, spec: ArimaSpec = ArimaSpec(), train_end=None)
     """Estimate the MA and seasonal-AR coefficients by CSS minimization."""
     series = np.asarray(series, dtype=np.float64)
     if len(series) <= spec.min_series_length():
-        raise SeriesTooShort(
+        raise StockcastError(
             f"need more than {spec.min_series_length()} observations, got {len(series)}"
         )
     w = apply_differencing(series, spec)
@@ -263,7 +263,7 @@ def _forecasts(model: ArimaModel, histories: list) -> np.ndarray:
     series = [np.asarray(h, dtype=np.float64) for h in histories]
     c = difference_poly(model.spec)
     if min(map(len, series)) < len(c):
-        raise ShapeMismatch(f"history must cover at least {len(c)} observations")
+        raise StockcastError(f"history must cover at least {len(c)} observations")
     w = apply_differencing(max(series, key=len), model.spec)
     a, m = _fitted_polys(model)
     e = _residuals(w, a, m)

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..dataset import FEATURE_NAMES
-from ..errors import SchemaMismatch, TooFewSamples
+from ..errors import SchemaMismatch, StockcastError
 
 _LEAF = -1
 # prediction walks at most this many (row, tree) pairs at once: 512 KiB per int64 array
@@ -277,7 +277,7 @@ def forest_train(
     Features stay unscaled: trees are invariant to monotone feature maps.
     """
     if len(targets) < 2:
-        raise TooFewSamples("need at least 2 training rows")
+        raise StockcastError("need at least 2 training rows")
     return ForestModel(
         trees=tuple(
             _fit_one_tree(i, features, targets, config.seed) for i in range(config.n_trees)

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..dataset import MinMaxScaler, build_windows
-from ..errors import ShapeMismatch, TooFewSamples
+from ..errors import StockcastError
 
 K_RANGE = tuple(range(2, 10))
 CV_FOLDS = 5
@@ -65,7 +65,7 @@ class KnnModel:
     def predict_window(self, window: np.ndarray) -> float:
         window = np.asarray(window, dtype=np.float64)
         if window.shape != (self.window,):
-            raise ShapeMismatch(f"expected a window of length {self.window}")
+            raise StockcastError(f"expected a window of length {self.window}")
         return float(self._predict_windows(window[None])[0])
 
     def _predict_windows(self, windows: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def choose_k(
     """
     n = len(targets)
     if n < 10:
-        raise TooFewSamples(f"need >= 10 training samples, got {n}")
+        raise StockcastError(f"need >= 10 training samples, got {n}")
     fold_errors: dict[int, list[float]] = {k: [] for k in K_RANGE}
     for block in np.array_split(np.arange(n), folds):
         if len(block) == 0:

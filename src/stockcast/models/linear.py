@@ -8,7 +8,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import SchemaMismatch, TooFewSamples
+from ..errors import SchemaMismatch, StockcastError
 
 RIDGE_LAMBDA = 1e-8
 
@@ -54,7 +54,7 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, train_end=None) -> LinearModel:
     y = np.asarray(y, dtype=np.float64)
     n, p = x.shape
     if n <= p:
-        raise TooFewSamples(f"{n} rows <= {p} columns")
+        raise StockcastError(f"{n} rows <= {p} columns")
     design = np.hstack([x, np.ones((n, 1))])
     gram = design.T @ design
     rhs = design.T @ y

@@ -23,7 +23,7 @@ from datetime import date
 import numpy as np
 
 from ..dataset import MinMaxScaler
-from ..errors import DivergedLoss, ShapeMismatch, TooFewSamples
+from ..errors import StockcastError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -121,7 +121,7 @@ class LstmParams:
             a[...] = flat[offset : offset + a.size].reshape(a.shape)
             offset += a.size
         if offset != flat.size:
-            raise ShapeMismatch("flat vector does not match parameter count")
+            raise StockcastError("flat vector does not match parameter count")
 
     def copy(self) -> "LstmParams":
         return LstmParams(
@@ -174,9 +174,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class _LayerCache:
     inputs: np.ndarray      # (B, W, D)
     h_prev: np.ndarray      # (B, W, H) hidden state entering each step
-    c_prev: np.ndarray      # (B, W, H)
+    c_prev: np.ndarray      # (B, W, H) cell state entering each step
     gates: np.ndarray       # (B, W, 4H) post-activation [i, f, g, o]
-    c: np.ndarray           # (B, W, H)
     tanh_c: np.ndarray      # (B, W, H)
     h_seq: np.ndarray       # (B, W, H) layer output
 
@@ -206,7 +205,6 @@ def _layer_forward(
             h_prev=np.empty((batch, steps, hidden)),
             c_prev=np.empty((batch, steps, hidden)),
             gates=np.empty((batch, steps, 4 * hidden)),
-            c=np.empty((batch, steps, hidden)),
             tanh_c=np.empty((batch, steps, hidden)),
             h_seq=h_seq,
         )
@@ -228,7 +226,6 @@ def _layer_forward(
         tanh_c = np.tanh(c)
         h = o * tanh_c
         if cache is not None:
-            cache.c[:, t] = c
             cache.tanh_c[:, t] = tanh_c
         h_seq[:, t] = h
     return h_seq, cache
@@ -312,7 +309,7 @@ def lstm_batch_forward(params: LstmParams, topology: LstmTopology, inputs: np.nd
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != topology.window:
-        raise ShapeMismatch(f"expected (batch, {topology.window}) windows")
+        raise StockcastError(f"expected (batch, {topology.window}) windows")
     out = np.empty(len(inputs))
     for start in range(0, len(inputs), _INFERENCE_ROWS):
         rows = inputs[start : start + _INFERENCE_ROWS]
@@ -330,9 +327,9 @@ def lstm_gradients(
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if len(inputs) == 0:
-        raise TooFewSamples("empty batch")
+        raise StockcastError("empty batch")
     if inputs.ndim != 2 or inputs.shape[1] != topology.window or len(inputs) != len(targets):
-        raise ShapeMismatch("batch shapes do not match the topology")
+        raise StockcastError("batch shapes do not match the topology")
     cache = _forward(params, inputs)
     batch = len(inputs)
     residual = cache.output - targets
@@ -407,7 +404,7 @@ def predict_next(artifact: NeuralModelArtifact, recent_closes: np.ndarray) -> np
     recent = np.asarray(recent_closes, dtype=np.float64)
     window = artifact.topology.window
     if recent.ndim != 2 or recent.shape[1] != window:
-        raise ShapeMismatch(f"expected (N, {window}) recent closes")
+        raise StockcastError(f"expected (N, {window}) recent closes")
     scaled = artifact.scaler.apply(recent)
     return artifact.scaler.inverse(lstm_batch_forward(artifact.params, artifact.topology, scaled))
 
@@ -432,13 +429,13 @@ def lstm_train(
     history.
     """
     if inputs.ndim != 2 or inputs.shape[1] != topology.window:
-        raise ShapeMismatch("window length does not match topology")
+        raise StockcastError("window length does not match topology")
     train_x, val_x = inputs[:n_train], inputs[n_train:]
     train_y, val_y = targets[:n_train], targets[n_train:]
     if len(val_y) == 0:
-        raise TooFewSamples(f"{n_train} training rows leave no validation rows")
+        raise StockcastError(f"{n_train} training rows leave no validation rows")
     if len(train_x) < config.batch_size:
-        raise TooFewSamples(
+        raise StockcastError(
             f"{len(train_x)} training samples < batch size {config.batch_size}"
         )
 
@@ -463,7 +460,7 @@ def lstm_train(
             batch = order[start : start + config.batch_size]
             loss, grads = lstm_gradients(params, topology, train_x[batch], train_y[batch])
             if not np.isfinite(loss):
-                raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+                raise StockcastError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(batch)
             grad_flat = grads.flatten()
             step += 1
@@ -479,7 +476,7 @@ def lstm_train(
         val_residual = val_pred - val_y
         val_loss = float(val_residual @ val_residual) / len(val_y)
         if not np.isfinite(val_loss):
-            raise DivergedLoss(f"non-finite validation loss at epoch {epoch}")
+            raise StockcastError(f"non-finite validation loss at epoch {epoch}")
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
 
         val_rmse = np.sqrt(val_loss)

@@ -8,7 +8,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import TooFewSamples
+from ..errors import StockcastError
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ def additive_trend_fit(closes: np.ndarray, train_end=None) -> TrendModel:
     closes = np.asarray(closes, dtype=np.float64)
     n = len(closes)
     if n < 2:
-        raise TooFewSamples("need at least 2 points for a trend line")
+        raise StockcastError("need at least 2 points for a trend line")
     t = np.arange(n, dtype=np.float64)
     t_mean = t.mean()
     y_mean = closes.mean()

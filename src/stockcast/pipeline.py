@@ -16,14 +16,7 @@ from pathlib import Path
 
 from .config import RunConfig
 from .dataset import build_feature_table, build_windows, chronological_split, fit_scaler
-from .errors import (
-    ArtifactError,
-    ConfigError,
-    EmptyIntersection,
-    NewsAfterCalendarEnd,
-    StockcastError,
-    TooFewSamples,
-)
+from .errors import ArtifactError, EmptyIntersection, ParseError, StockcastError
 from .evaluation import ForecastReport, correlation_matrix, walk_forward
 from .ingest import parse_macro_csv, parse_news_file, parse_price_csv
 from .models.arima import arima_fit
@@ -103,18 +96,20 @@ class PipelineData:
     def sentiment_records(self, ticker: str) -> list[DailySentiment]:
         if ticker not in self._sentiment:
             calendar = self.prices(ticker).series.dates
+            # parsed outside the try: their errors already name their files
+            news, lexicon, stopwords = self.news.items, self.lexicon, self.stopwords
             try:
                 self._sentiment[ticker] = aggregate_daily(
-                    self.news.items,
+                    news,
                     calendar,
                     ticker,
-                    self.lexicon,
-                    self.stopwords,
+                    lexicon,
+                    stopwords,
                     config=self.config.preprocess,
                     per_headline_average=self.config.per_headline_average,
                 )
-            except NewsAfterCalendarEnd as exc:
-                raise StockcastError(f"{self.config.news_path}: {ticker}: {exc}") from exc
+            except ParseError as exc:  # a headline dated after the calendar
+                raise StockcastError(f"{self.config.news_path}: {exc}") from exc
         return self._sentiment[ticker]
 
     def panel(self, ticker: str, sentiment: bool = True) -> AlignedPanel:
@@ -134,7 +129,7 @@ class PipelineData:
         if self.config.split_index is not None:
             s = self.config.split_index
             if not 1 <= s <= len(panel) - 1:
-                raise ConfigError(
+                raise StockcastError(
                     f"[dataset] split_index {s} outside [1, {len(panel) - 1}] for {panel.ticker}"
                 )
             return s
@@ -148,9 +143,9 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
     """
     spec = KINDS.get(kind)
     if spec is None:
-        raise ConfigError(f"unknown model kind {kind!r}")
+        raise StockcastError(f"unknown model kind {kind!r}")
     if window is not None and not spec.windowed:
-        raise ConfigError(f"gridsearch supports windowed models, not {kind!r}")
+        raise StockcastError(f"gridsearch supports windowed models, not {kind!r}")
     config = data.config
     panel = data.panel(ticker, sentiment=spec.sentiment)
     s = data.row_split(panel)
@@ -160,7 +155,7 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
 
     n_windows = s - w  # the windows whose target row is < s
     if spec.windowed and n_windows < 1:
-        raise TooFewSamples(f"split index {s} leaves no training windows of length {w}")
+        raise StockcastError(f"split index {s} leaves no training windows of length {w}")
     if kind in ("lstm", "bilstm"):
         scaler = fit_scaler(closes[:s])
         inputs, targets = build_windows(scaler.apply(closes), w)
@@ -177,7 +172,7 @@ def train_model(data: PipelineData, kind: str, ticker: str, window: int | None =
     if kind == "linreg":
         inputs, targets = build_windows(closes, w)
         if n_windows <= w + 1:
-            raise TooFewSamples(
+            raise StockcastError(
                 f"linreg over windows of {w} needs more than {w + 1} training samples, got {n_windows}"
             )
         return linreg_fit(inputs[:n_windows], targets[:n_windows], train_end=train_end)
@@ -237,7 +232,7 @@ def evaluate_models(
             targets = list(panel.dates[s:])
             if predict_date is not None:
                 if predict_date not in panel.dates:
-                    raise ConfigError(
+                    raise StockcastError(
                         f"--predict-date {predict_date} is not a trading date of {ticker}"
                     )
                 targets = [predict_date]

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyReport, SchemaMismatch
+from .errors import SchemaMismatch, StockcastError
 from .evaluation import ForecastReport, ReportEntry
 from .models.artifacts import KINDS, _decode, _encode
 
@@ -112,7 +112,7 @@ def _per_stock_table(report: ForecastReport) -> list[str]:
 
 def render_report_md(report: ForecastReport) -> str:
     if not report.entries:
-        raise EmptyReport("no entries to render")
+        raise StockcastError("no entries to render")
     meta = report.metadata
     lines = ["# Forecast report", ""]
     if meta:
@@ -167,7 +167,7 @@ def render_series_svg(entry: ReportEntry, width: int = 900, height: int = 300) -
 def emit_report(report: ForecastReport, out_dir: str | Path, svg: bool = False) -> list[Path]:
     """Write metrics.csv, per-series CSVs, report.md, and optional SVGs."""
     if not report.entries:
-        raise EmptyReport("refusing to emit an empty report")
+        raise StockcastError("refusing to emit an empty report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

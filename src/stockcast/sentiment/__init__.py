@@ -1,6 +1,6 @@
 """Lexicon sentiment engine: preprocessing, scoring, daily aggregation."""
 
-from .daily import DailySentiment, aggregate_daily, effective_trading_date
+from .daily import DailySentiment, aggregate_daily
 from .lexicon import BUNDLED_LEXICON, BUNDLED_STOPWORDS, Lexicon, parse_lexicon, parse_stopwords
 from .preprocess import PreprocessConfig, preprocess_text
 from .scorer import (
@@ -22,7 +22,6 @@ __all__ = [
     "PreprocessConfig",
     "SentimentScore",
     "aggregate_daily",
-    "effective_trading_date",
     "parse_lexicon",
     "parse_stopwords",
     "preprocess_text",

@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import NewsAfterCalendarEnd
+from ..errors import ParseError
 from ..ingest import NewsItem
 from ..series import TradingDate
 from .lexicon import Lexicon
@@ -37,16 +37,6 @@ class DailySentiment:
             raise ValueError("days without news must carry the neutral default score")
 
 
-def effective_trading_date(
-    published: TradingDate, calendar: Sequence[TradingDate]
-) -> TradingDate:
-    """First calendar date >= the publication date."""
-    i = bisect_left(calendar, published)
-    if i == len(calendar):
-        raise NewsAfterCalendarEnd(published)
-    return calendar[i]
-
-
 def aggregate_daily(
     items: Sequence[NewsItem],
     calendar: Sequence[TradingDate],
@@ -58,7 +48,9 @@ def aggregate_daily(
 ) -> list[DailySentiment]:
     """One record per calendar date for `ticker`.
 
-    Headlines sharing an effective date are joined with ". " in file order,
+    A headline counts on the first calendar date on or after its own;
+    one dated after the last is a ParseError naming its file line.
+    Headlines sharing that effective date are joined with ". " in file order,
     preprocessed once, and scored once. `per_headline_average` instead
     scores each preprocessed headline separately and averages the four
     components; it is an offered alternative, not the default, because a
@@ -69,8 +61,11 @@ def aggregate_daily(
     for item in items:
         if item.ticker != ticker:
             continue
-        day = effective_trading_date(item.date, calendar)
-        by_day.setdefault(day, []).append(item.headline)
+        i = bisect_left(calendar, item.date)
+        if i == len(calendar):
+            raise ParseError(item.line, "Date", f"{ticker}: news dated {item.date} falls after "
+                             "the last trading day of the calendar")
+        by_day.setdefault(calendar[i], []).append(item.headline)
 
     records: list[DailySentiment] = []
     for day in calendar:

@@ -89,7 +89,9 @@ def _check_entry(token: str, valence: float) -> None:
 
 def parse_lexicon(data: bytes | str) -> Lexicon:
     valences: dict[str, float] = {}
-    for number, raw in enumerate(_decode(data).splitlines(), start=1):
+    # lines end at "\n" only, as in the CSV inputs; str.splitlines also splits at \x0c and U+2028
+    for number, raw in enumerate(_decode(data).split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -107,5 +109,5 @@ def parse_lexicon(data: bytes | str) -> Lexicon:
 
 def parse_stopwords(data: bytes | str) -> frozenset[str]:
     """A one-token-per-line stopword list; `#` starts a comment line."""
-    words = (line.strip() for line in _decode(data).splitlines())
+    words = (line.strip() for line in _decode(data).split("\n"))
     return frozenset(w for w in words if w and not w.startswith("#"))

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateDate, EmptyIntersection
+from .errors import EmptyIntersection
 
 TradingDate = date
 
@@ -43,7 +43,7 @@ def parse_trading_date(text: str) -> TradingDate:
 def _check_strictly_increasing(dates: Sequence[TradingDate]) -> None:
     for a, b in zip(dates, dates[1:]):
         if a == b:
-            raise DuplicateDate(b)
+            raise ValueError(f"duplicate date {b}")
         if a > b:
             raise ValueError(f"dates out of order: {a} before {b}")
 

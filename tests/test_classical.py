@@ -5,7 +5,7 @@ import pytest
 
 from stockcast.config import load_config
 from stockcast.dataset import MinMaxScaler, build_windows, chronological_split, fit_scaler
-from stockcast.errors import SeriesTooShort, ShapeMismatch, TooFewSamples
+from stockcast.errors import StockcastError
 from stockcast.evaluation import HistorySlice
 from stockcast.models.arima import (
     ArimaModel,
@@ -59,7 +59,7 @@ def test_linreg_duplicate_column_triggers_ridge():
 
 
 def test_linreg_too_few_rows():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(StockcastError, match="^3 rows <= 5 columns$"):
         linreg_fit(np.zeros((3, 5)), np.zeros(3))
 
 
@@ -100,7 +100,7 @@ def test_knn_model_predicts_from_the_windows_of_its_training_closes():
     )
     assert model.min_history == 2
     assert model.predict_window(np.array([2.0, 3.0])) == 6.5  # the targets of (2, 3) and (1, 2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(StockcastError, match="^expected a window of length 2$"):
         model.predict_window(np.array([2.0, 3.0, 4.0]))
     with pytest.raises(ValueError, match="k must be between 1 and the 5 training windows"):
         KnnModel(k=6, window=2, train_closes=closes, cv_rmse={}, scaler=model.scaler)
@@ -184,7 +184,7 @@ def test_batched_knn_predict_equals_predict_window(monkeypatch, chunk_rows):
 
 def test_knn_requires_enough_samples():
     closes = np.arange(8.0)  # 6 windows of 2
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(StockcastError, match="^need >= 10 training samples, got 6$"):
         knn_fit_cv(closes, 2, fit_scaler(closes))
 
 
@@ -289,7 +289,7 @@ def test_hand_recursion_three_steps():
 
 
 def test_series_too_short():
-    with pytest.raises(SeriesTooShort):
+    with pytest.raises(StockcastError, match="^need more than .* observations, got 50$"):
         arima_fit(np.arange(50.0), ArimaSpec())
 
 
@@ -340,5 +340,5 @@ def test_trend_recovers_noisy_slope_within_five_percent():
 
 
 def test_trend_too_few_points():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(StockcastError, match="^need at least 2 points for a trend line$"):
         additive_trend_fit(np.array([1.0]))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import stockcast
 from stockcast.cli import build_parser, main
 from stockcast.config import WINDOW_MAX, load_config
-from stockcast.errors import ConfigError
+from stockcast.errors import StockcastError
 from stockcast.models.artifacts import KINDS
 from stockcast.pipeline import PipelineData
 from stockcast.sentiment import BUNDLED_LEXICON, BUNDLED_STOPWORDS
@@ -72,7 +72,7 @@ def test_missing_lexicon_path_is_config_error(mini, tmp_path):
     text = mini.read_text().replace("news = news.csv", "news = news.csv\nlexicon = missing.txt")
     bad = mini.parent / "bad.ini"
     bad.write_text(text)
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(StockcastError) as exc:
         load_config(bad)
     assert "lexicon" in str(exc.value)
     assert run("sentiment", "--config", bad) == 1
@@ -96,7 +96,7 @@ def test_missing_lexicon_path_is_config_error(mini, tmp_path):
 def test_config_typo_or_bad_value_names_its_key(mini, tmp_path, old, new, message):
     bad = mini.parent / f"bad_{tmp_path.name}.ini"
     bad.write_text(mini.read_text().replace(old, new, 1))
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(StockcastError) as exc:
         load_config(bad, seed_override=7, out_override=tmp_path)
     assert str(exc.value) == message
 
@@ -378,7 +378,8 @@ def test_a_bad_news_file_fails_only_the_commands_that_read_it(tmp_path, capsys, 
         ("lexicon.txt", b"good\t1.9\n\nbad\t1e400\n", "lexicon.txt: line 3: "),
         ("lexicon.txt", b"good\t1.9\nbad\t-2.5\xff\n", "lexicon.txt: line 2: "),
         ("stopwords.txt", b"the\n\xff\n", "stopwords.txt: line 2: "),
-        ("news.csv", b"2030-01-01,AAA,late news\n", "news.csv: AAA: news dated 2030-01-01 "),
+        ("news.csv", b"2030-01-01,AAA,late news\n",
+         "news.csv: line 9, column 'Date': AAA: news dated 2030-01-01 "),
         ("prices_AAA.csv", b"2021-07-20,1,1,1,1,1,\xff\n", "prices_AAA.csv: line 142: "),
     ],
     ids=["lexicon-not-a-number", "lexicon-nan", "lexicon-overflow", "lexicon-not-utf8",
@@ -527,9 +528,9 @@ def test_any_edge_setting_ends_in_success_or_one_error_line(
 
 MUTATED_INPUTS = ("prices_AAA.csv", "macro_gold.csv", "news.csv", "lexicon.txt", "stopwords.txt")
 MUTATIONS = ("flip", "xff", "nul", "drop", "duplicate", "truncate", "crlf", "bom")
-# the errors that name no line: a macro file whose first value comes after the
-# first trading day, and a headline dated after the calendar, named by its date
-WHOLE_FILE_ERRORS = r"no \w+ value on or before [-\d]+|[A-Z]+: news dated [-\d]+ falls after .*"
+# the error that names no line: a macro file whose first value comes after the
+# first trading day
+WHOLE_FILE_ERRORS = r"no \w+ value on or before [-\d]+"
 
 
 def mutated(data: bytes, how: str, at: int) -> bytes:

@@ -10,12 +10,7 @@ from stockcast.dataset import (
     chronological_split,
     fit_scaler,
 )
-from stockcast.errors import (
-    DegenerateRange,
-    MissingSentiment,
-    TooFewSamples,
-    WindowTooLong,
-)
+from stockcast.errors import StockcastError
 
 from conftest import make_panel
 
@@ -31,7 +26,7 @@ def test_scaler_midpoint_and_endpoints():
 
 
 def test_scaler_constant_column_rejected():
-    with pytest.raises(DegenerateRange):
+    with pytest.raises(StockcastError, match="^feature 'close' is constant; min-max scaling"):
         fit_scaler(np.array([5.0, 5.0, 5.0]))
 
 
@@ -77,7 +72,7 @@ def test_windows_are_writable_copies():
 
 
 def test_window_too_long():
-    with pytest.raises(WindowTooLong):
+    with pytest.raises(StockcastError, match="^window length 5 must be < series length 5$"):
         build_windows(np.arange(5.0), 5)
 
 
@@ -114,7 +109,7 @@ def test_feature_table_shifts_target_one_day():
 
 def test_feature_table_requires_sentiment():
     panel = make_panel(n=10, with_sentiment=False)
-    with pytest.raises(MissingSentiment):
+    with pytest.raises(StockcastError, match="^panel has no sentiment columns$"):
         build_feature_table(panel)
 
 
@@ -164,7 +159,7 @@ def test_split_clamps_tiny_inputs():
 
 
 def test_split_rejects_single_sample():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(StockcastError, match="^cannot split 1 samples$"):
         chronological_split(1, 0.95)
 
 

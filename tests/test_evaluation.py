@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from stockcast.errors import (
-    ConstantColumn,
-    EmptySeries,
-    LengthMismatch,
-    RangeError,
-    ZeroActual,
-)
+from stockcast.errors import StockcastError
 from stockcast.evaluation import (
     HistorySlice,
     correlation_matrix,
@@ -49,13 +43,13 @@ def test_mape_identity_and_fixture():
 
 
 def test_metric_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(StockcastError, match="^1 predictions vs 2 actuals$"):
         rmse([1.0], [1.0, 2.0])
-    with pytest.raises(EmptySeries):
+    with pytest.raises(StockcastError, match="^rmse of empty series$"):
         rmse([], [])
-    with pytest.raises(ZeroActual):
+    with pytest.raises(StockcastError, match="^actual value at index 0 is zero; MAPE undefined$"):
         mape([1.0], [0.0])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(StockcastError, match="^1 predictions vs 2 actuals$"):
         mape([1.0], [1.0, 2.0])
 
 
@@ -80,25 +74,25 @@ def test_single_date_validation(small_panel: AlignedPanel):
 
 def test_shuffled_validation_dates_rejected(small_panel: AlignedPanel):
     targets = [small_panel.dates[31], small_panel.dates[30]]
-    with pytest.raises(RangeError):
+    with pytest.raises(StockcastError, match="^validation dates must be strictly increasing$"):
         walk_forward(PersistenceModel(), small_panel, targets)
 
 
 def test_empty_validation_rejected(small_panel: AlignedPanel):
-    with pytest.raises(RangeError):
+    with pytest.raises(StockcastError, match="^validation range is empty$"):
         walk_forward(PersistenceModel(), small_panel, [])
 
 
 def test_unknown_date_rejected(small_panel: AlignedPanel):
     from datetime import date
 
-    with pytest.raises(RangeError):
+    with pytest.raises(StockcastError, match="^1999-01-01 is not a panel date$"):
         walk_forward(PersistenceModel(), small_panel, [date(1999, 1, 1)])
 
 
 def test_validation_must_follow_training_range(small_panel: AlignedPanel):
     model = PersistenceModel(train_end=small_panel.dates[35])
-    with pytest.raises(RangeError):
+    with pytest.raises(StockcastError, match="^validation starts .* but training ran through"):
         walk_forward(model, small_panel, small_panel.dates[30:])
     # strictly after is fine
     walk_forward(model, small_panel, small_panel.dates[36:])
@@ -109,7 +103,7 @@ def test_history_slice_cannot_serve_the_future(small_panel: AlignedPanel):
     closes = history.last_closes(5)
     assert np.array_equal(closes, small_panel.close[6:11])
     assert history.max_row_read == 10
-    with pytest.raises(RangeError):
+    with pytest.raises(StockcastError, match="^cannot serve 12 closes from 11 rows$"):
         history.last_closes(12)
 
 
@@ -214,5 +208,5 @@ def test_correlation_constant_column_rejected(small_panel: AlignedPanel):
         usd_inr=small_panel.usd_inr,
         ticker="X",
     )
-    with pytest.raises(ConstantColumn):
+    with pytest.raises(StockcastError, match="^column 'gold' is constant; correlation undefined$"):
         correlation_matrix(flat, ["close", "gold"])

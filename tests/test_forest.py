@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stockcast.dataset import build_feature_table, chronological_split
-from stockcast.errors import SchemaMismatch, TooFewSamples
+from stockcast.errors import SchemaMismatch, StockcastError
 from stockcast.evaluation import HistorySlice
 from stockcast.models import forest
 from stockcast.models.artifacts import dumps_artifact
@@ -124,7 +124,7 @@ def test_forest_schema_mismatch():
 
 def test_forest_too_few_samples():
     features, targets = small_table(n=3)
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(StockcastError, match="^need at least 2 training rows$"):
         forest_train(features[:1], targets[:1], ForestConfig(n_trees=1))
 
 

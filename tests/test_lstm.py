@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stockcast.dataset import MinMaxScaler, build_windows, chronological_split, fit_scaler
-from stockcast.errors import ShapeMismatch, TooFewSamples
+from stockcast.errors import StockcastError
 from stockcast.models.artifacts import dumps_artifact, loads_artifact
 from stockcast.models.lstm import (
     LstmParams,
@@ -162,14 +162,15 @@ def test_gate_activations_bounded_and_cells_finite():
     x = RNG.normal(0, 2, (7, 8))
     cache = _forward(params, x)
     for layer_cache in cache.stacks[0]:
-        hidden = layer_cache.c.shape[2]
+        hidden = layer_cache.c_prev.shape[2]
         gates = layer_cache.gates
         sig = np.concatenate(
             [gates[:, :, :hidden], gates[:, :, hidden : 2 * hidden], gates[:, :, 3 * hidden :]],
             axis=2,
         )
         assert np.all(sig > 0.0) and np.all(sig < 1.0)
-        assert np.all(np.isfinite(layer_cache.c))
+        assert np.all(np.isfinite(layer_cache.c_prev))
+        assert np.all(np.abs(layer_cache.tanh_c) <= 1.0)
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
@@ -198,7 +199,7 @@ def test_bidirectional_differs_on_non_palindromic_window():
 def test_shape_mismatch_errors():
     topology = small_topology()
     params = init_params(topology, 0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(StockcastError, match=r"^expected \(batch, 8\) windows$"):
         lstm_batch_forward(params, topology, np.zeros((1, 5)))
 
 
@@ -245,7 +246,7 @@ def test_training_reduces_validation_loss():
 
 def test_train_rejects_batch_larger_than_train_slice():
     inputs, targets = make_sine_dataset(n=40, window=5)
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(StockcastError, match="^10 training samples < batch size 32$"):
         lstm_train(inputs, targets, 10, LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=5),
                    TrainConfig(epochs=1, batch_size=32, seed=0), scaler=MinMaxScaler(0.0, 1.0))
 
@@ -253,7 +254,7 @@ def test_train_rejects_batch_larger_than_train_slice():
 @pytest.mark.parametrize("n_train", [35, 36])
 def test_train_rejects_a_split_without_validation_rows(n_train):
     inputs, targets = make_sine_dataset(n=40, window=5)  # 35 windows
-    with pytest.raises(TooFewSamples, match="no validation rows"):
+    with pytest.raises(StockcastError, match="no validation rows"):
         lstm_train(inputs, targets, n_train,
                    LstmTopology(layer_sizes=(4,), dense_sizes=(1,), window=5),
                    TrainConfig(epochs=1, batch_size=8, seed=0), scaler=MinMaxScaler(0.0, 1.0))
@@ -290,9 +291,9 @@ def test_predict_next_inverse_scaling_plumbing(monkeypatch):
     params.unflatten(np.zeros(params.flatten().size))
     params.dense[-1].b[0] = 0.75
     assert np.array_equal(predict_next(artifact, closes), [175.0, 175.0])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(StockcastError, match=r"^expected \(N, 3\) recent closes$"):
         predict_next(artifact, np.array([[1.0, 2.0]]))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(StockcastError, match=r"^expected \(N, 3\) recent closes$"):
         predict_next(artifact, np.array([120.0, 150.0, 175.0]))
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockcast.config import load_config
-from stockcast.errors import ArtifactError, ConfigError, StockcastError
+from stockcast.errors import ArtifactError, StockcastError
 from stockcast.evaluation import walk_forward
 from stockcast.models.artifacts import (
     FORMAT_VERSION,
@@ -59,12 +59,12 @@ def test_only_a_windowed_kind_takes_a_window(pipeline_data, kind):
     if KINDS[kind].windowed:
         assert train_model(pipeline_data, kind, "AAA", window=w).min_history == w
     else:
-        with pytest.raises(ConfigError, match=f"gridsearch supports windowed models, not {kind!r}"):
+        with pytest.raises(StockcastError, match=f"gridsearch supports windowed models, not {kind!r}"):
             train_model(pipeline_data, kind, "AAA", window=w)
 
 
 def test_an_unknown_kind_is_a_config_error(pipeline_data):
-    with pytest.raises(ConfigError, match="unknown model kind 'prophet'"):
+    with pytest.raises(StockcastError, match="unknown model kind 'prophet'"):
         train_model(pipeline_data, "prophet", "AAA")
 
 

@@ -3,7 +3,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from stockcast.errors import EmptyReport
+from stockcast.errors import StockcastError
 from stockcast.evaluation import ForecastReport, MetricSet, ReportEntry
 from stockcast.models.artifacts import KINDS
 from stockcast.reporting import (
@@ -83,9 +83,9 @@ def test_report_sections_present():
 
 
 def test_empty_report_rejected(tmp_path):
-    with pytest.raises(EmptyReport):
+    with pytest.raises(StockcastError, match="^refusing to emit an empty report$"):
         emit_report(ForecastReport(), tmp_path)
-    with pytest.raises(EmptyReport):
+    with pytest.raises(StockcastError, match="^no entries to render$"):
         render_report_md(ForecastReport())
 
 

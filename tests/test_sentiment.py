@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockcast.errors import NewsAfterCalendarEnd, ParseError
+from stockcast.errors import ParseError
 from stockcast.ingest import NewsItem
 from stockcast.sentiment import (
     BUNDLED_LEXICON,
@@ -67,6 +67,10 @@ def test_lexicon_parsing_comments_and_errors():
         parse_lexicon("justoneword\n")
     with pytest.raises(ParseError, match="^line 2: lexicon token 'Upper' must be lowercase"):
         parse_lexicon("good\t1.9\nUpper\t1.0\n")  # tokens must be lowercase
+    # lines end at "\n" only: a form feed neither ends one nor shifts later numbers
+    with pytest.raises(ParseError, match="^line 3: could not convert string to float: 'x'$"):
+        parse_lexicon(b"# a\x0cb\ngood\t1.0\nbad\tx\n")
+    assert parse_stopwords(b"# a\x0cthe\nand\n") == {"and"}
 
 
 def test_bundled_lexicon_excludes_modifier_vocabulary():
@@ -158,8 +162,8 @@ def test_scoring_is_deterministic():
 CAL = [date(2021, 6, 7), date(2021, 6, 8), date(2021, 6, 9)]  # Mon..Wed
 
 
-def news(d: date, headline: str, ticker: str = "RIL") -> NewsItem:
-    return NewsItem(date=d, ticker=ticker, headline=headline)
+def news(d: date, headline: str, ticker: str = "RIL", line: int = 2) -> NewsItem:
+    return NewsItem(date=d, ticker=ticker, headline=headline, line=line)
 
 
 def test_same_day_headlines_concatenate_into_one_record():
@@ -187,8 +191,9 @@ def test_weekend_news_rolls_forward_to_monday():
 
 
 def test_news_after_calendar_end_is_an_error():
-    with pytest.raises(NewsAfterCalendarEnd):
-        aggregate_daily([news(date(2021, 6, 10), "late")], CAL, "RIL", LEXICON, STOPWORDS)
+    late = "^line 5, column 'Date': RIL: news dated 2021-06-10 falls after the last trading day"
+    with pytest.raises(ParseError, match=late):
+        aggregate_daily([news(date(2021, 6, 10), "late", line=5)], CAL, "RIL", LEXICON, STOPWORDS)
 
 
 def test_other_tickers_are_ignored():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockcast.errors import DuplicateDate, EmptyIntersection
+from stockcast.errors import EmptyIntersection
 from stockcast.sentiment import NEUTRAL_SCORE, SentimentScore
 from stockcast.sentiment.daily import DailySentiment
 from stockcast.series import MACRO_COLUMNS, POSITIVE_MACRO, MacroSeries, PriceSeries, align_panel
@@ -150,7 +150,7 @@ def test_duplicate_sentiment_dates_rejected():
 
 
 def test_price_series_rejects_duplicate_dates():
-    with pytest.raises(DuplicateDate):
+    with pytest.raises(ValueError, match=f"^duplicate date {D1}$"):
         make_prices([D1, D1], [10, 10])
 
 
