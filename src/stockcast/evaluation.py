@@ -1,10 +1,10 @@
 """Metrics, macro correlation, and the walk-forward next-day harness.
 
-The harness hands every model a HistorySlice that can only serve panel
-rows up to the forecast origin, and the slice records the highest row it
-actually served. Each prediction therefore uses true history (never prior
-predictions), and tests can audit that nothing dated on or after the
-target was read.
+The harness hands every model one History of the panel and the N forecast
+origins. It serves each step only the panel rows up to that step's origin
+and records the highest row it served per step. Each prediction therefore
+uses true history (never prior predictions), and tests can audit that
+nothing dated on or after the target was read.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import FEATURE_NAMES
 from .errors import StockcastError
@@ -60,50 +61,47 @@ class MetricSet:
             raise ValueError("metrics must be non-negative")
 
 
-class HistorySlice:
-    """Panel rows 0..end, inclusive; records the highest row served."""
+class History:
+    """Panel rows 0..ends[i] for each step i, served to all N steps as whole arrays.
 
-    def __init__(self, panel: AlignedPanel, end: int) -> None:
-        if not 0 <= end < len(panel):
-            raise StockcastError(f"history end {end} outside panel of {len(panel)} rows")
+    `ends` (each target row - 1) is strictly increasing, so the first step
+    has the shortest history. `max_row_read` is -1 per step until an
+    accessor serves the batch, then the last row each step was served.
+    """
+
+    def __init__(self, panel: AlignedPanel, ends: np.ndarray) -> None:
         self._panel = panel
-        self.end = end
-        self.max_row_read = -1
+        self.ends = ends
+        self.max_row_read = np.full(len(ends), -1)
 
-    def _mark(self, row: int) -> None:
-        if row > self.max_row_read:
-            self.max_row_read = row
+    def _serve(self) -> None:
+        self.max_row_read = self.ends
 
-    def last_closes(self, count: int) -> np.ndarray:
-        if count < 1 or count > self.end + 1:
-            raise StockcastError(f"cannot serve {count} closes from {self.end + 1} rows")
-        self._mark(self.end)
-        return self._panel.close[self.end - count + 1 : self.end + 1]
+    def windows(self, count: int) -> np.ndarray:
+        """(N, count): each step's last `count` closes."""
+        if count < 1 or count > self.ends[0] + 1:
+            raise StockcastError(f"cannot serve {count} closes from {self.ends[0] + 1} rows")
+        self._serve()
+        return sliding_window_view(self._panel.close, count)[self.ends - count + 1]
 
-    def all_closes(self) -> np.ndarray:
-        self._mark(self.end)
-        return self._panel.close[: self.end + 1]
+    def closes(self) -> np.ndarray:
+        """The closes through the last step's end; step i owns the first ends[i] + 1."""
+        self._serve()
+        return self._panel.close[: self.ends[-1] + 1]
 
-    def feature_row(self) -> np.ndarray:
-        """Day-`end` feature vector in FEATURE_NAMES order."""
-        self._mark(self.end)
-        return np.array(
-            [self._panel.column(name)[self.end] for name in FEATURE_NAMES], dtype=np.float64
-        )
-
-    @property
-    def next_index(self) -> int:
-        """Row index of the forecast target."""
-        return self.end + 1
+    def feature_rows(self) -> np.ndarray:
+        """(N, p): each step's day-`end` feature vector in FEATURE_NAMES order."""
+        self._serve()
+        return np.column_stack([self._panel.column(name)[self.ends] for name in FEATURE_NAMES])
 
 
-def predict_step(model, histories: Sequence[HistorySlice]) -> np.ndarray:
+def predict_step(model, history: History) -> np.ndarray:
     """Next-day predictions for all steps of a walk-forward, as one model call.
 
     This is the one place the harness asks a model for predictions, so a
     timing tool can wrap it by name.
     """
-    return model.predict(histories)
+    return model.predict(history)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def walk_forward(
     earlier row each, all falling after the model's training range (the
     boundary check is relaxed for in-sample diagnostics). When `audit` is
     given, (target_row, max_row_read) pairs are appended per step. The
-    model gets every step's history slice in one `predict` call.
+    model gets every step's history in one `predict` call.
     """
     if len(target_dates) == 0:
         raise StockcastError("validation range is empty")
@@ -180,11 +178,11 @@ def walk_forward(
             f"validation starts {target_dates[0]} but training ran through {train_end}"
         )
 
-    histories = [HistorySlice(panel, end=j - 1) for j in indices]
-    predicted = predict_step(model, histories)
+    history = History(panel, np.array(indices) - 1)
+    predicted = predict_step(model, history)
     actual = panel.close[indices]
     if audit is not None:
-        audit.extend((j, h.max_row_read) for j, h in zip(indices, histories))
+        audit.extend(zip(indices, history.max_row_read.tolist()))
 
     metrics = MetricSet(
         rmse=rmse(predicted, actual), mape=mape(predicted, actual), n=len(indices)

@@ -103,8 +103,8 @@ class ArimaModel:
     def min_history(self) -> int:
         return len(difference_poly(self.spec))
 
-    def predict(self, histories) -> np.ndarray:
-        return _forecasts(self, [h.all_closes() for h in histories])
+    def predict(self, history) -> np.ndarray:
+        return _forecasts(self, history.closes(), history.ends + 1)
 
 
 def difference_poly(spec: ArimaSpec) -> np.ndarray:
@@ -229,16 +229,16 @@ def _fitted_polys(model: ArimaModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _next_value(
-    history: np.ndarray, w: np.ndarray, e: np.ndarray, a: np.ndarray, m: np.ndarray,
+    y: np.ndarray, t: int, w: np.ndarray, e: np.ndarray, a: np.ndarray, m: np.ndarray,
     c: np.ndarray,
 ) -> float:
-    """Forecast after `history`, whose differenced values and residuals are
-    the first len(history) - len(c) + 1 entries of `w` and `e`.
+    """Forecast after the first `t` values of `y`, whose differenced values
+    and residuals are the first t - len(c) + 1 entries of `w` and `e`.
 
     Forecasts the next differenced value with the future shock set to zero,
     then inverts the differencing.
     """
-    n = len(history) - len(c) + 1
+    n = t - len(c) + 1
     w_next = 0.0
     for k in range(1, min(n, len(a) - 1) + 1):
         w_next -= a[k] * w[n - k]
@@ -246,30 +246,28 @@ def _next_value(
         w_next += m[j] * e[n - j]
     y_next = w_next
     for k in range(1, len(c)):
-        y_next -= c[k] * history[len(history) - k]
+        y_next -= c[k] * y[t - k]
     return float(y_next)
 
 
-def _forecasts(model: ArimaModel, histories: list) -> np.ndarray:
-    """The mean next-value forecast after each of `histories`, from one
-    residual pass.
+def _forecasts(model: ArimaModel, y: np.ndarray, lengths) -> np.ndarray:
+    """The mean next-value forecast after the first t values of `y`, for
+    each t in `lengths`, from one residual pass.
 
-    The histories must be prefixes of one series, as the walk-forward's
-    slices of one panel are. The residuals are conditional with a zero
-    start, so e[:n] depends on w[:n] only: the longest history is
-    differenced and filtered once with the fitted coefficients, and each
-    forecast reads its prefix of `w` and `e`.
+    The residuals are conditional with a zero start, so e[:n] depends on
+    w[:n] only: `y` is differenced and filtered once with the fitted
+    coefficients, and each forecast reads its prefix of `w` and `e`.
     """
-    series = [np.asarray(h, dtype=np.float64) for h in histories]
+    y = np.asarray(y, dtype=np.float64)
     c = difference_poly(model.spec)
-    if min(map(len, series)) < len(c):
+    if min(lengths) < len(c):
         raise StockcastError(f"history must cover at least {len(c)} observations")
-    w = apply_differencing(max(series, key=len), model.spec)
+    w = apply_differencing(y, model.spec)
     a, m = _fitted_polys(model)
     e = _residuals(w, a, m)
-    return np.array([_next_value(y, w, e, a, m, c) for y in series], dtype=np.float64)
+    return np.array([_next_value(y, t, w, e, a, m, c) for t in lengths], dtype=np.float64)
 
 
 def one_step_forecast(model: ArimaModel, history: np.ndarray) -> float:
     """Mean forecast of the next value given raw history through today."""
-    return float(_forecasts(model, [history])[0])
+    return float(_forecasts(model, history, [len(history)])[0])

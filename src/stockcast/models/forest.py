@@ -221,9 +221,8 @@ class ForestModel:
     def predict_row(self, row: np.ndarray) -> float:
         return float(self._predict_rows(np.asarray(row, dtype=np.float64)[None])[0])
 
-    def predict(self, histories) -> np.ndarray:
-        rows = [h.feature_row() for h in histories]
-        return self._predict_rows(np.array(rows, dtype=np.float64, ndmin=2))
+    def predict(self, history) -> np.ndarray:
+        return self._predict_rows(history.feature_rows())
 
     def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
         """Mean over the trees of each row's leaf value.

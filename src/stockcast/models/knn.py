@@ -58,9 +58,8 @@ class KnnModel:
     def min_history(self) -> int:
         return self.window
 
-    def predict(self, histories) -> np.ndarray:
-        windows = np.array([h.last_closes(self.window) for h in histories], dtype=np.float64)
-        return self._predict_windows(windows.reshape(-1, self.window))
+    def predict(self, history) -> np.ndarray:
+        return self._predict_windows(history.windows(self.window))
 
     def predict_window(self, window: np.ndarray) -> float:
         window = np.asarray(window, dtype=np.float64)

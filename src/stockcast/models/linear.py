@@ -37,11 +37,9 @@ class LinearModel:
     def min_history(self) -> int:
         return self.feature_count
 
-    def predict(self, histories) -> np.ndarray:
-        return np.array(
-            [self.predict_row(h.last_closes(self.feature_count)) for h in histories],
-            dtype=np.float64,
-        )
+    def predict(self, history) -> np.ndarray:
+        rows = history.windows(self.feature_count)
+        return np.array([self.predict_row(row) for row in rows], dtype=np.float64)
 
 
 def linreg_fit(x: np.ndarray, y: np.ndarray, train_end=None) -> LinearModel:

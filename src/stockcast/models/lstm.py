@@ -173,11 +173,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 @dataclass
 class _LayerCache:
     inputs: np.ndarray      # (B, W, D)
-    h_prev: np.ndarray      # (B, W, H) hidden state entering each step
-    c_prev: np.ndarray      # (B, W, H) cell state entering each step
+    h: np.ndarray           # (B, W + 1, H) hidden states: h[:, t] enters step t, h[:, 0] = 0
+    c: np.ndarray           # (B, W + 1, H) cell states, indexed like h
     gates: np.ndarray       # (B, W, 4H) post-activation [i, f, g, o]
     tanh_c: np.ndarray      # (B, W, H)
-    h_seq: np.ndarray       # (B, W, H) layer output
 
 
 def _input_projection(layer: LayerParams, seq: np.ndarray) -> np.ndarray:
@@ -192,21 +191,20 @@ def _layer_forward(
     layer: LayerParams, seq: np.ndarray, keep_cache: bool
 ) -> tuple[np.ndarray, _LayerCache | None]:
     """One layer's (B, W, H) output sequence, plus everything BPTT needs
-    when `keep_cache` is true. Without a cache only the running h and c are
-    kept, so memory grows with the batch alone."""
+    when `keep_cache` is true. Without a cache the cell state is kept only
+    as it runs."""
     batch, steps, _ = seq.shape
     hidden = layer.w_h.shape[0]
     zx = _input_projection(layer, seq)
-    h_seq = np.empty((batch, steps, hidden))
+    h_all = np.zeros((batch, steps + 1, hidden))
     cache = None
     if keep_cache:
         cache = _LayerCache(
             inputs=seq,
-            h_prev=np.empty((batch, steps, hidden)),
-            c_prev=np.empty((batch, steps, hidden)),
+            h=h_all,
+            c=np.zeros((batch, steps + 1, hidden)),
             gates=np.empty((batch, steps, 4 * hidden)),
             tanh_c=np.empty((batch, steps, hidden)),
-            h_seq=h_seq,
         )
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
@@ -220,22 +218,21 @@ def _layer_forward(
             gates[:, : 2 * hidden] = i_f
             gates[:, 2 * hidden : 3 * hidden] = g
             gates[:, 3 * hidden :] = o
-            cache.h_prev[:, t] = h
-            cache.c_prev[:, t] = c
         c = i_f[:, hidden:] * c + i_f[:, :hidden] * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
         if cache is not None:
+            cache.c[:, t + 1] = c
             cache.tanh_c[:, t] = tanh_c
-        h_seq[:, t] = h
-    return h_seq, cache
+        h_all[:, t + 1] = h
+    return h_all[:, 1:], cache
 
 
 def _layer_backward(
     layer: LayerParams, cache: _LayerCache, d_out_seq: np.ndarray
 ) -> tuple[LayerParams, np.ndarray]:
     """Gradients for one layer given dL/d(output sequence)."""
-    batch, steps, hidden = cache.h_seq.shape
+    batch, steps, hidden = cache.tanh_c.shape
     dz_all = np.empty((batch, steps, 4 * hidden))
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
@@ -250,7 +247,7 @@ def _layer_backward(
         dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
         di = dc * g
         dg = dc * i
-        df = dc * cache.c_prev[:, t]
+        df = dc * cache.c[:, t]
         dc_next = dc * f
         dz = dz_all[:, t]
         dz[:, :hidden] = di * i * (1.0 - i)
@@ -262,7 +259,7 @@ def _layer_backward(
     d_in = cache.inputs.shape[2]
     grads = LayerParams(
         w_x=cache.inputs.reshape(batch * steps, d_in).T @ flat_dz,
-        w_h=cache.h_prev.reshape(batch * steps, hidden).T @ flat_dz,
+        w_h=cache.h[:, :-1].reshape(batch * steps, hidden).T @ flat_dz,
         b=flat_dz.sum(axis=0),
     )
     d_input_seq = (flat_dz @ layer.w_x.T).reshape(batch, steps, d_in)
@@ -345,7 +342,7 @@ def lstm_gradients(
     hidden_last = topology.layer_sizes[-1]
     stack_grads: list[list[LayerParams]] = []
     for s, (stack, caches) in enumerate(zip(params.stacks, cache.stacks)):
-        d_out = np.zeros_like(caches[-1].h_seq)
+        d_out = np.zeros_like(caches[-1].tanh_c)
         d_out[:, -1] = d_a[:, s * hidden_last : (s + 1) * hidden_last]
         grads: list[LayerParams] = []
         for li in range(len(stack) - 1, -1, -1):
@@ -390,9 +387,9 @@ class NeuralModelArtifact:
     def min_history(self) -> int:
         return self.topology.window
 
-    def predict(self, histories) -> np.ndarray:
+    def predict(self, history) -> np.ndarray:
         # no step reads a prediction, so all windows go through one forward
-        return predict_next(self, np.stack([h.last_closes(self.min_history) for h in histories]))
+        return predict_next(self, history.windows(self.min_history))
 
 
 def predict_next(artifact: NeuralModelArtifact, recent_closes: np.ndarray) -> np.ndarray:

@@ -16,5 +16,5 @@ class PersistenceModel:
 
     train_end: date | None = None
 
-    def predict(self, histories) -> np.ndarray:
-        return np.array([h.last_closes(1)[0] for h in histories], dtype=np.float64)
+    def predict(self, history) -> np.ndarray:
+        return history.windows(1)[:, 0]

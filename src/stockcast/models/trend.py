@@ -20,11 +20,11 @@ class TrendModel:
     slope: float
     train_end: date | None = None
 
-    def predict_index(self, t: int) -> float:
+    def predict_index(self, t: int | np.ndarray) -> float | np.ndarray:
         return self.intercept + self.slope * t
 
-    def predict(self, histories) -> np.ndarray:
-        return np.array([self.predict_index(h.next_index) for h in histories], dtype=np.float64)
+    def predict(self, history) -> np.ndarray:
+        return self.predict_index(history.ends + 1)
 
 
 def additive_trend_fit(closes: np.ndarray, train_end=None) -> TrendModel:

@@ -222,7 +222,7 @@ def evaluate_models(
             "seed": config.seed,
             "config_digest": config.digest(),
             "window": config.window,
-            "primary_ticker": config.tickers[0],
+            "primary_ticker": tickers[0],
         }
     )
     for ticker in tickers:

@@ -35,6 +35,7 @@ from stockcast.models.lstm import (
 from stockcast.models.persistence import PersistenceModel
 from stockcast.models.trend import additive_trend_fit
 from stockcast.sentiment import BUNDLED_LEXICON, parse_lexicon, score_text
+from stockcast.series import MACRO_COLUMNS, AlignedPanel
 
 from cart_oracle import exhaustive_tree
 from conftest import make_panel
@@ -200,6 +201,23 @@ def test_arima_degenerate_and_ma1_recovery():
 # --- 6. leakage audit -----------------------------------------------------------
 
 
+def perturbed_from(panel: AlignedPanel, row: int) -> AlignedPanel:
+    """`panel` with the close and macro columns scaled by 1.37 and the
+    sentiment columns negated, from `row` on."""
+
+    def scaled(column: np.ndarray, factor: float) -> np.ndarray:
+        out = column.copy()
+        out[row:] *= factor
+        return out
+
+    return AlignedPanel(
+        dates=panel.dates,
+        **{name: scaled(panel.column(name), 1.37) for name in ("close", *MACRO_COLUMNS)},
+        sentiment={name: scaled(col, -1.0) for name, col in panel.sentiment.items()},
+        ticker=panel.ticker,
+    )
+
+
 @criterion("leakage-audit")
 def test_walk_forward_never_reads_target_or_later():
     lstm_topology = LstmTopology(layer_sizes=(3,), dense_sizes=(1,), window=5)
@@ -244,11 +262,19 @@ def test_walk_forward_never_reads_target_or_later():
         ]
         for model in models:
             audit: list = []
-            walk_forward(model, panel, targets, audit=audit)
+            entry = walk_forward(model, panel, targets, audit=audit)
             assert len(audit) == len(targets)
             for target_row, max_read in audit:
                 assert max_read < target_row, (
                     f"{type(model).__name__} read row {max_read} for target {target_row}"
+                )
+            # changing rows j.. changes no prediction for a target row <= j, even
+            # where one computation serves every step
+            for j in (split_row, split_row + 3, len(panel) - 1):
+                changed = walk_forward(model, perturbed_from(panel, j), targets)
+                kept = j - split_row + 1
+                assert np.array_equal(changed.predicted[:kept], entry.predicted[:kept]), (
+                    f"{type(model).__name__}: a change from row {j} moved an earlier prediction"
                 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from stockcast.config import load_config
 from stockcast.dataset import MinMaxScaler, build_windows, chronological_split, fit_scaler
 from stockcast.errors import StockcastError
-from stockcast.evaluation import HistorySlice
+from stockcast.evaluation import History
 from stockcast.models.arima import (
     ArimaModel,
     ArimaSpec,
@@ -174,10 +174,10 @@ def test_batched_knn_predict_equals_predict_window(monkeypatch, chunk_rows):
     inputs, targets = build_windows(closes, 5)
     if chunk_rows is not None:
         monkeypatch.setattr(knn, "_CHUNK_ELEMENTS", chunk_rows * inputs.size)
-    histories = [HistorySlice(panel, end=j) for j in range(4, len(panel))]
-    windows = [h.last_closes(5) for h in histories]
+    history = History(panel, np.arange(4, len(panel)))
+    windows = history.windows(5)
     expected = np.array([model.predict_window(w) for w in windows])
-    assert np.array_equal(model.predict(histories), expected)
+    assert np.array_equal(model.predict(history), expected)
     naive = [naive_knn(scaler.apply(inputs), targets, scaler.apply(w), model.k) for w in windows]
     assert np.array_equal(expected, naive)
 
@@ -295,9 +295,9 @@ def test_series_too_short():
 
 def assert_walk_forward_equals_per_step(model: ArimaModel, panel, split_row: int) -> None:
     """One `predict` over every history equals one `one_step_forecast` per history."""
-    histories = [HistorySlice(panel, end=j - 1) for j in range(model.min_history, len(panel))]
-    batched = model.predict(histories)
-    per_step = np.array([one_step_forecast(model, h.all_closes()) for h in histories])
+    ends = np.arange(model.min_history, len(panel)) - 1
+    batched = model.predict(History(panel, ends))
+    per_step = np.array([one_step_forecast(model, panel.close[: j + 1]) for j in ends])
     cut = split_row - model.min_history
     np.testing.assert_array_equal(batched[cut:], per_step[cut:])  # validation rows
     np.testing.assert_array_equal(batched[:cut], per_step[:cut])  # in-sample rows

@@ -301,6 +301,15 @@ def test_predict_date_gives_single_row(mini, tmp_path, capsys):
     assert len(doc["entries"][0]["dates"]) == 1
 
 
+def test_evaluating_one_later_ticker_compares_that_ticker(mini, tmp_path):
+    common = ["--config", mini, "--model", "additive", "--ticker", "BBB", "--out", tmp_path]
+    assert run("train", *common) == 0
+    assert run("evaluate", *common) == 0
+    md = (tmp_path / "report" / "report.md").read_text()
+    assert "## Model comparison (BBB)" in md
+    assert "| Additive trend |" in md
+
+
 def test_gridsearch_window_with_fast_model(mini, tmp_path, capsys):
     out_dir = tmp_path / "grid"
     assert run("gridsearch-window", "--config", mini, "--model", "knn", "--ticker", "AAA",

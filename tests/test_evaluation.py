@@ -3,7 +3,7 @@ import pytest
 
 from stockcast.errors import StockcastError
 from stockcast.evaluation import (
-    HistorySlice,
+    History,
     correlation_matrix,
     mape,
     rmse,
@@ -98,13 +98,14 @@ def test_validation_must_follow_training_range(small_panel: AlignedPanel):
     walk_forward(model, small_panel, small_panel.dates[36:])
 
 
-def test_history_slice_cannot_serve_the_future(small_panel: AlignedPanel):
-    history = HistorySlice(small_panel, end=10)
-    closes = history.last_closes(5)
-    assert np.array_equal(closes, small_panel.close[6:11])
-    assert history.max_row_read == 10
+def test_history_serves_each_step_only_its_own_rows(small_panel: AlignedPanel):
+    history = History(small_panel, np.array([10, 14]))
+    assert history.max_row_read.tolist() == [-1, -1]
+    windows = history.windows(5)
+    assert np.array_equal(windows, [small_panel.close[6:11], small_panel.close[10:15]])
+    assert np.array_equal(history.max_row_read, history.ends)
     with pytest.raises(StockcastError, match="^cannot serve 12 closes from 11 rows$"):
-        history.last_closes(12)
+        history.windows(12)
 
 
 def small_neural(panel: AlignedPanel, split_row: int, bidirectional: bool = False,

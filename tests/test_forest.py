@@ -3,7 +3,7 @@ import pytest
 
 from stockcast.dataset import build_feature_table, chronological_split
 from stockcast.errors import SchemaMismatch, StockcastError
-from stockcast.evaluation import HistorySlice
+from stockcast.evaluation import History
 from stockcast.models import forest
 from stockcast.models.artifacts import dumps_artifact
 from stockcast.models.forest import (
@@ -30,14 +30,14 @@ def assert_tree_equals_oracle(tree: RegressionTree, oracle: dict, node: int = 0)
     assert_tree_equals_oracle(tree, oracle["right"], tree.right[node])
 
 
-class FeatureRow:
-    """A stand-in history that serves one given feature row."""
+class FeatureRows:
+    """A stand-in history that serves the given feature rows."""
 
-    def __init__(self, row: np.ndarray) -> None:
-        self.row = row
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
 
-    def feature_row(self) -> np.ndarray:
-        return self.row
+    def feature_rows(self) -> np.ndarray:
+        return self.rows
 
 
 def small_table(n=30, seed=0) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +78,7 @@ def test_adjacent_doubles_split_without_an_empty_leaf():
     tree = fit_tree(x, y)
     assert not np.any(np.isnan(tree.value))
     one_tree = ForestModel(trees=(tree,), feature_names=("x",), config=ForestConfig(n_trees=1))
-    assert np.array_equal(one_tree.predict([FeatureRow(r) for r in x]), y)
+    assert np.array_equal(one_tree.predict(FeatureRows(x)), y)
     assert_tree_equals_oracle(tree, exhaustive_tree(x, y, max_depth=None))
 
 
@@ -166,9 +166,10 @@ def test_batched_forest_prediction_equals_per_row_tree_means(monkeypatch, chunk_
     model = forest_train(features[:60], targets[:60], ForestConfig(n_trees=11, seed=4))
     if chunk_rows is not None:
         monkeypatch.setattr(forest, "_CHUNK_ELEMENTS", chunk_rows * len(model.trees))
-    histories = [HistorySlice(panel, end=j) for j in range(len(panel))]
-    expected = per_tree_means(model, np.array([h.feature_row() for h in histories]))
-    assert np.array_equal(model.predict(histories), expected)
+    history = History(panel, np.arange(len(panel)))
+    rows = history.feature_rows()
+    expected = per_tree_means(model, rows)
+    assert np.array_equal(model.predict(history), expected)
     # the one-row call of a --predict-date evaluation
-    assert np.array_equal(model.predict(histories[70:71]), expected[70:71])
-    assert model.predict_row(histories[70].feature_row()) == expected[70]
+    assert np.array_equal(model.predict(History(panel, np.array([70]))), expected[70:71])
+    assert model.predict_row(rows[70]) == expected[70]

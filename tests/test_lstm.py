@@ -162,14 +162,14 @@ def test_gate_activations_bounded_and_cells_finite():
     x = RNG.normal(0, 2, (7, 8))
     cache = _forward(params, x)
     for layer_cache in cache.stacks[0]:
-        hidden = layer_cache.c_prev.shape[2]
+        hidden = layer_cache.c.shape[2]
         gates = layer_cache.gates
         sig = np.concatenate(
             [gates[:, :, :hidden], gates[:, :, hidden : 2 * hidden], gates[:, :, 3 * hidden :]],
             axis=2,
         )
         assert np.all(sig > 0.0) and np.all(sig < 1.0)
-        assert np.all(np.isfinite(layer_cache.c_prev))
+        assert np.all(np.isfinite(layer_cache.c))
         assert np.all(np.abs(layer_cache.tanh_c) <= 1.0)
 
 
