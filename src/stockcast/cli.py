@@ -78,7 +78,7 @@ def cmd_ingest_check(data: PipelineData) -> None:
     news = data.news
     print(f"news: {len(news.items)} headlines, skipped {news.skipped}")
     for ticker in config.tickers:
-        panel = data.panel(ticker)
+        panel = data.panel(ticker, scored_rows=frozenset())  # news checked, no day scored
         print(f"panel {ticker}: {len(panel)} aligned rows, split at {data.row_split(panel)}")
 
 

@@ -90,9 +90,20 @@ class History:
         return self._panel.close[: self.ends[-1] + 1]
 
     def feature_rows(self) -> np.ndarray:
-        """(N, p): each step's day-`end` feature vector in FEATURE_NAMES order."""
+        """(N, p): each step's day-`end` feature vector in FEATURE_NAMES order.
+
+        A row with a non-finite cell (news the panel did not score) is an error.
+        """
         self._serve()
-        return np.column_stack([self._panel.column(name)[self.ends] for name in FEATURE_NAMES])
+        rows = np.column_stack([self._panel.column(name)[self.ends] for name in FEATURE_NAMES])
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            day = self._panel.dates[self.ends[np.argmin(finite)]]
+            raise StockcastError(
+                f"{self._panel.ticker}: the feature row of {day} is not finite "
+                "(its sentiment was not scored)"
+            )
+        return rows
 
 
 def predict_step(model, history: History) -> np.ndarray:

@@ -55,8 +55,7 @@ class PipelineData:
     def __init__(self, config: RunConfig) -> None:
         self.config = config
         self._prices: dict[str, object] = {}
-        self._sentiment: dict[str, list[DailySentiment]] = {}
-        self._panels: dict[tuple[str, bool], AlignedPanel] = {}
+        self._panels: dict[tuple[str, bool, frozenset | None], AlignedPanel] = {}
 
     @cached_property
     def lexicon(self):
@@ -93,30 +92,39 @@ class PipelineData:
             lambda data: parse_news_file(data, universe=set(self.config.tickers)),
         )
 
-    def sentiment_records(self, ticker: str) -> list[DailySentiment]:
-        if ticker not in self._sentiment:
-            calendar = self.prices(ticker).series.dates
-            # parsed outside the try: their errors already name their files
-            news, lexicon, stopwords = self.news.items, self.lexicon, self.stopwords
-            try:
-                self._sentiment[ticker] = aggregate_daily(
-                    news,
-                    calendar,
-                    ticker,
-                    lexicon,
-                    stopwords,
-                    config=self.config.preprocess,
-                    per_headline_average=self.config.per_headline_average,
-                )
-            except ParseError as exc:  # a headline dated after the calendar
-                raise StockcastError(f"{self.config.news_path}: {exc}") from exc
-        return self._sentiment[ticker]
+    def sentiment_records(
+        self, ticker: str, scored_rows: frozenset[int] | None = None
+    ) -> list[DailySentiment]:
+        """One record per trading day; with `scored_rows`, only those rows are scored."""
+        calendar = self.prices(ticker).series.dates
+        days = None if scored_rows is None else {calendar[i] for i in scored_rows}
+        # parsed outside the try: their errors already name their files
+        news, lexicon, stopwords = self.news.items, self.lexicon, self.stopwords
+        try:
+            return aggregate_daily(
+                news,
+                calendar,
+                ticker,
+                lexicon,
+                stopwords,
+                config=self.config.preprocess,
+                per_headline_average=self.config.per_headline_average,
+                days=days,
+            )
+        except ParseError as exc:  # a headline dated after the calendar
+            raise StockcastError(f"{self.config.news_path}: {exc}") from exc
 
-    def panel(self, ticker: str, sentiment: bool = True) -> AlignedPanel:
-        """The aligned panel of `ticker`; without `sentiment` the news file is never read."""
-        key = (ticker, sentiment)
+    def panel(
+        self, ticker: str, sentiment: bool = True, scored_rows: frozenset[int] | None = None
+    ) -> AlignedPanel:
+        """The aligned panel of `ticker`; without `sentiment` the news file is never read.
+
+        With `scored_rows`, the news of only those rows is scored, and any
+        other row with news holds NaN sentiment, which no model may read.
+        """
+        key = (ticker, sentiment, scored_rows)
         if key not in self._panels:
-            records = self.sentiment_records(ticker) if sentiment else None
+            records = self.sentiment_records(ticker, scored_rows) if sentiment else None
             try:
                 self._panels[key] = align_panel(
                     self.prices(ticker).series, self.macro, sentiment=records
@@ -215,7 +223,10 @@ def evaluate_models(
     tickers: list[str],
     predict_date=None,
 ) -> ForecastReport:
-    """Walk-forward evaluation of saved artifacts on the validation dates."""
+    """Walk-forward evaluation of saved artifacts on the validation dates.
+
+    A sentiment kind's panel is scored only on the rows its walk-forward reads.
+    """
     config = data.config
     report = ForecastReport(
         metadata={
@@ -227,20 +238,22 @@ def evaluate_models(
     )
     for ticker in tickers:
         for kind in kinds:
-            panel = data.panel(ticker, sentiment=KINDS[kind].sentiment)
-            s = data.row_split(panel)
-            targets = list(panel.dates[s:])
+            panel = data.panel(ticker, sentiment=False)
+            target_rows = range(data.row_split(panel), len(panel))
             if predict_date is not None:
                 if predict_date not in panel.dates:
                     raise StockcastError(
                         f"--predict-date {predict_date} is not a trading date of {ticker}"
                     )
-                targets = [predict_date]
+                target_rows = [panel.dates.index(predict_date)]
             path = artifact_path(config.out_dir, ticker, kind)
             if not path.exists():
                 raise ArtifactError(f"missing artifact for {ticker}/{kind}: {path} (run train first)")
             model = load_artifact(path)
-            report.add(walk_forward(model, panel, targets))
+            if KINDS[kind].sentiment:  # target row j reads row j - 1 only
+                reads = frozenset(j - 1 for j in target_rows if j > 0)
+                panel = data.panel(ticker, scored_rows=reads)
+            report.add(walk_forward(model, panel, [panel.dates[j] for j in target_rows]))
     if report.entries:
         first, last = report.entries[0].dates[0], report.entries[0].dates[-1]
         report.metadata["validation_range"] = f"{first.isoformat()} .. {last.isoformat()}"

@@ -7,9 +7,10 @@ Rolling backward would leak the future into the past.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from ..errors import ParseError
 from ..ingest import NewsItem
@@ -19,6 +20,7 @@ from .preprocess import PreprocessConfig, preprocess_text
 from .scorer import NEUTRAL_SCORE, SentimentScore, score_text
 
 HEADLINE_JOINER = ". "
+UNSCORED = SentimentScore(math.nan, math.nan, math.nan, math.nan)
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,7 @@ def aggregate_daily(
     stopwords: frozenset[str],
     config: PreprocessConfig = PreprocessConfig(),
     per_headline_average: bool = False,
+    days: AbstractSet[TradingDate] | None = None,
 ) -> list[DailySentiment]:
     """One record per calendar date for `ticker`.
 
@@ -55,6 +58,11 @@ def aggregate_daily(
     scores each preprocessed headline separately and averages the four
     components; it is an offered alternative, not the default, because a
     day's sentiment is defined as the sentiment of the day's combined news.
+
+    With `days`, only those calendar dates are scored. Any other date with
+    news gets UNSCORED, which is NaN, so a model that reads it fails instead
+    of seeing a made-up score. Every headline is still rolled forward and
+    checked, and every date still gets its record and headline count.
     """
     calendar = list(calendar)
     by_day: dict[TradingDate, list[str]] = {}
@@ -72,6 +80,9 @@ def aggregate_daily(
         headlines = by_day.get(day, [])
         if not headlines:
             records.append(DailySentiment(day, ticker, NEUTRAL_SCORE, 0))
+            continue
+        if days is not None and day not in days:
+            records.append(DailySentiment(day, ticker, UNSCORED, len(headlines)))
             continue
         if per_headline_average:
             scores = [

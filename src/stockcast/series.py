@@ -104,7 +104,8 @@ class MacroSeries:
 class AlignedPanel:
     """Prices, macro columns, and optional sentiment on one trading calendar.
 
-    All columns have length len(dates); no cell is missing.
+    All columns have length len(dates). Close and macro cells are finite;
+    a sentiment cell is finite, or NaN where that day's news was not scored.
     """
 
     dates: tuple[TradingDate, ...]
@@ -123,7 +124,8 @@ class AlignedPanel:
         if self.sentiment is not None:
             if tuple(self.sentiment) != SENTIMENT_COLUMNS:
                 raise ValueError(f"sentiment columns must be {', '.join(SENTIMENT_COLUMNS)}")
-            cols += list(self.sentiment.values())
+            # NaN marks a day whose news was not scored; infinities stay errors
+            cols += [np.where(np.isnan(col), 0.0, col) for col in self.sentiment.values()]
         for col in cols:
             if len(col) != n:
                 raise ValueError("all panel columns must match the calendar length")

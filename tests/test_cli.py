@@ -19,7 +19,7 @@ from stockcast.config import WINDOW_MAX, load_config
 from stockcast.errors import StockcastError
 from stockcast.models.artifacts import KINDS
 from stockcast.pipeline import PipelineData
-from stockcast.sentiment import BUNDLED_LEXICON, BUNDLED_STOPWORDS
+from stockcast.sentiment import BUNDLED_LEXICON, BUNDLED_STOPWORDS, aggregate_daily, daily
 
 from mini_data import edit_artifact, write_mini_dataset
 
@@ -367,16 +367,104 @@ def test_the_forest_reads_the_news(mini, tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("bad_row", ["not-a-date,AAA,headline", "2030-01-02,AAA,late news"])
 def test_a_bad_news_file_fails_only_the_commands_that_read_it(tmp_path, capsys, bad_row):
     config = write_mini_dataset(tmp_path / "data")
+    out_dir = tmp_path / "out"
+    assert run("train", "--model", "forest", "--config", config, "--out", out_dir) == 0
+    last_date = PipelineData(load_config(config)).panel("AAA", sentiment=False).dates[-1]
     with (config.parent / "news.csv").open("a") as fh:
         fh.write(bad_row + "\n")
-    out_dir = tmp_path / "out"
     for command, *args in (("train", "--model", "linreg"), ("evaluate", "--model", "linreg"),
                            ("gridsearch-window", "--model", "knn")):
         assert run(command, *args, "--config", config, "--out", out_dir) == 0
-    for command, *args in (("train", "--model", "forest"), ("sentiment",), ("ingest-check",)):
+    for command, *args in (("train", "--model", "forest"), ("sentiment",), ("ingest-check",),
+                           ("evaluate", "--model", "forest"),
+                           ("evaluate", "--model", "forest", "--predict-date", last_date)):
         capsys.readouterr()
         assert run(command, *args, "--config", config, "--out", out_dir) == 1
         assert f"[{command}] error:" in capsys.readouterr().err
+
+
+NEWS_PHRASES = ("profits surge", "weak sales disappoint. shares slip", "fraud probe alarms",
+                "strong demand lifts outlook")
+
+
+def with_news_to_the_end(root: Path) -> Path:
+    """The mini dataset with news for both tickers on each of the last 30 trading days.
+
+    Every validation row, and the row before the first, then has news to score.
+    """
+    config = write_mini_dataset(root)
+    days = PipelineData(load_config(config)).panel("AAA", sentiment=False).dates
+    with (config.parent / "news.csv").open("a") as fh:
+        for i, day in enumerate(days[-30:]):
+            for ticker in ("AAA", "BBB"):
+                fh.write(f"{day.isoformat()},{ticker},{NEWS_PHRASES[i % 4]}\n")
+    return config
+
+
+def test_each_command_scores_only_the_day_texts_it_reads(tmp_path, monkeypatch):
+    config = with_news_to_the_end(tmp_path / "data")
+    data = PipelineData(load_config(config))
+    panels = [data.panel(t, sentiment=False) for t in ("AAA", "BBB")]
+    validation_rows = sum(len(p) - data.row_split(p) for p in panels)
+    last_date = panels[0].dates[-1].isoformat()
+    scored, score_text = [], daily.score_text
+
+    def counting(text, lexicon):
+        scored.append(text)
+        return score_text(text, lexicon)
+
+    monkeypatch.setattr(daily, "score_text", counting)
+
+    def texts_scored_by(*args) -> int:
+        scored.clear()
+        assert run(*args, "--config", config, "--out", tmp_path / "out") == 0
+        return len(scored)
+
+    # every day with news: 33 of AAA and 32 of BBB
+    assert texts_scored_by("sentiment") == 65
+    assert texts_scored_by("train", "--model", "forest") == 65
+    assert texts_scored_by("ingest-check") == 0
+    assert texts_scored_by("evaluate", "--model", "forest") <= validation_rows
+    assert texts_scored_by("evaluate", "--model", "forest", "--predict-date", last_date) <= 2
+    assert texts_scored_by("evaluate", "--model", "forest", "--ticker", "BBB",
+                           "--predict-date", last_date) <= 1
+
+
+def test_evaluate_scoring_the_rows_it_reads_equals_scoring_every_row(
+    tmp_path, monkeypatch, capsys
+):
+    config = with_news_to_the_end(tmp_path / "data")
+    out_dir = tmp_path / "out"
+    common = ["--config", config, "--model", "forest", "--out", out_dir]
+    assert run("train", *common) == 0
+    data = PipelineData(load_config(config))
+    panel = data.panel("AAA", sentiment=False)
+    first = data.row_split(panel)
+
+    def reports() -> dict:
+        outputs = {}
+        for extra in ((), *(("--predict-date", d) for d in panel.dates[first::5])):
+            assert run("evaluate", *common, *extra) == 0
+            for name in ("metrics.csv", "forecast_report.json"):
+                outputs[extra, name] = (out_dir / "report" / name).read_bytes()
+        return outputs
+
+    def scoring(days):
+        def aggregate(*args, **kwargs):
+            return aggregate_daily(*args, **{**kwargs, "days": days})
+
+        monkeypatch.setattr("stockcast.pipeline.aggregate_daily", aggregate)
+
+    expected = reports()
+    scoring(None)  # every day
+    assert reports() == expected
+    scoring(set())  # no day: the first row the forest reads holds NaN
+    capsys.readouterr()
+    assert run("evaluate", *common) == 1
+    assert capsys.readouterr().err == (
+        f"stockcast: [evaluate] error: AAA: the feature row of {panel.dates[first - 1]} "
+        "is not finite (its sentiment was not scored)\n"
+    )
 
 
 @pytest.mark.parametrize(

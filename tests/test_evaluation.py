@@ -9,7 +9,8 @@ from stockcast.evaluation import (
     rmse,
     walk_forward,
 )
-from stockcast.dataset import fit_scaler
+from stockcast.dataset import build_feature_table, fit_scaler
+from stockcast.models.forest import ForestConfig, forest_train
 from stockcast.models.lstm import LstmTopology, NeuralModelArtifact, init_params
 from stockcast.models.persistence import PersistenceModel
 from stockcast.models.trend import additive_trend_fit
@@ -106,6 +107,45 @@ def test_history_serves_each_step_only_its_own_rows(small_panel: AlignedPanel):
     assert np.array_equal(history.max_row_read, history.ends)
     with pytest.raises(StockcastError, match="^cannot serve 12 closes from 11 rows$"):
         history.windows(12)
+
+
+def test_a_walk_forward_reading_an_unscored_sentiment_row_fails():
+    panel = make_panel(n=60, seed=3)
+    features, targets = build_feature_table(panel)
+    model = forest_train(features[:39], targets[:39], ForestConfig(n_trees=3),
+                         train_end=panel.dates[39])
+    # row 44's news was not scored: its sentiment cells are NaN
+    sentiment = {name: col.copy() for name, col in panel.sentiment.items()}
+    for col in sentiment.values():
+        col[44] = np.nan
+    unscored = AlignedPanel(panel.dates, panel.close, panel.gold, panel.brent, panel.gsec,
+                            panel.usd_inr, sentiment=sentiment, ticker="TEST")
+    # the rows before and after it are read as usual
+    for dates in (panel.dates[40:45], panel.dates[46:]):
+        assert np.array_equal(walk_forward(model, unscored, dates).predicted,
+                              walk_forward(model, panel, dates).predicted)
+    message = f"^TEST: the feature row of {panel.dates[44]} is not finite"
+    for dates in (panel.dates[40:], panel.dates[45:46]):
+        with pytest.raises(StockcastError, match=message):
+            walk_forward(model, unscored, dates)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("compound", np.nan), ("close", np.nan), ("gold", np.nan), ("usd_inr", np.nan),
+     ("compound", np.inf), ("pos", -np.inf)],
+)
+def test_only_sentiment_cells_may_be_nan(small_panel: AlignedPanel, name, value):
+    names = ("close", "gold", "brent", "gsec", "usd_inr")
+    columns = {c: getattr(small_panel, c).copy() for c in names}
+    sentiment = {c: col.copy() for c, col in small_panel.sentiment.items()}
+    (sentiment if name in sentiment else columns)[name][3] = value
+    if name in sentiment and np.isnan(value):
+        panel = AlignedPanel(small_panel.dates, sentiment=sentiment, **columns)
+        assert np.isnan(panel.column(name)[3])
+    else:
+        with pytest.raises(ValueError, match="^panel columns must be finite$"):
+            AlignedPanel(small_panel.dates, sentiment=sentiment, **columns)
 
 
 def small_neural(panel: AlignedPanel, split_row: int, bidirectional: bool = False,

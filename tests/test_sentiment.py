@@ -1,6 +1,7 @@
 import json
 import math
-from datetime import date
+from dataclasses import astuple
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -217,3 +218,48 @@ def test_per_headline_average_mode():
     s1 = score_text(preprocess_text("very good", BOTH, LEXICON, STOPWORDS), LEXICON)
     s2 = score_text(preprocess_text("heavy losses", BOTH, LEXICON, STOPWORDS), LEXICON)
     assert abs(records[0].score.compound - (s1.compound + s2.compound) / 2) < 1e-12
+
+
+# --- scoring only some days ------------------------------------------------
+
+
+@settings(max_examples=80, derandomize=True)
+@given(data=st.data(), per_headline_average=st.booleans())
+def test_scoring_some_days_gives_those_days_the_full_calendars_records(data, per_headline_average):
+    # three weeks of weekdays from a Monday, some of them holidays
+    weekdays = [date(2021, 6, 7) + timedelta(days=i) for i in range(19) if i % 7 < 5]
+    holidays = data.draw(st.sets(st.sampled_from(weekdays[:-1]), max_size=4))
+    calendar = [d for d in weekdays if d not in holidays]
+    offsets = st.integers(-3, (calendar[-1] - calendar[0]).days)  # from the weekend before
+    headlines = st.lists(st.sampled_from(WORD_POOL), max_size=5).map(" ".join)
+    items = [
+        news(calendar[0] + timedelta(days=offset), headline, line=line)
+        for line, (offset, headline) in enumerate(
+            data.draw(st.lists(st.tuples(offsets, headlines), max_size=25)), start=2
+        )
+    ]
+    wanted = data.draw(st.sets(st.sampled_from(calendar)))
+
+    def records(news_items, days=None):
+        return aggregate_daily(
+            news_items, calendar, "RIL", LEXICON, STOPWORDS,
+            per_headline_average=per_headline_average, days=days,
+        )
+
+    full, some = records(items), records(items, wanted)
+    assert [r.date for r in some] == calendar
+    assert [r.headline_count for r in some] == [r.headline_count for r in full]
+    for rec, ref in zip(some, full):
+        if rec.date in wanted or ref.headline_count == 0:
+            assert rec == ref
+        else:
+            assert all(math.isnan(v) for v in astuple(rec.score))
+
+    late = news(calendar[-1] + timedelta(days=data.draw(st.integers(1, 4))), "late", line=99)
+    items.insert(data.draw(st.integers(0, len(items))), late)
+    with pytest.raises(ParseError) as full_error:
+        records(items)
+    with pytest.raises(ParseError) as some_error:
+        records(items, wanted)
+    assert str(some_error.value) == str(full_error.value)
+    assert str(full_error.value).startswith("line 99, column 'Date': RIL: news dated ")
