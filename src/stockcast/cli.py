@@ -12,6 +12,7 @@ import sys
 from . import __version__
 from .config import load_config
 from .errors import StockcastError
+from .ingest import ParsedSeries
 from .models.artifacts import KINDS, MODEL_KINDS
 from .pipeline import (
     PipelineData,
@@ -64,17 +65,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _span(parsed: ParsedSeries) -> str:
+    dates = parsed.series.dates
+    return f"{len(dates)} rows ({dates[0]} .. {dates[-1]}), skipped {parsed.skipped}"
+
+
 def cmd_ingest_check(data: PipelineData) -> None:
     config = data.config
     for ticker in config.tickers:
-        parsed = data.prices(ticker)
-        dates = parsed.series.dates
-        print(
-            f"prices {ticker}: {len(dates)} rows "
-            f"({dates[0]} .. {dates[-1]}), skipped {parsed.skipped}"
-        )
-    for name, series in data.macro.items():
-        print(f"macro {name}: {len(series)} rows ({series.dates[0]} .. {series.dates[-1]})")
+        print(f"prices {ticker}: {_span(data.prices(ticker))}")
+    for name, parsed in data.macro.items():
+        print(f"macro {name}: {_span(parsed)}")
     news = data.news
     print(f"news: {len(news.items)} headlines, skipped {news.skipped}")
     for ticker in config.tickers:

@@ -13,17 +13,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator
 
 from .errors import ParseError, StockcastError
-from .series import (
-    MACRO_COLUMNS,
-    POSITIVE_MACRO,
-    MacroSeries,
-    PriceSeries,
-    TradingDate,
-    parse_trading_date,
-)
+from .series import MACRO_COLUMNS, SIGNED_COLUMNS, Series, TradingDate, parse_trading_date
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 MACRO_HEADER = ["Date", "Value"]
@@ -46,7 +39,7 @@ class NewsItem:
 class ParsedSeries:
     """A parsed price or macro file; `skipped` counts rows dropped for an empty cell."""
 
-    series: PriceSeries | MacroSeries
+    series: Series
     skipped: int
 
 
@@ -66,32 +59,27 @@ def _decode(data: bytes | str) -> str:
         raise ParseError(line, None, f"input is not valid UTF-8: {exc}") from None
 
 
-def _rows(text: str, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_number, row) for data rows after validating the header."""
-    reader = csv.reader(io.StringIO(text))
+def _rows(data: bytes | str, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_number, row) for the non-blank data rows after validating the header."""
+    reader = csv.reader(io.StringIO(_decode(data)))
+    header = None
     try:
-        header = next(reader)
-    except StopIteration:
-        raise StockcastError("input has no rows") from None
+        header = next(reader, None)
+        if header is None:
+            raise StockcastError("input has no rows")
+        if header and header[0].startswith("﻿"):
+            header[0] = header[0].lstrip("﻿")
+        if header != expected_header:
+            raise ParseError(
+                1, None, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
+            )
+        for row in reader:
+            if any(map(str.strip, row)):
+                yield reader.line_num, row
     except csv.Error as exc:
-        raise ParseError(1, None, f"malformed CSV: {exc}") from None
-    if header and header[0].startswith("﻿"):
-        header[0] = header[0].lstrip("﻿")
-    if header != expected_header:
-        raise ParseError(
-            1, None, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-        )
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ParseError(reader.line_num, None, f"malformed CSV: {exc}") from None
-        line = reader.line_num
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        yield line, row
+        # a header that fails to read is reported at line 1, however many lines it spans
+        line = 1 if header is None else reader.line_num
+        raise ParseError(line, None, f"malformed CSV: {exc}") from None
 
 
 def _parse_date(line: int, text: str) -> TradingDate:
@@ -115,41 +103,58 @@ def _parse_number(line: int, column: str, text: str) -> float | None:
     return number
 
 
-def parse_price_csv(data: bytes | str, ticker: str) -> ParsedSeries:
-    """Parse an OHLCV file into a date-sorted PriceSeries of closes.
+def _parse_series(
+    data: bytes | str,
+    header: list[str],
+    name: str,
+    what: str,
+    value_of: Callable[..., float],
+) -> ParsedSeries:
+    """The shared row loop of the price and macro files.
 
-    Rows with an empty or null numeric cell are dropped and tallied in the
-    result; any other malformed cell, or a bar whose open/close lies outside
-    [low, high], is a ParseError. Duplicate dates are a hard error rather
-    than last-wins.
+    Each row's numeric cells go to `value_of(line, day, *numbers)`, which
+    checks them and returns the day's value. Rows with an empty or null
+    numeric cell are dropped and tallied; duplicate dates are a hard error
+    rather than last-wins.
     """
-    text = _decode(data)
     rows: dict[TradingDate, float] = {}
     skipped = 0
-    for line, row in _rows(text, PRICE_HEADER):
-        if len(row) != len(PRICE_HEADER):
-            raise ParseError(line, None, f"expected {len(PRICE_HEADER)} fields, got {len(row)}")
+    for line, row in _rows(data, header):
+        if len(row) != len(header):
+            raise ParseError(line, None, f"expected {len(header)} fields, got {len(row)}")
         day = _parse_date(line, row[0])
-        numbers = [
-            _parse_number(line, column, cell) for column, cell in zip(PRICE_HEADER[1:], row[1:])
-        ]
+        numbers = [_parse_number(line, column, cell) for column, cell in zip(header[1:], row[1:])]
         if None in numbers:
             skipped += 1
             continue
-        open_, high, low, close, adj_close, volume = numbers
-        if min(open_, high, low, close, adj_close) <= 0:
-            raise ParseError(line, None, f"{day}: prices must be finite and > 0")
-        if not (low <= open_ <= high and low <= close <= high):
-            raise ParseError(line, None, f"{day}: open/close must lie within [low, high]")
-        if volume < 0:
-            raise ParseError(line, None, f"{day}: volume must be >= 0")
+        value = value_of(line, day, *numbers)
         if day in rows:
             raise ParseError(line, None, f"duplicate date {day}")
-        rows[day] = close
+        rows[day] = value
     if not rows:
-        raise StockcastError("no usable price rows")
+        raise StockcastError(f"no usable {what} rows")
     days = sorted(rows)
-    return ParsedSeries(PriceSeries(ticker, days, [rows[d] for d in days]), skipped)
+    return ParsedSeries(Series(name, days, [rows[d] for d in days]), skipped)
+
+
+def _bar_close(line: int, day: TradingDate, open_, high, low, close, adj_close, volume) -> float:
+    """The close of an OHLCV bar whose prices are > 0, open and close in [low, high]."""
+    if min(open_, high, low, close, adj_close) <= 0:
+        raise ParseError(line, None, f"{day}: prices must be finite and > 0")
+    if not (low <= open_ <= high and low <= close <= high):
+        raise ParseError(line, None, f"{day}: open/close must lie within [low, high]")
+    if volume < 0:
+        raise ParseError(line, None, f"{day}: volume must be >= 0")
+    return close
+
+
+def parse_price_csv(data: bytes | str, ticker: str) -> ParsedSeries:
+    """Parse an OHLCV file into the date-sorted Series of `ticker`'s closes.
+
+    A malformed cell, or a bar whose open/close lies outside [low, high],
+    is a ParseError.
+    """
+    return _parse_series(data, PRICE_HEADER, ticker, "price", _bar_close)
 
 
 def parse_macro_csv(data: bytes | str, column: str) -> ParsedSeries:
@@ -160,26 +165,13 @@ def parse_macro_csv(data: bytes | str, column: str) -> ParsedSeries:
     """
     if column not in MACRO_COLUMNS:
         raise ValueError(f"unknown macro column {column!r}")
-    text = _decode(data)
-    rows: dict[TradingDate, float] = {}
-    skipped = 0
-    for line, row in _rows(text, MACRO_HEADER):
-        if len(row) != 2:
-            raise ParseError(line, None, f"expected 2 fields, got {len(row)}")
-        day = _parse_date(line, row[0])
-        value = _parse_number(line, "Value", row[1])
-        if value is None:
-            skipped += 1
-            continue
-        if column in POSITIVE_MACRO and value <= 0:
+
+    def value_of(line: int, day: TradingDate, value: float) -> float:
+        if column not in SIGNED_COLUMNS and value <= 0:
             raise ParseError(line, "Value", f"{column} must be > 0, got {value}")
-        if day in rows:
-            raise ParseError(line, None, f"duplicate date {day}")
-        rows[day] = value
-    if not rows:
-        raise StockcastError("no usable macro rows")
-    days = sorted(rows)
-    return ParsedSeries(MacroSeries(column, days, [rows[d] for d in days]), skipped)
+        return value
+
+    return _parse_series(data, MACRO_HEADER, column, "macro", value_of)
 
 
 def parse_news_file(data: bytes | str, universe: Collection[str] | None = None) -> ParsedNews:
@@ -188,11 +180,10 @@ def parse_news_file(data: bytes | str, universe: Collection[str] | None = None) 
     Blank headlines are skipped and tallied. When `universe` is given, any
     other ticker is a ParseError.
     """
-    text = _decode(data)
     items: list[NewsItem] = []
     skipped = 0
     saw_row = False
-    for line, row in _rows(text, NEWS_HEADER):
+    for line, row in _rows(data, NEWS_HEADER):
         saw_row = True
         if len(row) != 3:
             raise ParseError(line, None, f"expected 3 fields, got {len(row)}")

@@ -18,7 +18,7 @@ from .config import RunConfig
 from .dataset import build_feature_table, build_windows, chronological_split, fit_scaler
 from .errors import ArtifactError, EmptyIntersection, ParseError, StockcastError
 from .evaluation import ForecastReport, correlation_matrix, walk_forward
-from .ingest import parse_macro_csv, parse_news_file, parse_price_csv
+from .ingest import ParsedSeries, parse_macro_csv, parse_news_file, parse_price_csv
 from .models.arima import arima_fit
 from .models.artifacts import KINDS, load_artifact, save_artifact
 from .models.forest import forest_train
@@ -36,7 +36,7 @@ from .sentiment import (
     parse_lexicon,
     parse_stopwords,
 )
-from .series import MACRO_COLUMNS, SENTIMENT_COLUMNS, AlignedPanel, MacroSeries, align_panel
+from .series import MACRO_COLUMNS, SENTIMENT_COLUMNS, AlignedPanel, align_panel
 
 CORRELATION_COLUMNS = ("close", *MACRO_COLUMNS)
 
@@ -54,7 +54,7 @@ class PipelineData:
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
-        self._prices: dict[str, object] = {}
+        self._prices: dict[str, ParsedSeries] = {}
         self._panels: dict[tuple[str, bool, frozenset | None], AlignedPanel] = {}
 
     @cached_property
@@ -65,7 +65,7 @@ class PipelineData:
     def stopwords(self):
         return _parse_file(self.config.stopwords_path or BUNDLED_STOPWORDS, parse_stopwords)
 
-    def prices(self, ticker: str):
+    def prices(self, ticker: str) -> ParsedSeries:
         if ticker not in self.config.tickers:
             raise StockcastError(
                 f"ticker {ticker!r} not in configured universe {', '.join(self.config.tickers)}"
@@ -77,11 +77,11 @@ class PipelineData:
         return self._prices[ticker]
 
     @cached_property
-    def macro(self) -> dict[str, MacroSeries]:
+    def macro(self) -> dict[str, ParsedSeries]:
         return {
             name: _parse_file(
                 self.config.macro_paths[name], lambda data, name=name: parse_macro_csv(data, name)
-            ).series
+            )
             for name in MACRO_COLUMNS
         }
 
@@ -125,9 +125,10 @@ class PipelineData:
         key = (ticker, sentiment, scored_rows)
         if key not in self._panels:
             records = self.sentiment_records(ticker, scored_rows) if sentiment else None
+            macro = {name: parsed.series for name, parsed in self.macro.items()}
             try:
                 self._panels[key] = align_panel(
-                    self.prices(ticker).series, self.macro, sentiment=records
+                    self.prices(ticker).series, macro, sentiment=records
                 )
             except EmptyIntersection as exc:
                 raise StockcastError(f"{self.config.macro_paths[exc.column]}: {exc}") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date
+from functools import lru_cache
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -23,13 +24,13 @@ TradingDate = date
 MACRO_COLUMNS = ("gold", "brent", "gsec", "usd_inr")
 SENTIMENT_COLUMNS = ("pos", "neg", "neu", "compound")
 
-# columns that must stay strictly positive (yields may legitimately go
-# negative, exchange rates and commodity prices may not)
-POSITIVE_MACRO = frozenset({"gold", "brent", "usd_inr"})
+# series that may go <= 0 (yields); closes, commodity prices and FX rates may not
+SIGNED_COLUMNS = frozenset({"gsec"})
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
+@lru_cache(maxsize=1 << 14)  # input files repeat each date on many rows
 def parse_trading_date(text: str) -> TradingDate:
     """A date read from outside, written exactly as YYYY-MM-DD, else a ValueError.
 
@@ -49,39 +50,20 @@ def _check_strictly_increasing(dates: Sequence[TradingDate]) -> None:
 
 
 @dataclass(frozen=True)
-class PriceSeries:
-    """Daily closes of one ticker as columns; dates strictly increasing."""
+class Series:
+    """One dated column on its own calendar: a ticker's closes or a macro input.
 
-    ticker: str
-    dates: tuple[TradingDate, ...]
-    close: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.ticker:
-            raise ValueError("ticker must be non-empty")
-        object.__setattr__(self, "dates", tuple(self.dates))
-        close = np.array(self.close, dtype=np.float64)
-        close.flags.writeable = False  # shared by every panel aligned from it
-        object.__setattr__(self, "close", close)
-        if len(close) != len(self.dates):
-            raise ValueError("dates and close must have equal length")
-        if not np.all(np.isfinite(close) & (close > 0)):
-            raise ValueError(f"{self.ticker}: closes must be finite and > 0")
-        _check_strictly_increasing(self.dates)
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True)
-class MacroSeries:
-    """One dated macro column (own calendar, usually denser than NSE's)."""
+    Dates strictly increase; values are finite, and > 0 unless `name` is in
+    SIGNED_COLUMNS.
+    """
 
     name: str
     dates: tuple[TradingDate, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("name must be non-empty")
         object.__setattr__(self, "dates", tuple(self.dates))
         values = np.array(self.values, dtype=np.float64)
         values.flags.writeable = False  # shared by every panel aligned from it
@@ -90,7 +72,7 @@ class MacroSeries:
             raise ValueError("dates and values must have equal length")
         _check_strictly_increasing(self.dates)
         finite = np.isfinite(values)
-        ok = finite & (values > 0) if self.name in POSITIVE_MACRO else finite
+        ok = finite if self.name in SIGNED_COLUMNS else finite & (values > 0)
         if not ok.all():
             i = int(np.argmin(ok))
             rule = "be > 0" if finite[i] else "be finite"
@@ -154,8 +136,8 @@ def _ordinals(dates: Sequence[TradingDate]) -> np.ndarray:
 
 
 def align_panel(
-    prices: PriceSeries,
-    macro: Mapping[str, MacroSeries],
+    prices: Series,
+    macro: Mapping[str, Series],
     sentiment: Sequence | None = None,
 ) -> AlignedPanel:
     """Join prices, macro series, and optional daily sentiment on the price calendar.
@@ -186,11 +168,11 @@ def align_panel(
     if sentiment is not None:
         if tuple(rec.date for rec in sentiment) != dates:
             raise ValueError(
-                f"{prices.ticker}: sentiment records must cover exactly the price dates"
+                f"{prices.name}: sentiment records must cover exactly the price dates"
             )
         scores = map(attrgetter(*SENTIMENT_COLUMNS), (rec.score for rec in sentiment))
         senti = dict(zip(SENTIMENT_COLUMNS, np.array(list(scores), dtype=np.float64).T.copy()))
 
     return AlignedPanel(
-        dates=dates, close=prices.close, sentiment=senti, ticker=prices.ticker, **columns
+        dates=dates, close=prices.values, sentiment=senti, ticker=prices.name, **columns
     )

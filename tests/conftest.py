@@ -7,7 +7,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from stockcast.series import AlignedPanel, MacroSeries, PriceSeries
+from stockcast.series import AlignedPanel, Series
 
 
 def weekdays(start: date, count: int) -> list[date]:
@@ -21,15 +21,15 @@ def weekdays(start: date, count: int) -> list[date]:
     return out
 
 
-def make_prices(dates: list[date], closes, ticker: str = "TEST") -> PriceSeries:
-    return PriceSeries(ticker, tuple(dates), [float(c) for c in closes])
+def make_prices(dates: list[date], closes, ticker: str = "TEST") -> Series:
+    return Series(ticker, tuple(dates), [float(c) for c in closes])
 
 
-def make_macro(dates: list[date], base: float = 100.0, name: str = "gold") -> MacroSeries:
-    return MacroSeries(name, tuple(dates), tuple(base + i for i in range(len(dates))))
+def make_macro(dates: list[date], base: float = 100.0, name: str = "gold") -> Series:
+    return Series(name, tuple(dates), tuple(base + i for i in range(len(dates))))
 
 
-def make_macro_panel(dates: list[date]) -> dict[str, MacroSeries]:
+def make_macro_panel(dates: list[date]) -> dict[str, Series]:
     return {
         "gold": make_macro(dates, 1800.0, "gold"),
         "brent": make_macro(dates, 70.0, "brent"),

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -39,6 +40,35 @@ def test_ingest_check_succeeds(mini, capsys):
     out = capsys.readouterr().out
     assert "prices AAA: 140 rows" in out
     assert "news: 7 headlines" in out
+
+
+def test_ingest_check_counts_the_rows_a_null_macro_cell_drops(tmp_path, capsys):
+    config = write_mini_dataset(tmp_path / "data")
+    path = config.parent / "macro_brent.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].split(",")[0] + ",null\n"
+    path.write_text("".join(lines))
+    assert run("ingest-check", "--config", config) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^macro brent: 139 rows \(2021-01-04 \.\. [-\d]+\), skipped 1$", out, re.M)
+    assert re.search(r"^macro gold: 140 rows \(2021-01-04 \.\. [-\d]+\), skipped 0$", out, re.M)
+
+
+SAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "sample_data" / "config.ini"
+# SHA-256 of what `sentiment` and `build-dataset` write for the bundled sample
+SAMPLE_DIGESTS = {
+    "panel_ALFA.csv": "743427cdc79b7f0cb20d8f24b9fcc9cfe515af85e6687cadc796e029d3f7e86c",
+    "panel_BRVO.csv": "806d7c047293eaddbd0746ecb1661009ec65f9f419f72fb2ff979d21a33e0211",
+    "sentiment_ALFA.csv": "2ccdd96f432db3f87dea882e2a43d38c31ff96ecca5f0dd348862825b26411ff",
+    "sentiment_BRVO.csv": "d319d2fea63c5efd02bc1a7daae62a3c39d1765a558b0f3cc1a548abc54e95eb",
+}
+
+
+def test_sample_sentiment_and_panel_files_keep_their_digests(tmp_path, capsys):
+    for command in ("sentiment", "build-dataset"):
+        assert run(command, "--config", SAMPLE_CONFIG, "--out", tmp_path) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == SAMPLE_DIGESTS
 
 
 def test_sentiment_command_output_and_determinism(mini, tmp_path, capsys):

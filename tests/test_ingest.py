@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stockcast.errors import ParseError, StockcastError
 from stockcast.ingest import ParsedSeries, parse_macro_csv, parse_news_file, parse_price_csv
-from stockcast.series import MacroSeries, PriceSeries
+from stockcast.series import Series
 
 PRICE_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"
 
@@ -20,7 +20,7 @@ def test_single_row_close_matches():
     parsed = parse_price_csv(price_csv("2021-06-28,2098,2110,2080,2086,2086,5000000"), "RIL")
     assert parsed.skipped == 0
     assert len(parsed.series) == 1
-    assert parsed.series.close[0] == 2086
+    assert parsed.series.values[0] == 2086
 
 
 def test_empty_input_is_empty_file():
@@ -58,7 +58,7 @@ def test_rows_sorted_and_duplicates_rejected():
         price_csv("2021-06-02,11,12,10,11,11,100", "2021-06-01,10,11,9,10,10,100"), "RIL"
     )
     assert [d.day for d in parsed.series.dates] == [1, 2]
-    assert list(parsed.series.close) == [10.0, 11.0]
+    assert list(parsed.series.values) == [10.0, 11.0]
     with pytest.raises(ParseError, match="^line 3: duplicate date 2021-06-01$"):
         parse_price_csv(
             price_csv("2021-06-01,10,11,9,10,10,100", "2021-06-01,10,11,9,10,10,100"), "RIL"
@@ -95,6 +95,52 @@ def test_ambiguous_date_formats_rejected():
         assert exc.value.column == "Date"
 
 
+def price(text: str):
+    return parse_price_csv(text, "RIL")
+
+
+def gold(text: str):
+    return parse_macro_csv(text, "gold")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (price, price_csv("2021-06-01,10,11,9,10,10"), "line 2: expected 7 fields, got 6"),
+        (gold, "Date,Value\n2021-06-01,1,2\n", "line 2: expected 2 fields, got 3"),
+        (price, price_csv("2021-06-01,10,11,9,1e,10,100"),
+         "line 2, column 'Close': not a number: '1e'"),
+        (gold, "Date,Value\n2021-06-01, abc \n", "line 2, column 'Value': not a number: 'abc'"),
+        (price, price_csv("2021-06-01,10,11,9,10,10,inf"),
+         "line 2, column 'Volume': non-finite value: 'inf'"),
+        (gold, "Date,Value\n2021-06-01,NaN\n", "line 2, column 'Value': non-finite value: 'NaN'"),
+        (gold, "Date,Value\n2021-06-01,2\n2021-06-02,-1\n",
+         "line 3, column 'Value': gold must be > 0, got -1.0"),
+        (gold, "Date,Value\n2021-06-01,null\n2021-06-02, N/A\n", "no usable macro rows"),
+        (price, price_csv("2021-06-01,10,9,11,10,10,100"),
+         "line 2: 2021-06-01: open/close must lie within [low, high]"),
+        (gold, "Date,Value\n\n,\n  , \n2021-06-02,x\n",
+         "line 5, column 'Value': not a number: 'x'"),
+        (price, price_csv("", "2021-06-01,10,11,9,10,10,100", ",,,,,,", "2021-06-02,10,11,9,10,10"),
+         "line 5: expected 7 fields, got 6"),
+    ],
+)
+def test_price_and_macro_error_texts(parse, text, message):
+    with pytest.raises(StockcastError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("parse, text", [
+    (price, price_csv("2021-06-01,10,11,9,10,10,100", "", "2021-06-02,10,11,9,10\r5,10,100")),
+    (gold, "Date,Value\n2021-06-01,1\n\n2021-06-02,1\r5\n"),
+])
+def test_malformed_csv_names_its_line(parse, text):
+    with pytest.raises(ParseError, match="^line 4: malformed CSV: ") as exc:
+        parse(text)
+    assert exc.value.line == 4
+
+
 def test_macro_sorting_and_positivity():
     parsed = parse_macro_csv("Date,Value\n2021-06-02,101\n2021-06-01,100\n", "gold")
     assert list(parsed.series.values) == [100.0, 101.0]
@@ -110,8 +156,8 @@ def test_price_and_macro_parsers_both_return_parsed_series():
         price_csv("2021-06-28,2098,2110,2080,2086,2086,5000000", "2021-06-29,,1,1,1,1,1"), "RIL"
     )
     macro = parse_macro_csv("Date,Value\n2021-06-01,6.1\n2021-06-02,null\n2021-06-03,6.2\n", "gsec")
-    assert type(prices) is ParsedSeries and type(prices.series) is PriceSeries
-    assert type(macro) is ParsedSeries and type(macro.series) is MacroSeries
+    assert type(prices) is ParsedSeries and type(prices.series) is Series
+    assert type(macro) is ParsedSeries and type(macro.series) is Series
     assert (prices.skipped, macro.skipped) == (1, 1)
     assert list(macro.series.values) == [6.1, 6.2]
 
@@ -162,6 +208,15 @@ def test_news_blank_headline_skipped_and_unknown_ticker():
         parse_news_file("Date,Ticker,Headline\n2021-06-01,XXX,hello\n", universe={"RIL"})
 
 
+@pytest.mark.parametrize("bad_line", [2, 40, 401])
+def test_a_bad_date_among_many_copies_of_one_date_names_its_own_line(bad_line):
+    rows = ["2021-06-01,RIL,same day"] * 400
+    rows[bad_line - 2] = "2021-13-01,RIL,bad month"
+    with pytest.raises(ParseError) as exc:
+        parse_news_file("Date,Ticker,Headline\n" + "".join(r + "\n" for r in rows))
+    assert (exc.value.line, exc.value.column) == (bad_line, "Date")
+
+
 @settings(max_examples=50, derandomize=True)
 @given(
     closes=st.lists(
@@ -180,7 +235,7 @@ def test_parsed_closes_equal_written_floats(closes):
         rows.append(f"{d.isoformat()},{c!r},{c * 2!r},{c / 2!r},{c!r},{c!r},100")
         d += timedelta(days=1)
     parsed = parse_price_csv(price_csv(*rows), "T")
-    assert parsed.series.close.tolist() == closes
+    assert parsed.series.values.tolist() == closes
     assert len(parsed.series.dates) == len(closes)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from stockcast.errors import EmptyIntersection
 from stockcast.sentiment import NEUTRAL_SCORE, SentimentScore
 from stockcast.sentiment.daily import DailySentiment
-from stockcast.series import MACRO_COLUMNS, POSITIVE_MACRO, MacroSeries, PriceSeries, align_panel
+from stockcast.series import MACRO_COLUMNS, SIGNED_COLUMNS, Series, align_panel
 
 from conftest import make_macro_panel, make_panel, make_prices, weekdays
 
@@ -44,20 +44,20 @@ def test_alignment_is_idempotent():
     prices = make_prices(dates, range(100, 130))
     macro_dates = [d for i, d in enumerate(dates) if i % 3 != 1]  # gaps
     macro = {
-        "gold": MacroSeries("gold", tuple(macro_dates), tuple(1800.0 + i for i in range(len(macro_dates)))),
-        "brent": MacroSeries("brent", tuple(macro_dates), tuple(70.0 + i for i in range(len(macro_dates)))),
-        "gsec": MacroSeries("gsec", tuple(macro_dates), tuple(6.0 + i for i in range(len(macro_dates)))),
-        "usd_inr": MacroSeries("usd_inr", tuple(macro_dates), tuple(74.0 + i for i in range(len(macro_dates)))),
+        "gold": Series("gold", tuple(macro_dates), tuple(1800.0 + i for i in range(len(macro_dates)))),
+        "brent": Series("brent", tuple(macro_dates), tuple(70.0 + i for i in range(len(macro_dates)))),
+        "gsec": Series("gsec", tuple(macro_dates), tuple(6.0 + i for i in range(len(macro_dates)))),
+        "usd_inr": Series("usd_inr", tuple(macro_dates), tuple(74.0 + i for i in range(len(macro_dates)))),
     }
     first = align_panel(prices, macro)
     # feed the aligned columns back in as gap-free series
     realigned = align_panel(
         prices,
         {
-            "gold": MacroSeries("gold", first.dates, tuple(first.gold)),
-            "brent": MacroSeries("brent", first.dates, tuple(first.brent)),
-            "gsec": MacroSeries("gsec", first.dates, tuple(first.gsec)),
-            "usd_inr": MacroSeries("usd_inr", first.dates, tuple(first.usd_inr)),
+            "gold": Series("gold", first.dates, tuple(first.gold)),
+            "brent": Series("brent", first.dates, tuple(first.brent)),
+            "gsec": Series("gsec", first.dates, tuple(first.gsec)),
+            "usd_inr": Series("usd_inr", first.dates, tuple(first.usd_inr)),
         },
     )
     assert np.array_equal(first.gold, realigned.gold)
@@ -78,12 +78,12 @@ def test_forward_fill_never_looks_ahead(data):
     macro_dates = [d for d, k in zip(dates, keep) if k]
     # encode the source date's index in the value so provenance is checkable
     values = tuple(float(dates.index(d)) for d in macro_dates)
-    series = MacroSeries("gsec", tuple(macro_dates), values)
+    series = Series("gsec", tuple(macro_dates), values)
     macro = {
-        "gold": MacroSeries("gold", tuple(macro_dates), tuple(v + 1800.0 for v in values)),
-        "brent": MacroSeries("brent", tuple(macro_dates), tuple(v + 70.0 for v in values)),
+        "gold": Series("gold", tuple(macro_dates), tuple(v + 1800.0 for v in values)),
+        "brent": Series("brent", tuple(macro_dates), tuple(v + 70.0 for v in values)),
         "gsec": series,
-        "usd_inr": MacroSeries("usd_inr", tuple(macro_dates), tuple(v + 74.0 for v in values)),
+        "usd_inr": Series("usd_inr", tuple(macro_dates), tuple(v + 74.0 for v in values)),
     }
     panel = align_panel(prices, macro)
     assert len(panel) == n
@@ -104,7 +104,7 @@ def test_aligned_macro_is_latest_quote_on_or_before(data):
     }
     # a distinct value per quote, so picking the wrong row cannot pass
     macro = {
-        name: MacroSeries(name, tuple(cal), tuple(1.0 + 100 * c + i for i in range(len(cal))))
+        name: Series(name, tuple(cal), tuple(1.0 + 100 * c + i for i in range(len(cal))))
         for c, (name, cal) in enumerate(calendars.items())
     }
     panel = align_panel(make_prices(days, [100.0] * len(days)), macro)
@@ -156,24 +156,24 @@ def test_price_series_rejects_duplicate_dates():
 
 def test_price_series_invariants():
     with pytest.raises(ValueError):
-        PriceSeries("", (D1,), [10.0])
+        Series("", (D1,), [10.0])
     with pytest.raises(ValueError):
-        PriceSeries("T", (D1, D2), [10.0])
+        Series("T", (D1, D2), [10.0])
     with pytest.raises(ValueError):
-        PriceSeries("T", (D2, D1), [10.0, 11.0])
+        Series("T", (D2, D1), [10.0, 11.0])
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            PriceSeries("T", (D1,), [bad])
+            Series("T", (D1,), [bad])
 
 
 def test_macro_series_positivity():
     with pytest.raises(ValueError):
-        MacroSeries("gold", (D1,), (-1.0,))
+        Series("gold", (D1,), (-1.0,))
     # yields may be negative
-    MacroSeries("gsec", (D1,), (-0.5,))
+    Series("gsec", (D1,), (-0.5,))
 
 
-@pytest.mark.parametrize("name", sorted(POSITIVE_MACRO))
+@pytest.mark.parametrize("name", sorted(set(MACRO_COLUMNS) - SIGNED_COLUMNS))
 @pytest.mark.parametrize(
     "values, message",
     [
@@ -185,14 +185,14 @@ def test_macro_series_positivity():
 )
 def test_macro_series_names_its_first_bad_date(name, values, message):
     with pytest.raises(ValueError, match=f"^{name} {message}$"):
-        MacroSeries(name, (D1, D2, D3), values)
+        Series(name, (D1, D2, D3), values)
 
 
 def test_macro_series_values_are_a_read_only_float64_array():
-    series = MacroSeries("gsec", (D1, D2, D3), (6, -0.25, 0))  # yields may be <= 0
+    series = Series("gsec", (D1, D2, D3), (6, -0.25, 0))  # yields may be <= 0
     assert isinstance(series.values, np.ndarray) and series.values.dtype == np.float64
     assert list(series.values) == [6.0, -0.25, 0.0]
     with pytest.raises(ValueError, match="read-only"):
         series.values[0] = 1.0
     with pytest.raises(ValueError, match="^gsec on 2021-06-03: value must be finite$"):
-        MacroSeries("gsec", (D1, D2, D3), (6.0, -0.25, float("-inf")))
+        Series("gsec", (D1, D2, D3), (6.0, -0.25, float("-inf")))
