@@ -5,6 +5,9 @@ StockcastError, and one about a row is a ParseError naming its 1-based
 line. Dates are accepted in YYYY-MM-DD only; locale-ambiguous formats are
 rejected outright because a silent month/day swap corrupts the whole
 calendar.
+
+Prices and macro quotes become date-sorted Series. News becomes columns
+per ticker (date ordinals, file lines, headlines), each in file order.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator
+
+import numpy as np
 
 from .errors import ParseError, StockcastError
 from .series import MACRO_COLUMNS, SIGNED_COLUMNS, Series, TradingDate, parse_trading_date
@@ -26,16 +31,6 @@ _NULL_TOKENS = {"", "null", "na", "n/a"}
 
 
 @dataclass(frozen=True)
-class NewsItem:
-    """One headline and the file line it came from; file order drives daily concatenation."""
-
-    date: TradingDate
-    ticker: str
-    headline: str
-    line: int
-
-
-@dataclass(frozen=True)
 class ParsedSeries:
     """A parsed price or macro file; `skipped` counts rows dropped for an empty cell."""
 
@@ -44,9 +39,35 @@ class ParsedSeries:
 
 
 @dataclass(frozen=True)
+class TickerNews:
+    """One ticker's kept headlines as columns, in file order (it drives daily concatenation).
+
+    `ordinals` holds each headline's `date.toordinal()` and `lines` its
+    1-based file line, both int64.
+    """
+
+    ordinals: np.ndarray
+    lines: np.ndarray
+    headlines: tuple[str, ...]
+
+
+NO_NEWS = TickerNews(np.empty(0, np.int64), np.empty(0, np.int64), ())
+
+
+@dataclass(frozen=True)
 class ParsedNews:
-    items: tuple[NewsItem, ...]
+    """A parsed news file: the columns of each ticker with a kept headline."""
+
+    tickers: dict[str, TickerNews]
     skipped: int
+
+    @property
+    def items(self) -> np.ndarray:
+        """The file line of every kept headline, ticker by ticker; its length is their count."""
+        return np.concatenate([NO_NEWS.lines, *(n.lines for n in self.tickers.values())])
+
+    def of(self, ticker: str) -> TickerNews:
+        return self.tickers.get(ticker, NO_NEWS)
 
 
 def _decode(data: bytes | str) -> str:
@@ -116,6 +137,10 @@ def _parse_series(
     checks them and returns the day's value. Rows with an empty or null
     numeric cell are dropped and tallied; duplicate dates are a hard error
     rather than last-wins.
+
+    A row whose cells all convert with `float` to finite numbers takes them
+    as they are: `_parse_number` would give the same numbers. Any other row
+    goes to `_parse_number` cell by cell, which decides its nulls and errors.
     """
     rows: dict[TradingDate, float] = {}
     skipped = 0
@@ -123,10 +148,18 @@ def _parse_series(
         if len(row) != len(header):
             raise ParseError(line, None, f"expected {len(header)} fields, got {len(row)}")
         day = _parse_date(line, row[0])
-        numbers = [_parse_number(line, column, cell) for column, cell in zip(header[1:], row[1:])]
-        if None in numbers:
-            skipped += 1
-            continue
+        try:
+            numbers = list(map(float, row[1:]))
+        except ValueError:
+            numbers = None
+        # a sum is finite only if every term is; one that overflows takes the slow path
+        if numbers is None or not math.isfinite(sum(numbers)):
+            numbers = [
+                _parse_number(line, column, cell) for column, cell in zip(header[1:], row[1:])
+            ]
+            if None in numbers:
+                skipped += 1
+                continue
         value = value_of(line, day, *numbers)
         if day in rows:
             raise ParseError(line, None, f"duplicate date {day}")
@@ -175,29 +208,39 @@ def parse_macro_csv(data: bytes | str, column: str) -> ParsedSeries:
 
 
 def parse_news_file(data: bytes | str, universe: Collection[str] | None = None) -> ParsedNews:
-    """Parse headlines, preserving file order (it drives daily concatenation).
+    """Parse headlines into per-ticker columns, each in file order (it drives daily concatenation).
 
     Blank headlines are skipped and tallied. When `universe` is given, any
     other ticker is a ParseError.
     """
-    items: list[NewsItem] = []
+    groups: dict[str, list[tuple[int, int, str]]] = {}  # (date ordinal, line, headline) rows
     skipped = 0
-    saw_row = False
+    line = 0
     for line, row in _rows(data, NEWS_HEADER):
-        saw_row = True
         if len(row) != 3:
             raise ParseError(line, None, f"expected 3 fields, got {len(row)}")
-        day = _parse_date(line, row[0])
-        ticker = row[1].strip()
-        if not ticker:
-            raise ParseError(line, "Ticker", "ticker must be non-empty")
-        if universe is not None and ticker not in universe:
-            raise ParseError(line, None, f"ticker {ticker!r} is not in the configured universe")
-        headline = row[2].strip()
+        raw_date, raw_ticker, headline = row
+        ordinal = _parse_date(line, raw_date).toordinal()
+        ticker = raw_ticker.strip()
+        group = groups.get(ticker)
+        if group is None:  # checked once per ticker
+            if not ticker:
+                raise ParseError(line, "Ticker", "ticker must be non-empty")
+            if universe is not None and ticker not in universe:
+                raise ParseError(line, None, f"ticker {ticker!r} is not in the configured universe")
+            group = groups[ticker] = []
+        headline = headline.strip()
         if not headline:
             skipped += 1
             continue
-        items.append(NewsItem(date=day, ticker=ticker, headline=headline, line=line))
-    if not saw_row:
+        group.append((ordinal, line, headline))
+    if not line:
         raise StockcastError("no news rows")
-    return ParsedNews(tuple(items), skipped)
+    tickers = {}
+    for ticker, group in groups.items():
+        if group:
+            ordinals, lines, headlines = zip(*group)
+            tickers[ticker] = TickerNews(
+                np.array(ordinals, np.int64), np.array(lines, np.int64), headlines
+            )
+    return ParsedNews(tickers, skipped)

@@ -99,7 +99,7 @@ class PipelineData:
         calendar = self.prices(ticker).series.dates
         days = None if scored_rows is None else {calendar[i] for i in scored_rows}
         # parsed outside the try: their errors already name their files
-        news, lexicon, stopwords = self.news.items, self.lexicon, self.stopwords
+        news, lexicon, stopwords = self.news.of(ticker), self.lexicon, self.stopwords
         try:
             return aggregate_daily(
                 news,

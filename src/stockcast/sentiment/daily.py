@@ -1,4 +1,4 @@
-"""Collapse per-headline news into one sentiment record per trading day.
+"""Collapse one ticker's news columns into one sentiment record per trading day.
 
 News published on a non-trading day (weekend, holiday) rolls FORWARD to
 the next trading day: it can only influence the next session's price.
@@ -8,12 +8,14 @@ Rolling backward would leak the future into the past.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from datetime import date
 from typing import AbstractSet, Sequence
 
+import numpy as np
+
 from ..errors import ParseError
-from ..ingest import NewsItem
+from ..ingest import TickerNews
 from ..series import TradingDate
 from .lexicon import Lexicon
 from .preprocess import PreprocessConfig, preprocess_text
@@ -40,7 +42,7 @@ class DailySentiment:
 
 
 def aggregate_daily(
-    items: Sequence[NewsItem],
+    news: TickerNews,
     calendar: Sequence[TradingDate],
     ticker: str,
     lexicon: Lexicon,
@@ -49,35 +51,36 @@ def aggregate_daily(
     per_headline_average: bool = False,
     days: AbstractSet[TradingDate] | None = None,
 ) -> list[DailySentiment]:
-    """One record per calendar date for `ticker`.
+    """One record per calendar date for `ticker`, from its news columns.
 
-    A headline counts on the first calendar date on or after its own;
-    one dated after the last is a ParseError naming its file line.
-    Headlines sharing that effective date are joined with ". " in file order,
-    preprocessed once, and scored once. `per_headline_average` instead
-    scores each preprocessed headline separately and averages the four
-    components; it is an offered alternative, not the default, because a
-    day's sentiment is defined as the sentiment of the day's combined news.
+    A headline counts on the first calendar date on or after its own; the
+    first in file order dated after the last is a ParseError naming its
+    file line. Headlines sharing that effective date are joined with ". "
+    in file order, preprocessed once, and scored once. `per_headline_average`
+    instead scores each preprocessed headline separately and averages the
+    four components; it is an offered alternative, not the default, because
+    a day's sentiment is defined as the sentiment of the day's combined news.
 
     With `days`, only those calendar dates are scored. Any other date with
     news gets UNSCORED, which is NaN, so a model that reads it fails instead
     of seeing a made-up score. Every headline is still rolled forward and
     checked, and every date still gets its record and headline count.
     """
-    calendar = list(calendar)
-    by_day: dict[TradingDate, list[str]] = {}
-    for item in items:
-        if item.ticker != ticker:
-            continue
-        i = bisect_left(calendar, item.date)
-        if i == len(calendar):
-            raise ParseError(item.line, "Date", f"{ticker}: news dated {item.date} falls after "
-                             "the last trading day of the calendar")
-        by_day.setdefault(calendar[i], []).append(item.headline)
+    ordinals = np.fromiter((d.toordinal() for d in calendar), np.int64, len(calendar))
+    day_of = np.searchsorted(ordinals, news.ordinals)  # side="left": on or after
+    late = np.flatnonzero(day_of == len(calendar))
+    if late.size:
+        k = late[0]
+        raise ParseError(int(news.lines[k]), "Date", f"{ticker}: news dated "
+                         f"{date.fromordinal(int(news.ordinals[k]))} falls after the last "
+                         "trading day of the calendar")
+    order = np.argsort(day_of, kind="stable")  # file order within each day
+    in_day_order = [news.headlines[k] for k in order.tolist()]
+    ends = np.cumsum(np.bincount(day_of, minlength=len(calendar))).tolist()
 
     records: list[DailySentiment] = []
-    for day in calendar:
-        headlines = by_day.get(day, [])
+    for day, start, end in zip(calendar, [0, *ends], ends):
+        headlines = in_day_order[start:end]
         if not headlines:
             records.append(DailySentiment(day, ticker, NEUTRAL_SCORE, 0))
             continue

@@ -2,21 +2,25 @@
 
 Each test prints one `ACCEPTANCE <name>: PASS/FAIL` line (visible with
 pytest -s or in captured output). The full-pipeline criteria run the CLI
-twice on a copy of the bundled sample dataset.
+twice on a copy of the bundled sample dataset, side by side, each run in
+fresh interpreters with its own PYTHONHASHSEED.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stockcast.cli import main as cli_main
 from stockcast.dataset import build_feature_table, build_windows, chronological_split, fit_scaler
 from stockcast.evaluation import mape, rmse, walk_forward
 from stockcast.models.arima import ArimaModel, ArimaSpec, arima_fit
@@ -43,6 +47,7 @@ from test_forest import assert_tree_equals_oracle
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = REPO / "sample_data"
+SRC = REPO / "src"
 FIXTURES = Path(__file__).parent / "fixtures" / "sentiment_fixtures.json"
 
 
@@ -281,50 +286,68 @@ def test_walk_forward_never_reads_target_or_later():
 # --- 7 + 8. determinism and end-to-end on the bundled sample --------------------
 
 
-def run_pipeline(config_path: Path, out_dir: Path) -> float:
+PIPELINE = (("train", "--model", "all", "--ticker", "all"),
+            ("evaluate", "--model", "all", "--ticker", "all"))
+BLAS_ONE_THREAD = {name: "1" for name in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def run_pipeline(config_path: Path, out_dir: Path, hash_seed: str) -> tuple[float, str]:
+    """Train and evaluate every kind, each command in a fresh interpreter.
+
+    Returns the seconds taken and the stdout, with the out path masked.
+    Warnings are errors, as they are in the pytest process.
+    Two pipelines run side by side, so each gets one BLAS thread: spinning
+    BLAS threads of two processes on the same cores slow both many times over.
+    """
+    env = {**os.environ, **BLAS_ONE_THREAD, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     start = time.perf_counter()
-    code = cli_main(
-        ["train", "--config", str(config_path), "--model", "all", "--ticker", "all",
-         "--out", str(out_dir)]
-    )
-    assert code == 0, "train failed"
-    code = cli_main(
-        ["evaluate", "--config", str(config_path), "--model", "all", "--ticker", "all",
-         "--out", str(out_dir)]
-    )
-    assert code == 0, "evaluate failed"
-    return time.perf_counter() - start
+    stdout = []
+    for command in PIPELINE:
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "stockcast.cli", *command,
+             "--config", str(config_path), "--out", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=1800,
+        )
+        assert done.returncode == 0, f"{command[0]} failed:\n{done.stderr}"
+        stdout.append(done.stdout.replace(str(out_dir), "<out>"))
+    return time.perf_counter() - start, "".join(stdout)
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    """Every file under `root`, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 @pytest.fixture(scope="module")
 def double_run(tmp_path_factory):
+    """Two sample pipelines started together, in fresh interpreters with different hash seeds."""
     root = tmp_path_factory.mktemp("sample_runs")
     data_dir = root / "sample_data"
     shutil.copytree(SAMPLE, data_dir, ignore=shutil.ignore_patterns("out"))
     config_path = data_dir / "config.ini"
-    elapsed_first = run_pipeline(config_path, root / "run1")
-    run_pipeline(config_path, root / "run2")
-    return root, elapsed_first
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(run_pipeline, config_path, root / f"run{n}", seed)
+                for n, seed in ((1, "0"), (2, "987654"))]
+        (elapsed_first, stdout_first), (_, stdout_second) = [run.result() for run in runs]
+    return root, elapsed_first, (stdout_first, stdout_second)
 
 
 @criterion("determinism")
 def test_pipeline_runs_are_byte_identical(double_run):
-    root, _ = double_run
-    first_artifacts = sorted((root / "run1" / "artifacts").glob("*.json"))
-    second_artifacts = sorted((root / "run2" / "artifacts").glob("*.json"))
-    assert [p.name for p in first_artifacts] == [p.name for p in second_artifacts]
-    assert len(first_artifacts) == 14  # 7 kinds x 2 tickers
-    for a, b in zip(first_artifacts, second_artifacts):
-        assert a.read_bytes() == b.read_bytes(), f"artifact differs: {a.name}"
-    for name in ("metrics.csv", "report.md"):
-        assert (root / "run1" / "report" / name).read_bytes() == (
-            root / "run2" / "report" / name
-        ).read_bytes(), f"{name} differs between runs"
+    root, _, (stdout_first, stdout_second) = double_run
+    first, second = tree(root / "run1"), tree(root / "run2")
+    assert sorted(first) == sorted(second)
+    assert len([name for name in first if name.startswith("artifacts")]) == 14  # 7 kinds x 2
+    for name, content in first.items():
+        assert content == second[name], f"{name} differs between runs"
+    assert stdout_first == stdout_second
 
 
 @criterion("end-to-end")
 def test_end_to_end_report_shape_and_budget(double_run):
-    root, elapsed = double_run
+    root, elapsed, _ = double_run
     assert elapsed < 600.0, f"full pipeline took {elapsed:.0f}s"
 
     report_md = (root / "run1" / "report" / "report.md").read_text()

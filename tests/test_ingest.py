@@ -1,13 +1,19 @@
+import csv
+import io
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stockcast import ingest
 from stockcast.errors import ParseError, StockcastError
 from stockcast.ingest import ParsedSeries, parse_macro_csv, parse_news_file, parse_price_csv
-from stockcast.series import Series
+from stockcast.series import MACRO_COLUMNS, Series
+
+from ingest_reference import per_cell_parse_series
 
 PRICE_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"
 
@@ -131,6 +137,81 @@ def test_price_and_macro_error_texts(parse, text, message):
     assert str(exc.value) == message
 
 
+def mixed_case(text: str):
+    return st.lists(st.booleans(), min_size=len(text), max_size=len(text)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(text, upper))
+    )
+
+
+PADDING = st.sampled_from(["", " ", "\t", "\u2003", " \t\u2003 "])
+
+
+def float_cell(values):
+    return st.tuples(PADDING, values.map(repr), PADDING).map("".join)
+
+
+# values that make valid bars and duplicate dates likely when a row repeats one of them
+SHARED_VALUES = st.sampled_from([10.0, 10.0, 0.1 + 0.2, 1e-300, 5e-324, 1.7976931348623157e308,
+                                 123456.789, 0.0, -0.0, -2.5])
+NULL_CELLS = st.sampled_from(["null", "NA", " n/a ", ""]).flatmap(mixed_case)
+OTHER_CELLS = st.one_of(
+    float_cell(st.floats(allow_nan=False, allow_infinity=False)),
+    NULL_CELLS,
+    st.sampled_from(["nan", "inf", "-Infinity"]).flatmap(mixed_case),
+    st.sampled_from(["1_000", "\u0661\u0662\u0663", "\uff11\uff10", "0x10", "1e999", "-1e999"]),
+    st.text(max_size=5),
+)
+DATES = st.sampled_from(
+    ["2021-06-01", "2021-06-02", "2021-06-03", "2021-06-04", " 2021-06-07\t"] * 4 + ["2021-13-01"]
+)
+
+
+@st.composite
+def numeric_rows(draw, width: int) -> str:
+    """A price (width 6) or macro (width 1) file.
+
+    A row repeats one value in every cell, or in all but one null cell, or
+    mixes it with any other cell; a few rows have a wrong field count.
+    """
+    shared = float_cell(st.just(draw(SHARED_VALUES)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["Date", "Value"] if width == 1 else ingest.PRICE_HEADER)
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.sampled_from([width] * 10 + [width - 1, width + 1]))
+        style = draw(st.sampled_from(["same"] * 4 + ["one null", "mixed"]))
+        cell = st.one_of(shared, OTHER_CELLS) if style == "mixed" else shared
+        cells = [draw(cell) for _ in range(count)]
+        if style == "one null" and cells:
+            cells[draw(st.integers(0, count - 1))] = draw(NULL_CELLS)
+        writer.writerow([draw(DATES), *cells])
+    return out.getvalue()
+
+
+def outcome(parse, text: str):
+    """What a parse gives: the series bit for bit and the skip tally, or the error."""
+    try:
+        parsed = parse(text)
+    except ParseError as exc:
+        return "ParseError", exc.line, exc.column, str(exc)
+    except StockcastError as exc:
+        return "StockcastError", str(exc)
+    series = parsed.series
+    return series.name, series.dates, series.values.tobytes(), parsed.skipped
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), column=st.sampled_from(MACRO_COLUMNS), macro=st.booleans())
+def test_the_one_step_row_conversion_equals_the_per_cell_loop(data, column, macro):
+    if macro:
+        text, parse = data.draw(numeric_rows(1)), lambda t: parse_macro_csv(t, column)
+    else:
+        text, parse = data.draw(numeric_rows(6)), lambda t: parse_price_csv(t, "RIL")
+    with mock.patch.object(ingest, "_parse_series", per_cell_parse_series):
+        expected = outcome(parse, text)
+    assert outcome(parse, text) == expected
+
+
 @pytest.mark.parametrize("parse, text", [
     (price, price_csv("2021-06-01,10,11,9,10,10,100", "", "2021-06-02,10,11,9,10\r5,10,100")),
     (gold, "Date,Value\n2021-06-01,1\n\n2021-06-02,1\r5\n"),
@@ -191,11 +272,11 @@ def test_news_order_preserved_and_quoting():
         '2021-06-01,RIL,"RIL, Q4 results beat"\n'
     )
     parsed = parse_news_file(text, universe={"RIL"})
-    assert [n.headline for n in parsed.items] == [
+    assert parsed.of("RIL").headlines == (
         "first headline",
         "second headline",
         "RIL, Q4 results beat",
-    ]
+    )
 
 
 def test_news_blank_headline_skipped_and_unknown_ticker():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockcast.errors import ParseError
-from stockcast.ingest import NewsItem
+from stockcast.ingest import ParsedNews, TickerNews, parse_news_file
 from stockcast.sentiment import (
     BUNDLED_LEXICON,
     BUNDLED_STOPWORDS,
@@ -163,12 +163,21 @@ def test_scoring_is_deterministic():
 CAL = [date(2021, 6, 7), date(2021, 6, 8), date(2021, 6, 9)]  # Mon..Wed
 
 
-def news(d: date, headline: str, ticker: str = "RIL", line: int = 2) -> NewsItem:
-    return NewsItem(date=d, ticker=ticker, headline=headline, line=line)
+def news_file(*rows: tuple[date, str, str]) -> ParsedNews:
+    """A news file of (date, ticker, headline) rows from line 2, parsed; no rows is no news."""
+    if not rows:
+        return ParsedNews({}, 0)
+    text = "".join(f"{d.isoformat()},{ticker},{headline}\n" for d, ticker, headline in rows)
+    return parse_news_file("Date,Ticker,Headline\n" + text)
+
+
+def ril(*rows: tuple[date, str]) -> TickerNews:
+    """RIL's columns of a file of RIL's (date, headline) rows."""
+    return news_file(*((d, "RIL", headline) for d, headline in rows)).of("RIL")
 
 
 def test_same_day_headlines_concatenate_into_one_record():
-    items = [news(CAL[0], "profits surge"), news(CAL[0], "strong growth"), news(CAL[0], "very good")]
+    items = ril((CAL[0], "profits surge"), (CAL[0], "strong growth"), (CAL[0], "very good"))
     records = aggregate_daily(items, CAL, "RIL", LEXICON, STOPWORDS)
     assert len(records) == 3
     assert records[0].headline_count == 3
@@ -179,39 +188,46 @@ def test_same_day_headlines_concatenate_into_one_record():
 
 
 def test_days_without_news_are_neutral():
-    records = aggregate_daily([], CAL, "RIL", LEXICON, STOPWORDS)
+    records = aggregate_daily(ril(), CAL, "RIL", LEXICON, STOPWORDS)
     assert all(r.score == NEUTRAL_SCORE and r.headline_count == 0 for r in records)
     assert [r.date for r in records] == CAL
 
 
 def test_weekend_news_rolls_forward_to_monday():
     saturday = date(2021, 6, 5)
-    records = aggregate_daily([news(saturday, "profits surge")], CAL, "RIL", LEXICON, STOPWORDS)
+    records = aggregate_daily(ril((saturday, "profits surge")), CAL, "RIL", LEXICON, STOPWORDS)
     assert records[0].date == CAL[0]
     assert records[0].headline_count == 1
 
 
 def test_news_after_calendar_end_is_an_error():
     late = "^line 5, column 'Date': RIL: news dated 2021-06-10 falls after the last trading day"
+    rows = [(CAL[0], "TCS", "early"), (CAL[1], "TCS", "early"), (CAL[2], "TCS", "early"),
+            (date(2021, 6, 10), "RIL", "late")]
     with pytest.raises(ParseError, match=late):
-        aggregate_daily([news(date(2021, 6, 10), "late", line=5)], CAL, "RIL", LEXICON, STOPWORDS)
+        aggregate_daily(news_file(*rows).of("RIL"), CAL, "RIL", LEXICON, STOPWORDS)
 
 
 def test_other_tickers_are_ignored():
-    items = [news(CAL[0], "profits surge", ticker="TCS")]
-    records = aggregate_daily(items, CAL, "RIL", LEXICON, STOPWORDS)
+    parsed = news_file((CAL[0], "TCS", "profits surge"), (CAL[1], "RIL", "heavy losses"))
+    assert parsed.of("RIL").headlines == ("heavy losses",)
+    assert parsed.of("RIL").lines.tolist() == [3]
+    assert parsed.of("TCS").headlines == ("profits surge",)
+    assert parsed.of("TCS").lines.tolist() == [2]
+    assert len(parsed.items) == 2  # the kept headlines of every ticker
+    records = aggregate_daily(parsed.of("RIL"), CAL, "RIL", LEXICON, STOPWORDS)
     assert records[0].headline_count == 0
 
 
 def test_headline_count_is_order_invariant():
-    items = [news(CAL[0], "profits surge"), news(CAL[0], "heavy losses")]
-    fwd = aggregate_daily(items, CAL, "RIL", LEXICON, STOPWORDS)
-    rev = aggregate_daily(list(reversed(items)), CAL, "RIL", LEXICON, STOPWORDS)
+    rows = [(CAL[0], "profits surge"), (CAL[0], "heavy losses")]
+    fwd = aggregate_daily(ril(*rows), CAL, "RIL", LEXICON, STOPWORDS)
+    rev = aggregate_daily(ril(*reversed(rows)), CAL, "RIL", LEXICON, STOPWORDS)
     assert fwd[0].headline_count == rev[0].headline_count == 2
 
 
 def test_per_headline_average_mode():
-    items = [news(CAL[0], "very good"), news(CAL[0], "heavy losses")]
+    items = ril((CAL[0], "very good"), (CAL[0], "heavy losses"))
     records = aggregate_daily(
         items, CAL, "RIL", LEXICON, STOPWORDS, per_headline_average=True
     )
@@ -223,7 +239,7 @@ def test_per_headline_average_mode():
 # --- scoring only some days ------------------------------------------------
 
 
-@settings(max_examples=80, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data(), per_headline_average=st.booleans())
 def test_scoring_some_days_gives_those_days_the_full_calendars_records(data, per_headline_average):
     # three weeks of weekdays from a Monday, some of them holidays
@@ -232,21 +248,22 @@ def test_scoring_some_days_gives_those_days_the_full_calendars_records(data, per
     calendar = [d for d in weekdays if d not in holidays]
     offsets = st.integers(-3, (calendar[-1] - calendar[0]).days)  # from the weekend before
     headlines = st.lists(st.sampled_from(WORD_POOL), max_size=5).map(" ".join)
-    items = [
-        news(calendar[0] + timedelta(days=offset), headline, line=line)
-        for line, (offset, headline) in enumerate(
-            data.draw(st.lists(st.tuples(offsets, headlines), max_size=25)), start=2
+    tickers = st.sampled_from(["RIL", "RIL", "TCS"])
+    rows = [
+        (calendar[0] + timedelta(days=offset), ticker, headline)
+        for ticker, offset, headline in data.draw(
+            st.lists(st.tuples(tickers, offsets, headlines), max_size=25)
         )
     ]
     wanted = data.draw(st.sets(st.sampled_from(calendar)))
 
-    def records(news_items, days=None):
+    def records(rows, days=None):
         return aggregate_daily(
-            news_items, calendar, "RIL", LEXICON, STOPWORDS,
+            news_file(*rows).of("RIL"), calendar, "RIL", LEXICON, STOPWORDS,
             per_headline_average=per_headline_average, days=days,
         )
 
-    full, some = records(items), records(items, wanted)
+    full, some = records(rows), records(rows, wanted)
     assert [r.date for r in some] == calendar
     assert [r.headline_count for r in some] == [r.headline_count for r in full]
     for rec, ref in zip(some, full):
@@ -255,11 +272,15 @@ def test_scoring_some_days_gives_those_days_the_full_calendars_records(data, per
         else:
             assert all(math.isnan(v) for v in astuple(rec.score))
 
-    late = news(calendar[-1] + timedelta(days=data.draw(st.integers(1, 4))), "late", line=99)
-    items.insert(data.draw(st.integers(0, len(items))), late)
+    # two late RIL headlines and a late TCS one among the rows: the earlier RIL line is named
+    late_days = st.integers(1, 4).map(lambda n: calendar[-1] + timedelta(days=n))
+    for ticker in ("RIL", "RIL", "TCS"):
+        rows.insert(data.draw(st.integers(0, len(rows))), (data.draw(late_days), ticker, "late"))
+    first = next(i for i, row in enumerate(rows) if row[1:] == ("RIL", "late"))
+    named = f"line {first + 2}, column 'Date': RIL: news dated {rows[first][0]} falls after "
     with pytest.raises(ParseError) as full_error:
-        records(items)
+        records(rows)
     with pytest.raises(ParseError) as some_error:
-        records(items, wanted)
+        records(rows, wanted)
     assert str(some_error.value) == str(full_error.value)
-    assert str(full_error.value).startswith("line 99, column 'Date': RIL: news dated ")
+    assert str(full_error.value).startswith(named)
