@@ -39,7 +39,7 @@ from .persistence import PersistenceModel
 from .trend import TrendModel
 
 FORMAT_NAME = "stockcast-artifact"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,18 @@ One forward pass serves training and inference. Only training keeps the
 BPTT caches; inference keeps only the running hidden and cell states, so
 predicting many windows at once builds no cache.
 
-Training is mini-batch Adam with seeded shuffling and early stopping on
-validation RMSE; given identical data, topology, config, and seed, the
-returned artifact is bit-identical across runs.
+Training is mini-batch Adam on the one weight vector `LstmParams.flat`,
+which is also what the artifact stores, with seeded shuffling and early
+stopping on validation RMSE; given identical data, topology, config, and
+seed, the returned artifact is bit-identical across runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,12 +57,19 @@ class LstmTopology:
             raise ValueError("final dense layer must have size 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        # a layer's (D, 4H) and (H, 4H) weights and a BiLSTM head's must fit numpy
-        dims, head = [1, *self.layer_sizes], [2 * self.layer_sizes[-1], *self.dense_sizes]
-        largest = max([4 * h * max(d, h) for d, h in zip(dims, dims[1:])]
-                      + [d * o for d, o in zip(head, head[1:])])
-        if 8 * largest > np.iinfo(np.intp).max:
-            raise ValueError(f"sizes need a weight array of {largest} values, more than numpy can hold")
+        size = sum(math.prod(shape) for shape in self.shapes())
+        if 8 * size > np.iinfo(np.intp).max:
+            raise ValueError(f"sizes need {size} weights, more than numpy can hold")
+
+    def shapes(self) -> list[tuple[int, ...]]:
+        """The shape of every weight array, in `LstmParams.flat` order: each
+        stack's layers (forward stack first) as (D, 4H) w_x, (H, 4H) w_h and
+        (4H,) b, then each dense layer's (D, O) w and (O,) b."""
+        dims = [1, *self.layer_sizes]
+        stack = [s for d, h in zip(dims, dims[1:]) for s in ((d, 4 * h), (h, 4 * h), (4 * h,))]
+        head = [self.layer_sizes[-1] * (1 + self.bidirectional), *self.dense_sizes]
+        dense = [s for d, o in zip(head, head[1:]) for s in ((d, o), (o,))]
+        return stack * (1 + self.bidirectional) + dense
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,7 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
     """One recurrent layer: fused (D, 4H) input and (H, 4H) recurrent weights."""
 
@@ -90,75 +100,57 @@ class LayerParams:
     b: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseParams:
     w: np.ndarray
     b: np.ndarray
 
 
-@dataclass
 class LstmParams:
-    stacks: list[list[LayerParams]]  # one layer stack per direction: forward, then reversed
-    dense: list[DenseParams]
+    """Every weight of one network, held in one float64 vector `flat`.
 
-    def arrays(self) -> list[np.ndarray]:
-        """All parameter tensors in a fixed, serialization-stable order."""
-        out: list[np.ndarray] = []
-        for stack in self.stacks:
-            for layer in stack:
-                out += [layer.w_x, layer.w_h, layer.b]
-        for dense in self.dense:
-            out += [dense.w, dense.b]
-        return out
+    `stacks` (one layer stack per direction: forward, then reversed) and
+    `dense` are views into `flat`, laid out as `LstmTopology.shapes()`
+    lists them. Without `flat` the weights start at zero.
+    """
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def unflatten(self, flat: np.ndarray) -> None:
-        """Write a flat vector back into the parameter tensors in place."""
-        offset = 0
-        for a in self.arrays():
-            a[...] = flat[offset : offset + a.size].reshape(a.shape)
-            offset += a.size
-        if offset != flat.size:
-            raise StockcastError("flat vector does not match parameter count")
-
-    def copy(self) -> "LstmParams":
-        return LstmParams(
-            stacks=[
-                [LayerParams(l.w_x.copy(), l.w_h.copy(), l.b.copy()) for l in stack]
-                for stack in self.stacks
-            ],
-            dense=[DenseParams(d.w.copy(), d.b.copy()) for d in self.dense],
-        )
-
-
-def _init_layer(rng: np.random.Generator, d_in: int, hidden: int) -> LayerParams:
-    # Xavier-uniform input weights, scaled-uniform recurrent weights,
-    # forget-gate bias 1.0 to keep early cell states alive
-    limit_x = np.sqrt(6.0 / (d_in + hidden))
-    w_x = rng.uniform(-limit_x, limit_x, size=(d_in, 4 * hidden))
-    limit_h = 1.0 / np.sqrt(hidden)
-    w_h = rng.uniform(-limit_h, limit_h, size=(hidden, 4 * hidden))
-    b = np.zeros(4 * hidden)
-    b[hidden : 2 * hidden] = 1.0
-    return LayerParams(w_x, w_h, b)
+    def __init__(self, topology: LstmTopology, flat: np.ndarray | None = None) -> None:
+        shapes = topology.shapes()
+        sizes = [math.prod(shape) for shape in shapes]
+        total = sum(sizes)
+        self.flat = np.zeros(total) if flat is None else flat
+        if self.flat.shape != (total,):
+            raise ValueError(
+                f"weights must be a vector of {total} values, not shape {list(self.flat.shape)}"
+            )
+        views = iter([
+            self.flat[end - size : end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, accumulate(sizes))
+        ])
+        self.stacks = [
+            [LayerParams(next(views), next(views), next(views)) for _ in topology.layer_sizes]
+            for _ in range(1 + topology.bidirectional)
+        ]
+        self.dense = [DenseParams(next(views), next(views)) for _ in topology.dense_sizes]
 
 
 def init_params(topology: LstmTopology, seed: int) -> LstmParams:
+    # Xavier-uniform input and dense weights, scaled-uniform recurrent
+    # weights, forget-gate bias 1.0 to keep early cell states alive
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
-    dims = [1, *topology.layer_sizes[:-1]]
-    stacks = [
-        [_init_layer(rng, d, h) for d, h in zip(dims, topology.layer_sizes)]
-        for _ in range(1 + topology.bidirectional)
-    ]
-    final_h = topology.layer_sizes[-1] * len(stacks)
-    dense_dims = [final_h, *topology.dense_sizes]
-    dense = []
-    for d_in, d_out in zip(dense_dims, dense_dims[1:]):
+    params = LstmParams(topology)
+    for layer in [layer for stack in params.stacks for layer in stack]:
+        d_in, hidden = layer.w_x.shape[0], layer.w_h.shape[0]
+        limit_x = np.sqrt(6.0 / (d_in + hidden))
+        layer.w_x[...] = rng.uniform(-limit_x, limit_x, size=layer.w_x.shape)
+        limit_h = 1.0 / np.sqrt(hidden)
+        layer.w_h[...] = rng.uniform(-limit_h, limit_h, size=layer.w_h.shape)
+        layer.b[hidden : 2 * hidden] = 1.0
+    for dense in params.dense:
+        d_in, d_out = dense.w.shape
         limit = np.sqrt(6.0 / (d_in + d_out))
-        dense.append(DenseParams(rng.uniform(-limit, limit, size=(d_in, d_out)), np.zeros(d_out)))
-    return LstmParams(stacks=stacks, dense=dense)
+        dense.w[...] = rng.uniform(-limit, limit, size=dense.w.shape)
+    return params
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -229,9 +221,10 @@ def _layer_forward(
 
 
 def _layer_backward(
-    layer: LayerParams, cache: _LayerCache, d_out_seq: np.ndarray
-) -> tuple[LayerParams, np.ndarray]:
-    """Gradients for one layer given dL/d(output sequence)."""
+    layer: LayerParams, cache: _LayerCache, d_out_seq: np.ndarray, grads: LayerParams
+) -> np.ndarray:
+    """Write one layer's gradients into `grads` given dL/d(output sequence);
+    return dL/d(input sequence)."""
     batch, steps, hidden = cache.tanh_c.shape
     dz_all = np.empty((batch, steps, 4 * hidden))
     dh_next = np.zeros((batch, hidden))
@@ -257,13 +250,10 @@ def _layer_backward(
         dh_next = dz @ layer.w_h.T
     flat_dz = dz_all.reshape(batch * steps, 4 * hidden)
     d_in = cache.inputs.shape[2]
-    grads = LayerParams(
-        w_x=cache.inputs.reshape(batch * steps, d_in).T @ flat_dz,
-        w_h=cache.h[:, :-1].reshape(batch * steps, hidden).T @ flat_dz,
-        b=flat_dz.sum(axis=0),
-    )
-    d_input_seq = (flat_dz @ layer.w_x.T).reshape(batch, steps, d_in)
-    return grads, d_input_seq
+    np.matmul(cache.inputs.reshape(batch * steps, d_in).T, flat_dz, out=grads.w_x)
+    np.matmul(cache.h[:, :-1].reshape(batch * steps, hidden).T, flat_dz, out=grads.w_h)
+    flat_dz.sum(axis=0, out=grads.b)
+    return (flat_dz @ layer.w_x.T).reshape(batch, steps, d_in)
 
 
 @dataclass
@@ -332,24 +322,21 @@ def lstm_gradients(
     residual = cache.output - targets
     loss = float(residual @ residual) / batch
 
-    dense_grads: list[DenseParams] = []
+    grads = LstmParams(topology)
     d_a = (2.0 / batch) * residual[:, None]
     for k in range(len(params.dense) - 1, -1, -1):
-        dense_grads.insert(0, DenseParams(w=cache.dense_inputs[k].T @ d_a, b=d_a.sum(axis=0)))
+        np.matmul(cache.dense_inputs[k].T, d_a, out=grads.dense[k].w)
+        d_a.sum(axis=0, out=grads.dense[k].b)
         d_a = d_a @ params.dense[k].w.T
 
     # d_a holds dL/d(final hidden states), one column block per stack
     hidden_last = topology.layer_sizes[-1]
-    stack_grads: list[list[LayerParams]] = []
     for s, (stack, caches) in enumerate(zip(params.stacks, cache.stacks)):
         d_out = np.zeros_like(caches[-1].tanh_c)
         d_out[:, -1] = d_a[:, s * hidden_last : (s + 1) * hidden_last]
-        grads: list[LayerParams] = []
         for li in range(len(stack) - 1, -1, -1):
-            layer_grads, d_out = _layer_backward(stack[li], caches[li], d_out)
-            grads.insert(0, layer_grads)
-        stack_grads.append(grads)
-    return loss, LstmParams(stacks=stack_grads, dense=dense_grads)
+            d_out = _layer_backward(stack[li], caches[li], d_out, grads.stacks[s][li])
+    return loss, grads
 
 
 @dataclass(frozen=True)
@@ -357,7 +344,7 @@ class NeuralModelArtifact:
     """Trained network plus everything needed to reproduce and apply it."""
 
     topology: LstmTopology
-    params: LstmParams
+    weights: np.ndarray  # LstmParams.flat
     scaler: MinMaxScaler
     history: tuple[dict, ...]
     seed: int
@@ -365,19 +352,9 @@ class NeuralModelArtifact:
     train_end: date | None = None  # TradingDate of the last training row
 
     def __post_init__(self) -> None:
-        t, p = self.topology, self.params
-        n_stacks = 1 + t.bidirectional
-        if len(p.stacks) != n_stacks:
-            raise ValueError(f"params.stacks must have {n_stacks} items, not {len(p.stacks)}")
-        dims = [1, *t.layer_sizes[:-1]]
-        stack = [((d, 4 * h), (h, 4 * h), (4 * h,)) for d, h in zip(dims, t.layer_sizes)]
-        dense_dims = [t.layer_sizes[-1] * n_stacks, *t.dense_sizes]
-        dense = [((d, o), (o,)) for d, o in zip(dense_dims, dense_dims[1:])]
-        parts = [(f"stacks[{i}]", layers, stack) for i, layers in enumerate(p.stacks)]
-        for name, layers, need in parts + [("dense", p.dense, dense)]:
-            have = [tuple(a.shape for a in vars(layer).values()) for layer in layers]
-            if have != need:
-                raise ValueError(f"params.{name} must have shapes {need}, not {have}")
+        # `params`, the network's views into `weights`; it refuses weights
+        # that do not fit the topology
+        object.__setattr__(self, "params", LstmParams(self.topology, self.weights))
 
     @property
     def kind(self) -> str:
@@ -439,7 +416,7 @@ def lstm_train(
     params = init_params(topology, config.seed)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 1])))
 
-    flat = params.flatten()
+    flat = params.flat
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     step = 0
@@ -459,14 +436,12 @@ def lstm_train(
             if not np.isfinite(loss):
                 raise StockcastError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(batch)
-            grad_flat = grads.flatten()
             step += 1
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad_flat
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad_flat * grad_flat
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads.flat
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads.flat * grads.flat
             m_hat = m / (1.0 - ADAM_BETA1**step)
             v_hat = v / (1.0 - ADAM_BETA2**step)
-            flat = flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            params.unflatten(flat)
+            flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         train_loss = epoch_loss / len(train_x)
 
         val_pred = lstm_batch_forward(params, topology, val_x)
@@ -487,10 +462,9 @@ def lstm_train(
             if since_best > config.early_stop_patience:
                 break
 
-    params.unflatten(best_flat)
     return NeuralModelArtifact(
         topology=topology,
-        params=params,
+        weights=best_flat,
         scaler=scaler,
         history=tuple(history),
         seed=config.seed,

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from stockcast.series import AlignedPanel, Series
+
+# Hypothesis imports this module while it reports a failing example, and its
+# imports raise a DeprecationWarning from mypy_extensions. Under `-W error`
+# that warning ended the whole run with an INTERNALERROR in place of the
+# example, so it is imported once here with the warning ignored. The module
+# needs libcst, an optional Hypothesis extra; without it Hypothesis skips
+# that step, so there is no warning to suppress.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def weekdays(start: date, count: int) -> list[date]:

@@ -29,6 +29,7 @@ from stockcast.models.forest import ForestConfig, fit_tree, forest_train
 from stockcast.models.knn import KnnModel
 from stockcast.models.linear import linreg_fit
 from stockcast.models.lstm import (
+    LstmParams,
     LstmTopology,
     TrainConfig,
     init_params,
@@ -77,21 +78,18 @@ def test_gradient_oracle_small_lstm():
     topology = LstmTopology(layer_sizes=(4, 3), dense_sizes=(2, 1), window=8)
     params = init_params(topology, seed=17)
     rng = np.random.Generator(np.random.PCG64(17))
-    flat = params.flatten()
-    params.unflatten(flat + rng.normal(0, 0.1, flat.shape))
+    params.flat += rng.normal(0, 0.1, params.flat.shape)
 
     x = rng.normal(0, 1, (6, 8))
     y = rng.normal(0, 1, 6)
     _, grads = lstm_gradients(params, topology, x, y)
-    analytic = grads.flatten()
+    analytic = grads.flat
 
     h = 1e-5
-    base = params.flatten()
-    work = params.copy()
+    base = params.flat
 
     def loss_at(vec: np.ndarray) -> float:
-        work.unflatten(vec)
-        r = lstm_batch_forward(work, topology, x) - y
+        r = lstm_batch_forward(LstmParams(topology, vec), topology, x) - y
         return float(r @ r) / len(y)
 
     numeric = np.empty_like(base)

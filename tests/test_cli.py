@@ -139,10 +139,12 @@ def test_config_typo_or_bad_value_names_its_key(mini, tmp_path, old, new, messag
         ("gridsearch-window", "windows = 5, 10", "windows = ,",
          "[gridsearch] windows must list at least one window"),
         ("train", "dense = 3, 1", "dense = 25, 2", "[lstm] final dense layer must have size 1"),
+        # every weight of the network: (1, 4H), (H, 4H), (4H,), then (H, 3), (3,), (3, 1), (1,)
         ("train", "layers = 5", f"layers = {10**30}",
-         f"[lstm] sizes need a weight array of {4 * 10**60} values, more than numpy can hold"),
+         f"[lstm] sizes need {4 * 10**60 + 11 * 10**30 + 7} weights, more than numpy can hold"),
+        # (1, 20), (5, 20), (20,), then (5, D), (D,), (D, 1), (1,)
         ("train", "dense = 3, 1", f"dense = {10**30}, 1",
-         f"[lstm] sizes need a weight array of {10**31} values, more than numpy can hold"),
+         f"[lstm] sizes need {7 * 10**30 + 141} weights, more than numpy can hold"),
         ("train", "n_trees = 8", "n_trees = 0", "[forest] n_trees must be >= 1"),
         ("train", "epochs = 2", "epochs = -1", "[lstm] epochs must be >= 0"),
         ("train", "seasonal_order = 0, 0, 0, 1", "seasonal_order = 2, 1, 0, 0",
@@ -257,23 +259,30 @@ UNKNOWN_MODEL_ENTRY = {
 
 
 @pytest.mark.parametrize(
-    "doc, message",
+    "data, message",
     [
-        ({"metadata": {}, "entries": [{"ticker": "AAA"}]}, "report.entries[0] lacks key 'model'"),
-        ({"metadata": {}, "entries": {"ticker": "AAA"}}, "report.entries must be a list, not dict"),
-        ({"metadata": {}, "entries": [UNKNOWN_MODEL_ENTRY]},
+        (json.dumps({"metadata": {}, "entries": [{"ticker": "AAA"}]}).encode(),
+         "report.entries[0] lacks key 'model'"),
+        (json.dumps({"metadata": {}, "entries": {"ticker": "AAA"}}).encode(),
+         "report.entries must be a list, not dict"),
+        (json.dumps({"metadata": {}, "entries": [UNKNOWN_MODEL_ENTRY]}).encode(),
          "report.entries[0].model must be a model kind, not 'foo'"),
+        (b'{"metadata": {}\n', "Expecting ',' delimiter: line 2 column 1 (char 16)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"[]", "report must be an object, not list"),
     ],
-    ids=["missing-key", "entries-not-a-list", "unknown-model"],
+    ids=["missing-key", "entries-not-a-list", "unknown-model", "truncated", "not-utf-8",
+         "top-level-list"],
 )
-def test_malformed_saved_report_is_a_report_error(mini, tmp_path, capsys, doc, message):
-    (tmp_path / "report").mkdir()
-    (tmp_path / "report" / "forecast_report.json").write_text(json.dumps(doc))
+def test_malformed_saved_report_is_a_report_error(mini, tmp_path, capsys, data, message):
+    path = tmp_path / "report" / "forecast_report.json"
+    path.parent.mkdir()
+    path.write_bytes(data)
     assert run("report", "--config", mini, "--out", tmp_path) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "[report] error:" in err and message in err
-    assert [p.name for p in (tmp_path / "report").iterdir()] == ["forecast_report.json"]
+    assert err.startswith(f"stockcast: [report] error: {path}: {message}"), err
+    assert [p.name for p in path.parent.iterdir()] == ["forecast_report.json"]
 
 
 def test_saved_report_naming_a_ticker_outside_universe_is_a_report_error(mini, tmp_path, capsys):

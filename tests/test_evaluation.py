@@ -155,7 +155,7 @@ def small_neural(panel: AlignedPanel, split_row: int, bidirectional: bool = Fals
                             bidirectional=bidirectional)
     return NeuralModelArtifact(
         topology=topology,
-        params=init_params(topology, seed),
+        weights=init_params(topology, seed).flat,
         scaler=fit_scaler(panel.close[:split_row]),
         history=(),
         seed=seed,

@@ -219,7 +219,7 @@ def test_decode_errors_name_the_path_of_the_bad_value(trained):
     _, models = trained
 
     def bad_weight(doc):
-        doc["payload"]["params"]["stacks"][0][0]["w_x"] = "weights"
+        doc["payload"]["weights"] = "weights"
 
     def extra_topology_key(doc):
         doc["payload"]["topology"]["cell"] = "gru"
@@ -228,8 +228,7 @@ def test_decode_errors_name_the_path_of_the_bad_value(trained):
         doc["payload"]["spec"]["order"] = [0, 1]
 
     for kind, edit, message in [
-        ("lstm", bad_weight,
-         "payload.params.stacks[0][0].w_x must be an array of float64, not str"),
+        ("lstm", bad_weight, "payload.weights must be an array of float64, not str"),
         ("bilstm", extra_topology_key, "payload.topology has unknown key 'cell'"),
         ("arima", short_order, "payload.spec.order must have 3 items, not 2"),
     ]:
@@ -240,36 +239,39 @@ def test_decode_errors_name_the_path_of_the_bad_value(trained):
 
 def test_a_version_1_artifact_is_refused(trained):
     _, models = trained
-    for old in (1, 2, 3, 4, 5, 6):
+    for old in (1, 2, 3, 4, 5, 6, 7):
         text = corrupted(models["arima"], lambda doc: doc.update(format_version=old))
         with pytest.raises(ArtifactError, match=f"unsupported artifact version {old}"):
             loads_artifact(text)
 
 
-def _packed_bias(doc) -> dict:
-    return doc["payload"]["params"]["stacks"][0][0]["b"]
+def _packed_weights(doc) -> dict:
+    return doc["payload"]["weights"]
 
 
 def _short_data(doc):
-    b = _packed_bias(doc)
-    b["data"] = base64.b64encode(base64.b64decode(b["data"])[:-8]).decode()
+    w = _packed_weights(doc)
+    w["data"] = base64.b64encode(base64.b64decode(w["data"])[:-8]).decode()
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda doc: _packed_bias(doc).update(dtype="<i8"),
-         "b must be an array of float64, not int64"),
-        (lambda doc: _packed_bias(doc).update(dtype="f8"),
-         "b must be an array of float64, not 'f8'"),
-        (_short_data, "b.data holds 152 bytes, not the float64 array of shape [20]"),
-        (lambda doc: _packed_bias(doc).update(data="not base64!"), "b.data is not base64"),
-        (lambda doc: _packed_bias(doc).update(shape=[True]), "b.shape[0] must be int, not bool"),
-        (lambda doc: _packed_bias(doc).update(shape=[-1]), "b.shape [-1] has a negative length"),
-        (lambda doc: _packed_bias(doc).update(shape=[10**20]),
-         "b.data holds 160 bytes, not the float64 array of shape [100000000000000000000]"),
-        (lambda doc: _packed_bias(doc).update(shape=[0, 10**20], data=""), "b.shape"),
-        (lambda doc: _packed_bias(doc).pop("shape"), "b lacks key 'shape'"),
+        (lambda doc: _packed_weights(doc).update(dtype="<i8"),
+         "weights must be an array of float64, not int64"),
+        (lambda doc: _packed_weights(doc).update(dtype="f8"),
+         "weights must be an array of float64, not 'f8'"),
+        (_short_data, "weights.data holds 1288 bytes, not the float64 array of shape [162]"),
+        (lambda doc: _packed_weights(doc).update(data="not base64!"),
+         "weights.data is not base64"),
+        (lambda doc: _packed_weights(doc).update(shape=[True]),
+         "weights.shape[0] must be int, not bool"),
+        (lambda doc: _packed_weights(doc).update(shape=[-1]),
+         "weights.shape [-1] has a negative length"),
+        (lambda doc: _packed_weights(doc).update(shape=[10**20]),
+         "weights.data holds 1296 bytes, not the float64 array of shape [100000000000000000000]"),
+        (lambda doc: _packed_weights(doc).update(shape=[0, 10**20], data=""), "weights.shape"),
+        (lambda doc: _packed_weights(doc).pop("shape"), "weights lacks key 'shape'"),
     ],
     ids=["wrong-dtype", "unknown-dtype", "short-data", "invalid-base64", "bool-shape",
          "negative-shape", "huge-shape", "huge-empty-shape", "missing-shape"],
@@ -281,7 +283,7 @@ def test_malformed_binary_array_is_an_artifact_error(trained, edit, message):
     edit(doc)
     with pytest.raises(ArtifactError) as exc:
         loads_artifact(json.dumps(doc))
-    assert f"malformed lstm artifact: payload.params.stacks[0][0].{message}" in str(exc.value)
+    assert f"malformed lstm artifact: payload.{message}" in str(exc.value)
 
 
 def _knn_closes_as_rows(doc):
@@ -294,9 +296,9 @@ def _knn_closes_cut_to_window(doc):
     del payload["train_closes"][payload["window"] :]
 
 
-def _lstm_second_stack(doc):
-    stacks = doc["payload"]["params"]["stacks"]
-    stacks.append(stacks[0])
+def _lstm_weights_as_rows(doc):
+    weights = doc["payload"]["weights"]
+    weights[:] = [weights[:81], weights[81:]]
 
 
 def _scaler_range(lo, hi):
@@ -314,17 +316,13 @@ def _scaler_range(lo, hi):
         ("knn", lambda doc: doc["payload"].update(window=0), "longer than a window >= 1 (0)"),
         ("knn", lambda doc: doc["payload"].update(k=0), "k must be between 1 and the"),
         ("knn", lambda doc: doc["payload"].update(k=10**6), "training windows, not 1000000"),
-        ("lstm", lambda doc: doc["payload"]["params"]["stacks"][0][0]["w_h"].pop(),
-         "params.stacks[0] must have shapes [((1, 20), (5, 20), (20,))]"),
-        ("lstm", lambda doc: doc["payload"]["params"]["stacks"][0][0]["w_x"][0].pop(),
-         "params.stacks[0] must have shapes"),
-        ("lstm", lambda doc: doc["payload"]["params"]["dense"].pop(),
-         "params.dense must have shapes [((5, 3), (3,)), ((3, 1), (1,))], not [((5, 3), (3,))]"),
-        ("lstm", _lstm_second_stack, "params.stacks must have 1 items, not 2"),
-        ("bilstm", lambda doc: doc["payload"]["params"]["stacks"].pop(),
-         "params.stacks must have 2 items, not 1"),
-        ("bilstm", lambda doc: doc["payload"]["params"]["dense"][0]["w"].pop(),
-         "params.dense must have shapes [((10, 3), (3,)), ((3, 1), (1,))]"),
+        # an LSTM of layers 5, dense 3, 1 has 20 + 100 + 20 + 15 + 3 + 3 + 1 weights
+        ("lstm", lambda doc: doc["payload"]["weights"].pop(),
+         "weights must be a vector of 162 values, not shape [161]"),
+        ("lstm", _lstm_weights_as_rows, "weights must be a vector of 162 values, not shape [2, 81]"),
+        # a BiLSTM has a second stack of 140, and its head reads 10 states
+        ("bilstm", lambda doc: doc["payload"]["weights"].append(0.5),
+         "weights must be a vector of 317 values, not shape [318]"),
         ("linreg", lambda doc: doc["payload"]["coefficients"].pop(),
          "coefficients must be a vector of the 10 features"),
         ("lstm", _scaler_range(3.0, 3.0), "scaler needs finite lo < hi, not lo=3.0, hi=3.0"),
@@ -338,8 +336,8 @@ def _scaler_range(lo, hi):
          "seasonal_ar must hold the spec's 0 coefficients, not shape (1,)"),
     ],
     ids=["knn-closes-2d", "knn-closes-within-window", "knn-window-zero", "knn-k-zero", "knn-k-past-rows",
-         "lstm-short-w-h", "lstm-short-w-x", "lstm-dense-dropped", "lstm-backward-layers",
-         "bilstm-no-backward-layers", "bilstm-narrow-dense", "linreg-short-coefficients",
+         "lstm-short-weights", "lstm-weights-as-rows", "bilstm-long-weights",
+         "linreg-short-coefficients",
          "scaler-hi-equals-lo", "scaler-hi-below-lo", "scaler-nan-lo", "scaler-infinite-hi",
          "arima-ma-emptied", "arima-seasonal-ar-added"],
 )
@@ -363,13 +361,12 @@ def _set_first(value, *keys):
 @pytest.mark.parametrize(
     "kind, edit, message",
     [
-        ("lstm", _set_first(float("nan"), "params", "dense", 1, "b"),
-         "payload.params.dense[1].b"),
+        ("lstm", _set_first(float("nan"), "weights"), "payload.weights"),
         ("arima", _set_first(float("inf"), "ma"), "payload.ma"),
         ("forest", _set_first(float("nan"), "trees", 0, "threshold"),
          "payload.trees[0].threshold"),
     ],
-    ids=["lstm-dense-bias-nan", "arima-ma-inf", "forest-threshold-nan"],
+    ids=["lstm-weight-nan", "arima-ma-inf", "forest-threshold-nan"],
 )
 def test_non_finite_artifact_array_is_an_artifact_error(trained, kind, edit, message):
     _, models = trained
