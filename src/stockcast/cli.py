@@ -139,8 +139,14 @@ def cmd_report(data: PipelineData, svg: bool) -> None:
     json_path = data.config.out_dir / "report" / "forecast_report.json"
     if not json_path.exists():
         raise StockcastError(f"no saved evaluation at {json_path}; run evaluate first")
+    universe = data.config.tickers
     try:
         report = report_from_json(json_path.read_text(encoding="utf-8"))
+        for ticker in report.tickers():
+            if ticker not in universe:
+                raise StockcastError(
+                    f"ticker {ticker!r} not in configured universe {', '.join(universe)}"
+                )
     except (StockcastError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
         raise StockcastError(f"{json_path}: {exc}") from None
     written = write_report_outputs(data, report, svg=svg)

@@ -1,15 +1,18 @@
 """Bagged regression trees over the sentiment + macro feature table.
 
-Greedy CART induction: at each node a seeded random feature subset is
-scanned in one pass (every chosen column stably sorted at once, prefix
-sums down the columns), candidate thresholds are midpoints between
-consecutive distinct sorted values (the upper value when the midpoint of
-two adjacent doubles rounds onto the lower one, which would leave a child
-empty), and the split minimizing the summed child squared error is taken.
-Ties break on (cost, feature index, threshold), so the fitted tree is
-independent of scan order. Per-tree RNG streams are derived from the
-master seed by tree index, so each tree depends only on the seed and its
-own index.
+Greedy CART induction, grown level by level: each step scans every node of
+one depth level that may split in one padded block (every chosen column of
+every node stably sorted at once, prefix sums restarting at each node's
+first row), and partitions their rows into the next level's nodes in one
+stable pass. Candidate thresholds are midpoints between consecutive
+distinct sorted values (the upper value when the midpoint of two adjacent
+doubles rounds onto the lower one, which would leave a child empty), and
+the split minimizing the summed child squared error is taken. Ties break
+on (cost, feature index, threshold), so the fitted tree is independent of
+scan order. Per-tree RNG streams are derived from the master seed by tree
+index: after the bootstrap draw, each level draws the feature subsets of
+all its splittable nodes in one call, in level order, so each tree depends
+only on the seed and its own index. Trees are stored in preorder.
 
 Prediction walks a block of rows through all trees at once, one tree
 level per step, and averages each row over the trees.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,14 +32,19 @@ from ..dataset import FEATURE_NAMES
 from ..errors import SchemaMismatch, StockcastError
 
 _LEAF = -1
+# one depth level of a tree: feature, threshold and value of each node, and the
+# indices of its split nodes, whose children make the next level, left and right in turn
+_Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 # prediction walks at most this many (row, tree) pairs at once: 512 KiB per int64 array
 _CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Every tree is grown to full depth on a bootstrap sample, drawing
-    ceil(p / 3) candidate features per split."""
+    """Every tree is grown to full depth on a bootstrap sample, level by
+    level, drawing ceil(p / 3) candidate features per split: one draw per
+    level for all of its splittable nodes, in level order. Trees are
+    stored in preorder."""
 
     n_trees: int = 100
     seed: int = 0
@@ -51,7 +59,7 @@ class RegressionTree:
     """Flat-array binary tree in preorder: feature[i] == -1 marks a leaf.
 
     A split node's left child is the next node, i + 1, and its right child
-    comes after the left subtree, as `_TreeBuilder` emits them. Since every
+    comes after the left subtree, as `fit_tree` lays them out. Since every
     child lies after its parent, every walk from the root ends at a leaf.
     """
 
@@ -75,110 +83,61 @@ class RegressionTree:
         return len(self.feature)
 
 
-def _best_split(
-    x: np.ndarray, y: np.ndarray, features: Sequence[int], min_leaf: int
-) -> tuple[float, int, float] | None:
-    """Minimal (cost, feature, threshold) over all candidate splits.
+def _best_splits(
+    x: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    features: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each node's minimal (cost, feature, threshold); cost is inf where none exists.
 
-    Cost is sse_left + sse_right with sse = sum(y^2) - (sum y)^2 / n,
-    computed from prefix sums over each feature's sorted order. All
-    features fill one (feature, left count) cost matrix, in which a split
-    between equal values costs inf. Its first minimum in row-major order
-    is the smallest (cost, feature, threshold), because the rows follow
-    the feature index and thresholds grow with the left count.
+    Node i owns rows[starts[i] : starts[i] + counts[i]] and scans the sorted
+    feature indices features[i]. All nodes fill one padded (node, feature,
+    row) block: padding holds +inf, so a stable sort puts it after the
+    node's own values, and each node's prefix sums run from its first row.
+    Cost is sse_left + sse_right with sse = sum(y^2) - (sum y)^2 / n. In a
+    node's (feature, left count) cost matrix a split between equal values,
+    or one leaving fewer than min_leaf rows on a side, costs inf; its first
+    minimum in row-major order is the smallest (cost, feature, threshold),
+    because the rows follow the feature index and thresholds grow with the
+    left count.
     """
-    n = len(y)
-    if n < 2 * min_leaf:
-        return None
-    features = np.sort(features)
-    rows = x[:, features].T
-    order = rows.argsort(axis=1, kind="stable")
-    xs = rows[np.arange(len(features))[:, None], order]
-    ys = y[order]
-    csum = ys.cumsum(axis=1)
-    csq = (ys * ys).cumsum(axis=1)
-    # left counts k = min_leaf .. n - min_leaf; a split exists only between distinct values
-    first, last = min_leaf - 1, n - min_leaf
-    valid = xs[:, first:last] != xs[:, first + 1 : last + 1]
-    if not valid.any():
-        return None
-    k = np.arange(min_leaf, n - min_leaf + 1)
-    left_sum = csum[:, first:last]
-    left_sq = csq[:, first:last]
-    right_sum = csum[:, -1:] - left_sum
+    m = len(counts)
+    width = max(int(counts.max()), 2)
+    col = np.arange(width)
+    pad = col >= counts[:, None]
+    idx = rows[np.where(pad, 0, starts[:, None] + col)]
+    values = np.where(pad[:, None], np.inf, x[idx[:, None, :], features[:, :, None]])
+    # each (node, feature) pair's rows in sorted order, then padding that every use masks out
+    ranked = idx[np.arange(m)[:, None, None], values.argsort(axis=2, kind="stable")]
+    xs = x[ranked, features[:, :, None]]
+    ys = y[ranked]
+    csum = ys.cumsum(axis=2)
+    csq = (ys * ys).cumsum(axis=2)
+    last = np.arange(m), slice(None), counts - 1
+    total_sum, total_sq = csum[last][:, :, None], csq[last][:, :, None]
+    k = col[1:]  # left count of a split after sorted position k - 1
+    n = counts[:, None]
+    in_range = (k >= min_leaf) & (k <= n - min_leaf)
+    left_sum = csum[:, :, :-1]
+    left_sq = csq[:, :, :-1]
+    right_sum = total_sum - left_sum
+    right_n = np.maximum(n - k, 1)[:, None]  # >= min_leaf wherever in_range
     cost = (left_sq - left_sum * left_sum / k) + (
-        (csq[:, -1:] - left_sq) - right_sum * right_sum / (n - k)
+        (total_sq - left_sq) - right_sum * right_sum / right_n
     )
-    cost[~valid] = np.inf
-    j, i = divmod(int(cost.argmin()), len(k))
-    lo, hi = float(xs[j, first + i]), float(xs[j, first + i + 1])
-    threshold = (lo + hi) / 2.0
-    if not threshold > lo:  # adjacent doubles: the midpoint rounds onto lo
-        threshold = hi
-    return float(cost[j, i]), int(features[j]), threshold
-
-
-class _TreeBuilder:
-    def __init__(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        max_depth: int | None,
-        min_leaf: int,
-        max_features: int,
-        rng: np.random.Generator | None,
-    ) -> None:
-        self.x = x
-        self.y = y
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.max_features = max_features
-        self.rng = rng
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def _new_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def build(self, indices: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        y = self.y[indices]
-        self.value[node] = float(y.sum()) / len(y)  # y.mean(), without its Python wrapper
-        if (
-            (self.max_depth is not None and depth >= self.max_depth)
-            or len(indices) < 2 * self.min_leaf
-            or (y == y[0]).all()
-        ):
-            return node
-        p = self.x.shape[1]
-        if self.rng is not None and self.max_features < p:
-            chosen = self.rng.choice(p, size=self.max_features, replace=False)
-        else:
-            chosen = np.arange(p)
-        split = _best_split(self.x[indices], y, chosen, self.min_leaf)
-        if split is None:
-            return node
-        _, f, threshold = split
-        mask = self.x[indices, f] < threshold
-        self.feature[node] = f
-        self.threshold[node] = threshold
-        self.build(indices[mask], depth + 1)  # the left child is node + 1
-        self.right[node] = self.build(indices[~mask], depth + 1)
-        return node
-
-    def finish(self) -> RegressionTree:
-        return RegressionTree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            right=np.array(self.right, dtype=np.int64),
-            value=np.array(self.value, dtype=np.float64),
-        )
+    valid = in_range[:, None] & (xs[:, :, :-1] != xs[:, :, 1:])
+    cost = np.where(valid, cost, np.inf).reshape(m, -1)
+    best = cost.argmin(axis=1)
+    node = np.arange(m)
+    j, i = np.divmod(best, width - 1)
+    lo, hi = xs[node, j, i], xs[node, j, i + 1]
+    mid = (lo + hi) / 2.0
+    # adjacent doubles: the midpoint rounds onto lo, so the split takes hi
+    return cost[node, best], features[node, j], np.where(mid > lo, mid, hi)
 
 
 def fit_tree(
@@ -189,15 +148,81 @@ def fit_tree(
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> RegressionTree:
-    """Fit a single CART regression tree (all features when max_features is None)."""
+    """Fit a single CART regression tree (all features when max_features is None).
+
+    The tree grows one depth level per step. A level's nodes keep their
+    rows contiguous, in the order of x, and every node that may split is
+    scanned in one `_best_splits` call; its children are one stable
+    partition of those rows. With an rng and fewer than p features per
+    split, each level draws every such node's features in one call, in
+    level order. The breadth-first table is then renumbered into preorder.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    p = x.shape[1]
-    builder = _TreeBuilder(
-        x, y, max_depth, min_samples_leaf, max_features if max_features is not None else p, rng
-    )
-    builder.build(np.arange(len(y)), 0)
-    return builder.finish()
+    n, p = x.shape
+    q = p if max_features is None else max_features
+    levels: list[_Level] = []
+    rows, counts = np.arange(n), np.array([n])
+    while True:
+        starts = np.cumsum(counts) - counts
+        ys = y[rows]
+        bounds = zip(starts.tolist(), counts.tolist())
+        # y.mean() of each node's rows in their order, without its Python wrapper
+        value = np.array([float(np.add.reduce(ys[a : a + c])) / c for a, c in bounds])
+        feature = np.full(len(counts), _LEAF)
+        threshold = np.zeros(len(counts))
+        split = np.flatnonzero(
+            np.logical_or.reduceat(ys != np.repeat(ys[starts], counts), starts)
+            & (counts >= 2 * min_samples_leaf)
+            & (max_depth is None or len(levels) < max_depth)
+        )
+        if split.size:
+            if rng is not None and q < p:
+                chosen = np.sort(rng.random((split.size, p)).argsort(axis=1)[:, :q], axis=1)
+            else:
+                chosen = np.broadcast_to(np.arange(p), (split.size, p))
+            cost, f, t = _best_splits(
+                x, y, rows, starts[split], counts[split], chosen, min_samples_leaf
+            )
+            found = cost < np.inf
+            split = split[found]
+            feature[split] = f[found]
+            threshold[split] = t[found]
+        levels.append((feature, threshold, value, split))
+        if not split.size:
+            break
+        rank = np.full(len(counts), -1)
+        rank[split] = np.arange(split.size)
+        node = np.repeat(rank, counts)
+        rows, node = rows[node >= 0], node[node >= 0]
+        at = split[node]
+        child = 2 * node + ~(x[rows, feature[at]] < threshold[at])
+        rows = rows[child.argsort(kind="stable")]
+        counts = np.bincount(child, minlength=2 * split.size)
+    return _preorder(levels)
+
+
+def _preorder(levels: list[_Level]) -> RegressionTree:
+    """The breadth-first levels as one preorder table: a left child at i + 1."""
+    sizes = [np.ones(len(level[0]), dtype=np.int64) for level in levels]
+    for d in range(len(levels) - 2, -1, -1):
+        sizes[d][levels[d][3]] += sizes[d + 1][0::2] + sizes[d + 1][1::2]
+    total = int(sizes[0][0])
+    feature = np.empty(total, dtype=np.int64)
+    threshold = np.empty(total)
+    right = np.empty(total, dtype=np.int64)
+    value = np.empty(total)
+    at = np.zeros(1, dtype=np.int64)  # each node's preorder index, one level at a time
+    for d, (f, t, v, split) in enumerate(levels):
+        feature[at], threshold[at], value[at] = f, t, v
+        right[at] = _LEAF
+        if split.size:
+            below = np.empty(2 * split.size, dtype=np.int64)
+            below[0::2] = at[split] + 1
+            below[1::2] = below[0::2] + sizes[d + 1][0::2]
+            right[at[split]] = below[1::2]
+            at = below
+    return RegressionTree(feature=feature, threshold=threshold, right=right, value=value)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from .scorer import (
     SentimentScore,
     score_text,
     token_valences,
-    valence_sum,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "preprocess_text",
     "score_text",
     "token_valences",
-    "valence_sum",
 ]

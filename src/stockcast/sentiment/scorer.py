@@ -132,11 +132,6 @@ def _signed_sum(valences: list[float], text: str) -> tuple[float, float]:
     return total, bonus
 
 
-def valence_sum(text: str, lexicon: Lexicon) -> float:
-    """Signed valence sum S including punctuation emphasis (pre-normalization)."""
-    return _signed_sum(token_valences(text, lexicon), text)[0]
-
-
 def score_text(text: str, lexicon: Lexicon) -> SentimentScore:
     """Score one text; total and deterministic.
 

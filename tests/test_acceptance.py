@@ -24,7 +24,7 @@ import pytest
 from stockcast.dataset import build_feature_table, build_windows, chronological_split, fit_scaler
 from stockcast.evaluation import mape, rmse, walk_forward
 from stockcast.models.arima import ArimaModel, ArimaSpec, arima_fit
-from stockcast.models.artifacts import MODEL_KINDS
+from stockcast.models.artifacts import MODEL_KINDS, dumps_artifact
 from stockcast.models.forest import ForestConfig, fit_tree, forest_train
 from stockcast.models.knn import KnnModel
 from stockcast.models.linear import linreg_fit
@@ -279,6 +279,19 @@ def test_walk_forward_never_reads_target_or_later():
                 assert np.array_equal(changed.predicted[:kept], entry.predicted[:kept]), (
                     f"{type(model).__name__}: a change from row {j} moved an earlier prediction"
                 )
+
+
+def test_forest_fit_is_blind_to_rows_from_the_split_on():
+    cfg = ForestConfig(n_trees=5, seed=3)
+    for seed in range(5):
+        panel = make_panel(n=60, seed=seed)
+        s = 45
+        features, targets = build_feature_table(panel)
+        moved_features, moved_targets = build_feature_table(perturbed_from(panel, s))
+        assert not np.array_equal(targets[:s], moved_targets[:s])  # row s - 1 reads row s
+        trained = forest_train(features[: s - 1], targets[: s - 1], cfg)
+        moved = forest_train(moved_features[: s - 1], moved_targets[: s - 1], cfg)
+        assert dumps_artifact(trained) == dumps_artifact(moved)
 
 
 # --- 7 + 8. determinism and end-to-end on the bundled sample --------------------

@@ -298,7 +298,9 @@ def test_saved_report_naming_a_ticker_outside_universe_is_a_report_error(mini, t
     assert run("report", "--config", mini, "--out", tmp_path) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "[report] error:" in err and "'ZZZ' not in configured universe" in err
+    assert err.startswith(
+        f"stockcast: [report] error: {path}: ticker 'ZZZ' not in configured universe AAA, BBB"
+    ), err
     assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
 
 

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,12 @@ from stockcast.models.forest import (
     ForestConfig,
     ForestModel,
     RegressionTree,
-    _best_split,
+    _best_splits,
     fit_tree,
     forest_train,
 )
 
-from cart_oracle import best_split_per_feature, exhaustive_tree, leaf_value
+from cart_oracle import best_split_per_feature, depth_first_tree, exhaustive_tree, leaf_value
 from conftest import make_panel
 
 
@@ -137,8 +139,9 @@ def test_bootstrap_changes_trees_but_seed_fixes_them():
     assert dumps_artifact(a) != dumps_artifact(c)
 
 
-def test_one_pass_split_scan_equals_the_per_feature_scan():
+def test_level_scan_equals_the_per_feature_scan():
     rng = np.random.Generator(np.random.PCG64(31))
+    frontiers = defaultdict(list)  # nodes one scan can take: same p, feature count, min_leaf
     for _ in range(400):
         n = int(rng.integers(1, 30))
         p = int(rng.integers(1, 6))
@@ -150,8 +153,48 @@ def test_one_pass_split_scan_equals_the_per_feature_scan():
         y = rng.integers(-3, 4, size=n).astype(np.float64) * rng.choice([1.0, 0.1])
         features = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
         min_leaf = int(rng.integers(1, 4))
-        expected = best_split_per_feature(x, y, features, min_leaf)
-        assert _best_split(x, y, features, min_leaf) == expected
+        frontiers[p, len(features), min_leaf].append((x, y, np.sort(features)))
+    layout = np.random.Generator(np.random.PCG64(32))
+    assert sum(len(nodes) > 1 for nodes in frontiers.values()) > 30
+    for (p, _, min_leaf), nodes in frontiers.items():
+        counts = np.array([len(y) for _, y, _ in nodes])
+        starts = np.cumsum(counts) - counts
+        # node i owns rows[starts[i] : starts[i] + counts[i]], scattered over one table
+        rows = layout.permutation(counts.sum())
+        x = np.empty((counts.sum(), p))
+        y = np.empty(counts.sum())
+        x[rows] = np.concatenate([node[0] for node in nodes])
+        y[rows] = np.concatenate([node[1] for node in nodes])
+        features = np.array([node[2] for node in nodes])
+        cost, feature, threshold = _best_splits(x, y, rows, starts, counts, features, min_leaf)
+        for i, (x_i, y_i, features_i) in enumerate(nodes):
+            expected = best_split_per_feature(x_i, y_i, features_i, min_leaf)
+            found = (float(cost[i]), int(feature[i]), float(threshold[i]))
+            assert (None if cost[i] == np.inf else found) == expected
+
+
+def assert_same_bits(tree: RegressionTree, oracle: RegressionTree):
+    for name in ("feature", "threshold", "right", "value"):
+        a, b = getattr(tree, name), getattr(oracle, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_level_wise_tree_equals_the_depth_first_oracle(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.normal(size=(300, 9)) * rng.uniform(0.1, 100.0, size=9)
+    y = rng.normal(size=300).cumsum()
+    assert_same_bits(fit_tree(x, y), depth_first_tree(x, y))
+    ties = rng.integers(0, 4, size=(200, 4)).astype(np.float64)
+    nudged = rng.random(ties.shape) < 0.3
+    ties[nudged] = np.nextafter(ties[nudged], np.inf)  # adjacent doubles beside the ties
+    steps = rng.integers(-3, 4, size=200).astype(np.float64) * 0.1
+    for max_depth, min_leaf in [(None, 1), (0, 1), (1, 1), (3, 2), (6, 3), (None, 5)]:
+        tree = fit_tree(ties, steps, max_depth=max_depth, min_samples_leaf=min_leaf)
+        assert_same_bits(tree, depth_first_tree(ties, steps, max_depth, min_leaf))
+        # without an rng every node scans every feature, whatever max_features says
+        tree = fit_tree(x, y, max_depth=max_depth, min_samples_leaf=min_leaf, max_features=3)
+        assert_same_bits(tree, depth_first_tree(x, y, max_depth, min_leaf))
 
 
 def per_tree_means(model: ForestModel, rows: np.ndarray) -> np.ndarray:

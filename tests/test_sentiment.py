@@ -21,8 +21,8 @@ from stockcast.sentiment import (
     parse_stopwords,
     preprocess_text,
     score_text,
-    valence_sum,
 )
+from stockcast.sentiment.scorer import _signed_sum, token_valences
 
 from vader_reference import ReferenceAnalyzer
 
@@ -137,6 +137,11 @@ def test_mass_proportions_sum_to_one(words):
     score = score_text(" ".join(words), LEXICON)
     assert abs(score.pos + score.neg + score.neu - 1.0) < 1e-9
     assert -1.0 <= score.compound <= 1.0
+
+
+def valence_sum(text: str, lexicon) -> float:
+    """Signed valence sum S including punctuation emphasis (pre-normalization)."""
+    return _signed_sum(token_valences(text, lexicon), text)[0]
 
 
 @settings(max_examples=80, derandomize=True)
