@@ -168,7 +168,11 @@ def walk_forward(
     earlier row each, all falling after the model's training range (the
     boundary check is relaxed for in-sample diagnostics). When `audit` is
     given, (target_row, max_row_read) pairs are appended per step. The
-    model gets every step's history in one `predict` call.
+    model gets every step's history in one `predict` call. An RMSE or MAPE
+    that is not finite is an error naming the first target date at which
+    the squared or percentage errors, summed in date order, stop being
+    finite: the first non-finite prediction or error, unless the sums
+    overflow before it.
     """
     if len(target_dates) == 0:
         raise StockcastError("validation range is empty")
@@ -195,9 +199,19 @@ def walk_forward(
     if audit is not None:
         audit.extend(zip(indices, history.max_row_read.tolist()))
 
-    metrics = MetricSet(
-        rmse=rmse(predicted, actual), mape=mape(predicted, actual), n=len(indices)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = MetricSet(
+            rmse=rmse(predicted, actual), mape=mape(predicted, actual), n=len(indices)
+        )
+        error = predicted - actual
+        running = np.cumsum(error * error) + np.cumsum(np.abs(error) / actual)
+    if not (math.isfinite(metrics.rmse) and math.isfinite(metrics.mape)):
+        step = int(np.argmin(np.isfinite(running)))
+        raise StockcastError(
+            f"{panel.ticker}/{model.kind}: the error of the prediction for "
+            f"{target_dates[step]} is not finite "
+            f"(predicted {predicted[step]:.6g}, actual {actual[step]:.6g})"
+        )
     first = indices[0]
     return ReportEntry(
         ticker=panel.ticker,

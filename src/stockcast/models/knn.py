@@ -2,11 +2,13 @@
 
 Neighbor count is chosen by 5-fold cross-validation on the training slice
 with contiguous time blocks (shuffled folds would leak future into past).
-Each held-out window's distances are sorted once per fold, and every k
-reads its first k neighbours from that order. Ties in CV error go to the
-smaller k; ties in distance break on training index, so prediction is
-fully deterministic. Cross-validation, batched prediction and the
-one-window `predict_window` share one neighbour kernel.
+Ties in CV error go to the smaller k; ties in distance break on training
+index, so prediction is fully deterministic. Cross-validation, batched
+prediction and the one-window `predict_window` share one neighbour
+kernel, an exact filter and refine (Seidl & Kriegel, SIGMOD 1998): one
+matrix product bounds every query's squared distances, and only the few
+inputs that can reach a query's nearest max(k) get the exact distance.
+Those are ordered once, and every k reads its first k neighbours.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from ..errors import StockcastError
 
 K_RANGE = tuple(range(2, 10))
 CV_FOLDS = 5
-# distances are computed for blocks of queries whose (query, input, lag)
-# differences hold at most this many float64 values: 2 MiB
-_CHUNK_ELEMENTS = 1 << 18
+# the filter bounds blocks of queries whose (query, input) squared
+# distances hold at most this many float64 values: 512 KiB
+_CHUNK_ELEMENTS = 1 << 16
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_normal)
 
 
 @dataclass(frozen=True)
@@ -84,20 +88,80 @@ def _neighbour_means(
 ) -> np.ndarray:
     """(queries, ks) array: mean target of each query's k nearest inputs, per k.
 
-    Each query's Euclidean distances are summed over the contiguous last
-    axis and stably argsorted once; every k reads the first k of that order,
-    and a (queries, k) block's row means add in the same order as a mean
-    over one query's k targets.
+    A query's neighbours are the first max(ks) inputs in the order of
+    (distance, index), where the distance is
+    `np.sqrt(((x - q) ** 2).sum())` in floating point. Each block of
+    queries is filtered, then refined:
+
+    - Filter. `approx = |q|^2 + |x|^2 - 2 q.x` for every input, from one
+      matrix product, and `kth`, each query's max(ks)-th smallest approx.
+    - Refine. The inputs with `approx <= limit` (below) are the
+      candidates. Each gets the exact distance above, as a C-contiguous
+      row summed along its last axis, so bit for bit the distance of a
+      full scan. Candidates are ordered by (distance, index) and each
+      query keeps its first max(ks).
+    - Fallback. A query whose approx, margin or limit is not finite (its
+      squared norm overflows, say) takes the full exact scan.
+
+    Why the candidates hold every neighbour. Let D be the exact squared
+    distance, S = |q|^2 + |x|^2 <= |q|^2 + max |x|^2, u = eps / 2 the
+    unit roundoff and g(m) = m u / (1 - m u). A dot product of length w
+    errs by at most g(w) sum |a_i b_i| in any summation order (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 3.1), so for
+    any BLAS kernel and thread count: each squared norm errs by g(w) of
+    itself, q.x by g(w) S / 2, and the two additions that form approx by
+    2u S each. Hence |approx - D| <= (2 g(w) + 4u) S < (w + 3) eps S.
+    The full scan's sum of rounded squared differences s errs by at most
+    g(w + 2) D, and its square root rounds once more.
+
+    With c = 8 (w + 4) eps and err = c (|q|^2 + max |x|^2) + tiny:
+    the max(ks) inputs with approx <= kth have D <= B = kth + err, so
+    s <= (1 + g(w + 2)) B, and so the max(ks)-th smallest full-scan
+    distance is at most sqrt of that, rounded up. An input j whose
+    distance is no larger therefore has s_j within (1 + u)^2 / (1 - u)^2
+    of that bound, D_j < B (1 + 2 (w + 4) eps) <= B (1 + c), and
+    approx_j <= D_j + err <= limit = max(B, 0) (1 + c) + err. Each of the
+    two steps uses at most a quarter of c; the rest covers the few
+    roundings in computing the norms, err and limit. `tiny`, the smallest
+    normal float, covers what underflow loses, at most half a subnormal
+    per rounding. Every input that ties with or beats the full scan's
+    max(ks)-th neighbour is thus a candidate, and ordering only the
+    candidates gives the full scan's first max(ks) in its order.
     """
+    n, w = inputs.shape
+    top = max(ks)
+    c = 8 * (w + 4) * _EPS
     out = np.empty((len(queries), len(ks)), dtype=np.float64)
-    step = max(1, _CHUNK_ELEMENTS // inputs.size)
-    for start in range(0, len(queries), step):
-        block = queries[start : start + step]
-        distances = np.sqrt(((inputs - block[:, None, :]) ** 2).sum(axis=2))
-        order = np.argsort(distances, axis=1, kind="stable")
-        nearest = targets[order[:, : max(ks)]]
-        for j, k in enumerate(ks):
-            out[start : start + step, j] = nearest[:, :k].mean(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        input_norms = (inputs * inputs).sum(axis=1)
+        step = max(1, _CHUNK_ELEMENTS // n)
+        for start in range(0, len(queries), step):
+            block = queries[start : start + step]
+            approx = block @ inputs.T
+            approx *= -2.0
+            block_norms = (block * block).sum(axis=1)
+            approx += block_norms[:, None]
+            approx += input_norms
+            err = c * (block_norms + input_norms.max()) + _TINY
+            kth = np.partition(approx, top - 1, axis=1)[:, top - 1]
+            limit = np.maximum(kth + err, 0.0) * (1.0 + c) + err
+            filtered = np.isfinite(limit) & np.isfinite(approx).all(axis=1)
+
+            nearest = np.empty((len(block), top), dtype=np.intp)
+            candidate = approx <= limit[:, None]
+            candidate[~filtered] = False
+            rows, cols = np.nonzero(candidate)  # rows ascending
+            distances = np.sqrt(((inputs[cols] - block[rows]) ** 2).sum(axis=1))
+            order = cols[np.lexsort((cols, distances, rows))]
+            first = np.searchsorted(rows, np.flatnonzero(filtered))
+            nearest[filtered] = order[first[:, None] + np.arange(top)]
+            for i in np.flatnonzero(~filtered):
+                distances = np.sqrt(((inputs - block[i]) ** 2).sum(axis=1))
+                nearest[i] = np.argsort(distances, kind="stable")[:top]
+
+            chosen = targets[nearest]
+            for j, k in enumerate(ks):
+                out[start : start + step, j] = chosen[:, :k].mean(axis=1)
     return out
 
 

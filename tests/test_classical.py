@@ -1,9 +1,12 @@
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stockcast.config import load_config
+from stockcast.config import WINDOW_MAX, load_config
 from stockcast.dataset import MinMaxScaler, build_windows, chronological_split, fit_scaler
 from stockcast.errors import StockcastError
 from stockcast.evaluation import History
@@ -23,6 +26,7 @@ from stockcast.models.trend import additive_trend_fit
 from stockcast.pipeline import PipelineData, train_model
 
 from conftest import make_panel
+from knn_oracle import full_scan_means, naive_cv_rmse, naive_knn
 
 SAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "sample_data" / "config.ini"
 
@@ -117,30 +121,6 @@ def test_knn_cv_chooses_k_in_range_and_is_deterministic():
     assert a.k == b.k and a.cv_rmse == b.cv_rmse
 
 
-def naive_knn(inputs: np.ndarray, targets: np.ndarray, window: np.ndarray, k: int) -> float:
-    distances = np.sqrt(((inputs - window) ** 2).sum(axis=1))
-    return float(targets[np.argsort(distances, kind="stable")[:k]].mean())
-
-
-def naive_cv_rmse(inputs: np.ndarray, targets: np.ndarray, folds: int) -> dict[int, float]:
-    """CV RMSE by k, one k, one block and one held-out row at a time."""
-    n = len(targets)
-    cv_rmse = {}
-    for k in K_RANGE:
-        fold_errors = []
-        for block in np.array_split(np.arange(n), folds):
-            rest = np.setdiff1d(np.arange(n), block, assume_unique=True)
-            if len(block) == 0 or len(rest) < k:
-                continue
-            sq = [
-                (naive_knn(inputs[rest], targets[rest], inputs[i], k) - targets[i]) ** 2
-                for i in block
-            ]
-            fold_errors.append(float(np.sqrt(np.mean(sq))))
-        cv_rmse[k] = float(np.mean(fold_errors)) if fold_errors else np.inf
-    return cv_rmse
-
-
 def test_cv_squares_round_as_float64_scalar_squares():
     values = np.random.Generator(np.random.PCG64(9)).normal(0.0, 10.0, (200, 100))
     multiplied = values * values
@@ -173,13 +153,66 @@ def test_batched_knn_predict_equals_predict_window(monkeypatch, chunk_rows):
     model = knn_fit_cv(closes, 5, scaler)
     inputs, targets = build_windows(closes, 5)
     if chunk_rows is not None:
-        monkeypatch.setattr(knn, "_CHUNK_ELEMENTS", chunk_rows * inputs.size)
+        monkeypatch.setattr(knn, "_CHUNK_ELEMENTS", chunk_rows * len(inputs))
     history = History(panel, np.arange(4, len(panel)))
     windows = history.windows(5)
     expected = np.array([model.predict_window(w) for w in windows])
     assert np.array_equal(model.predict(history), expected)
     naive = [naive_knn(scaler.apply(inputs), targets, scaler.apply(w), model.k) for w in windows]
     assert np.array_equal(expected, naive)
+
+
+@st.composite
+def neighbour_cases(draw):
+    """(inputs, targets, queries, ks) that stress the filter's margin.
+
+    Inputs come from a few distinct rows, so windows repeat exactly; some
+    get one lag moved by one ulp; a constant set makes every input a
+    candidate. Queries are inputs, points far outside [0, 1] and, at
+    times, a window whose squared norm overflows, alone or with a twin
+    among the inputs.
+    """
+    n = draw(st.integers(min_value=1, max_value=300))
+    w = draw(st.integers(min_value=1, max_value=WINDOW_MAX))  # past 128, sums split pairwise
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    values = draw(st.sampled_from(["real", "grid", "constant"]))
+    distinct = draw(st.integers(min_value=1, max_value=n))
+    if values == "real":
+        rows = rng.random((distinct, w))
+    elif values == "grid":
+        rows = rng.integers(0, 3, (distinct, w)).astype(np.float64)
+    else:
+        rows = np.full((1, w), rng.random())
+    inputs = rows[rng.integers(0, len(rows), n)]
+    if draw(st.booleans()):  # near-ties: one lag one ulp up
+        moved = rng.random(n) < 0.5
+        lag = rng.integers(0, w)
+        inputs[moved, lag] = np.nextafter(inputs[moved, lag], np.inf)
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    far = rng.normal(0.5, scale, (draw(st.integers(0, 8)), w))
+    queries = np.concatenate([inputs[rng.integers(0, n, draw(st.integers(0, 8)))], far])
+    if draw(st.booleans()) or len(queries) == 0:
+        overflowing = rng.random((1, w))
+        overflowing[0, rng.integers(0, w)] = 1e200
+        if draw(st.booleans()):  # its twin among the inputs has approx inf - inf = nan
+            inputs[rng.integers(0, n)] = overflowing[0]
+        queries = np.concatenate([queries, overflowing])
+    top = draw(st.one_of(st.integers(1, min(n, max(K_RANGE))), st.integers(1, n), st.just(n)))
+    ks = sorted(set(draw(st.lists(st.integers(1, top), max_size=4))) | {top})
+    return inputs, rng.normal(100.0, 5.0, n), queries, ks
+
+
+@pytest.mark.parametrize("chunk", ["one-query-row", "all-query-rows"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=neighbour_cases())
+def test_knn_filter_and_refine_equals_the_full_scan(chunk, case):
+    inputs, targets, queries, ks = case
+    with np.errstate(over="ignore"):  # the full scan squares the overflowing windows
+        expected = full_scan_means(inputs, targets, queries, ks)
+    rows = 1 if chunk == "one-query-row" else len(queries)
+    with mock.patch.object(knn, "_CHUNK_ELEMENTS", rows * len(inputs)):
+        got = knn._neighbour_means(inputs, targets, queries, ks)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_knn_requires_enough_samples():

@@ -190,6 +190,34 @@ def test_diverging_lstm_prints_one_error_line_and_no_warning(mini, tmp_path, cap
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("kind", ["knn", "linreg"])
+def test_a_non_finite_validation_error_is_one_error_line_and_never_a_result(tmp_path, capsys, kind):
+    config = write_mini_dataset(tmp_path / "data")
+    path = config.parent / "prices_AAA.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    day = lines[-5].split(",")[0]  # a validation day; its close squares past the float range
+    lines[-5] = f"{day},1e200,1e200,1e200,1e200,1e200,1000\n"
+    path.write_text("".join(lines))
+    out_dir = tmp_path / "out"
+    common = ["--config", config, "--model", kind, "--ticker", "AAA", "--out", out_dir]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes = [run(command, *common) for command in ("train", "evaluate")]
+    captured = capsys.readouterr()
+    assert codes == [1, 1]
+    err = captured.err.splitlines()
+    assert len(err) == 2
+    for line, command in zip(err, ("train", "evaluate")):
+        assert line.startswith(f"stockcast: [{command}] error: AAA/{kind}: ")
+        assert f" the error of the prediction for {day} is not finite " in line
+    assert "inf" not in captured.out
+    report = out_dir / "report"
+    assert not report.exists() or all(
+        "inf" not in p.read_text() for p in report.rglob("*") if p.is_file()
+    )
+    assert [str(w.message) for w in caught] == []
+
+
 def test_overridden_keys_are_still_read(mini, tmp_path):
     config = load_config(mini, seed_override=7, out_override=tmp_path)
     assert (config.seed, config.out_dir) == (7, tmp_path)
