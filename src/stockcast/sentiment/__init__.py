@@ -2,14 +2,8 @@
 
 from .daily import DailySentiment, aggregate_daily
 from .lexicon import BUNDLED_LEXICON, BUNDLED_STOPWORDS, Lexicon, parse_lexicon, parse_stopwords
-from .preprocess import PreprocessConfig, preprocess_text
-from .scorer import (
-    EMPTY_SCORE,
-    NEUTRAL_SCORE,
-    SentimentScore,
-    score_text,
-    token_valences,
-)
+from .preprocess import PreprocessConfig, Tokens, preprocess_text, preprocess_texts
+from .scorer import EMPTY_SCORE, NEUTRAL_SCORE, SentimentScore, score_text, score_tokens
 
 __all__ = [
     "BUNDLED_LEXICON",
@@ -20,10 +14,12 @@ __all__ = [
     "NEUTRAL_SCORE",
     "PreprocessConfig",
     "SentimentScore",
+    "Tokens",
     "aggregate_daily",
     "parse_lexicon",
     "parse_stopwords",
     "preprocess_text",
+    "preprocess_texts",
     "score_text",
-    "token_valences",
+    "score_tokens",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from ..errors import ParseError
 from ..ingest import TickerNews
 from ..series import TradingDate
 from .lexicon import Lexicon
-from .preprocess import PreprocessConfig, preprocess_text
-from .scorer import NEUTRAL_SCORE, SentimentScore, score_text
+from .preprocess import PreprocessConfig, preprocess_texts
+from .scorer import NEUTRAL_SCORE, SentimentScore, score_tokens
 
 HEADLINE_JOINER = ". "
 UNSCORED = SentimentScore(math.nan, math.nan, math.nan, math.nan)
@@ -56,10 +56,12 @@ def aggregate_daily(
     A headline counts on the first calendar date on or after its own; the
     first in file order dated after the last is a ParseError naming its
     file line. Headlines sharing that effective date are joined with ". "
-    in file order, preprocessed once, and scored once. `per_headline_average`
-    instead scores each preprocessed headline separately and averages the
-    four components; it is an offered alternative, not the default, because
-    a day's sentiment is defined as the sentiment of the day's combined news.
+    in file order, preprocessed once, and scored once; the texts of all days
+    are scored in one batch. `per_headline_average` instead scores each
+    preprocessed headline as a text of its own and averages the four
+    components in file order; it is an offered alternative, not the default,
+    because a day's sentiment is defined as the sentiment of the day's
+    combined news.
 
     With `days`, only those calendar dates are scored. Any other date with
     news gets UNSCORED, which is NaN, so a model that reads it fails instead
@@ -78,31 +80,38 @@ def aggregate_daily(
     in_day_order = [news.headlines[k] for k in order.tolist()]
     ends = np.cumsum(np.bincount(day_of, minlength=len(calendar))).tolist()
 
-    records: list[DailySentiment] = []
+    records: list[DailySentiment | None] = []
+    picked: list[tuple[int, TradingDate, list[str]]] = []  # scored below, in one batch
     for day, start, end in zip(calendar, [0, *ends], ends):
         headlines = in_day_order[start:end]
         if not headlines:
             records.append(DailySentiment(day, ticker, NEUTRAL_SCORE, 0))
-            continue
-        if days is not None and day not in days:
+        elif days is not None and day not in days:
             records.append(DailySentiment(day, ticker, UNSCORED, len(headlines)))
-            continue
+        else:
+            picked.append((len(records), day, headlines))
+            records.append(None)
+
+    def texts() -> Iterator[str]:
+        # one at a time: the batch keeps only the token ids of a text
+        for _, _, headlines in picked:
+            if per_headline_average:
+                yield from headlines
+            else:
+                yield HEADLINE_JOINER.join(headlines)
+
+    scores = iter(score_tokens(preprocess_texts(texts(), config, lexicon, stopwords), lexicon))
+    for i, day, headlines in picked:
         if per_headline_average:
-            scores = [
-                score_text(preprocess_text(h, config, lexicon, stopwords), lexicon)
-                for h in headlines
-            ]
-            n = len(scores)
+            day_scores = [next(scores) for _ in headlines]
+            n = len(day_scores)
             score = SentimentScore(
-                pos=sum(s.pos for s in scores) / n,
-                neg=sum(s.neg for s in scores) / n,
-                neu=sum(s.neu for s in scores) / n,
-                compound=sum(s.compound for s in scores) / n,
+                pos=sum(s.pos for s in day_scores) / n,
+                neg=sum(s.neg for s in day_scores) / n,
+                neu=sum(s.neu for s in day_scores) / n,
+                compound=sum(s.compound for s in day_scores) / n,
             )
         else:
-            combined = HEADLINE_JOINER.join(headlines)
-            score = score_text(
-                preprocess_text(combined, config, lexicon, stopwords), lexicon
-            )
-        records.append(DailySentiment(day, ticker, score, len(headlines)))
+            score = next(scores)
+        records[i] = DailySentiment(day, ticker, score, len(headlines))
     return records

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
+
+import numpy as np
 
 from ..errors import ParseError
 from ..ingest import _decode
@@ -56,6 +59,22 @@ _NEGATORS = (
 
 
 @dataclass(frozen=True)
+class TokenRules:
+    """What the scorer reads of every lexicon and booster token, one row each.
+
+    `rows` maps a lowercase token to its row; row 0 stands for every other
+    token. A lexicon token never modifies the tokens after it, and a token
+    that is both a lexicon token and a booster scores 0 and modifies nothing.
+    """
+
+    rows: dict[str, int]
+    scored: np.ndarray   # bool: a lexicon token that is not a booster
+    valence: np.ndarray  # float64: its lexicon valence where scored, else 0
+    shift: np.ndarray    # float64: its booster shift where not a lexicon token, else 0
+    lexical: np.ndarray  # bool: a lexicon token
+
+
+@dataclass(frozen=True)
 class Lexicon:
     """Token valences plus the booster and negator vocabularies."""
 
@@ -78,6 +97,25 @@ class Lexicon:
     def protected_from_stopwords(self, token: str) -> bool:
         """Negators and boosters survive stopword removal."""
         return token in self.boosters or self.is_negator(token)
+
+    @cached_property
+    def rules(self) -> TokenRules:
+        """The valence and booster vocabularies merged into one table, built once."""
+        valences, boosters = self.valences, self.boosters
+        tokens = [*valences, *(t for t in boosters if t not in valences)]
+        rows = dict(zip(tokens, range(1, len(tokens) + 1)))
+        lexical = np.zeros(len(tokens) + 1, bool)
+        lexical[1 : len(valences) + 1] = True
+        booster_rows = np.fromiter(map(rows.__getitem__, boosters), np.intp, len(boosters))
+        shift = np.zeros(len(tokens) + 1)
+        shift[booster_rows] = np.fromiter(boosters.values(), np.float64, len(boosters))
+        shift[lexical] = 0.0
+        scored = lexical.copy()
+        scored[booster_rows] = False
+        valence = np.zeros(len(tokens) + 1)
+        valence[1 : len(valences) + 1] = np.fromiter(valences.values(), np.float64, len(valences))
+        valence[~scored] = 0.0
+        return TokenRules(rows, scored, valence, shift, lexical)
 
 
 def _check_entry(token: str, valence: float) -> None:

@@ -1,6 +1,6 @@
 """Lexicon-based sentiment intensity scoring.
 
-Rule set, applied per lexicon token:
+Rule set:
 
 - a negator within the 3 preceding tokens multiplies valence by -0.74;
 - a degree modifier within the 3 preceding tokens shifts |valence| by its
@@ -13,6 +13,18 @@ Rule set, applied per lexicon token:
 
 Modifier checks only fire when the preceding token is itself outside the
 lexicon, so sentiment-bearing words never double as modifiers.
+
+A whole batch of texts is scored at once. Everything a rule reads of a
+token's string (its punctuation-stripped, lowercased form, its case, its
+row in the lexicon's merged table) is worked out once per distinct string.
+Only the lexicon tokens of the batch are scored, by array passes over all
+of them together: the caps emphasis, then the look-back at distance 1, 2
+and 3 in that order, each kept within its own text. Each look-back applies
+the booster signed by the valence so far, then the negation, as a
+token-by-token loop would; float64 `+` and `*` round as Python floats do.
+Two sums keep that loop's rounding: the pos/neg masses are added in token
+order by `np.bincount` (a pairwise `np.add.reduce` would round otherwise),
+and S is `math.fsum` of each text's valences.
 """
 
 from __future__ import annotations
@@ -20,8 +32,12 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .lexicon import Lexicon
+from .preprocess import Tokens
 
 NEGATION_SCALAR = -0.74
 ALLCAPS_INCREMENT = 0.733
@@ -47,123 +63,100 @@ EMPTY_SCORE = SentimentScore(0.0, 0.0, 0.0, 0.0)
 NEUTRAL_SCORE = SentimentScore(0.0, 0.0, 1.0, 0.0)
 
 
-def tokenize(text: str) -> list[str]:
-    """Whitespace split, then strip flanking punctuation from word tokens.
+def _caps_shift(valence: np.ndarray) -> np.ndarray:
+    """The ALL-CAPS increment, signed like the valence (negative at 0)."""
+    return np.where(valence > 0, ALLCAPS_INCREMENT, -ALLCAPS_INCREMENT)
 
-    Tokens that would shrink to 2 characters or fewer keep their
-    punctuation (they are emphasis marks like `!!`, not words).
+
+def score_tokens(tokens: Tokens, lexicon: Lexicon) -> list[SentimentScore]:
+    """Score every text of a batch; total and deterministic.
+
+    A text without tokens scores all zeros; one with tokens but no lexicon
+    hits scores as fully neutral.
     """
-    tokens = []
-    for raw in text.split():
-        stripped = raw.strip(string.punctuation)
-        tokens.append(raw if len(stripped) <= 2 else stripped)
-    return tokens
+    rules, types, ids, lengths = lexicon.rules, tokens.types, tokens.ids, tokens.lengths
+    n_types, n_texts = len(types), len(lengths)
 
+    # per distinct token; id n_types stands for "before the text starts"
+    words = list(map(str.strip, types, repeat(string.punctuation)))
+    for t in np.flatnonzero(np.fromiter(map(len, words), np.intp, n_types) <= 2).tolist():
+        words[t] = types[t]  # emphasis marks like "!!" keep their punctuation
+    lowered = list(map(str.lower, words))
+    row = np.zeros(n_types + 1, np.intc)
+    row[:n_types] = np.fromiter(map(rules.rows.get, lowered, repeat(0)), np.intc, n_types)
+    upper = np.zeros(n_types + 1, bool)
+    upper[:n_types] = np.fromiter(map(str.isupper, words), bool, n_types)
+    shift_of = rules.shift[row]
 
-def _mixed_case(tokens: list[str]) -> bool:
-    """True when some but not all tokens are ALL CAPS."""
-    caps = sum(1 for t in tokens if t.isupper())
-    return 0 < caps < len(tokens)
+    # per text: some but not all of its tokens ALL CAPS
+    ends = np.cumsum(lengths)
+    caps = np.bincount(np.searchsorted(ends, np.flatnonzero(upper[ids]), "right"),
+                       minlength=n_texts)
+    mixed = (caps > 0) & (caps < lengths)
 
+    # per scored token, in batch order
+    at = np.flatnonzero(rules.scored[row[ids]])
+    text = np.searchsorted(ends, at, "right")
+    position = at - (ends[text] - lengths[text])
+    mixed_at = mixed[text]
+    valence = rules.valence[row[ids[at]]]
+    valence = np.where(upper[ids[at]] & mixed_at, valence + _caps_shift(valence), valence)
+    before = [np.where(position >= back, ids[np.maximum(at - back, 0)], n_types)
+              for back in range(1, len(_DISTANCE_DAMPING) + 1)]
+    # the negator rule, asked of each token outside the lexicon that precedes a scored one
+    preceding = np.zeros(n_types + 1, bool)
+    preceding[np.concatenate(before)] = True
+    candidates = np.flatnonzero(preceding[:n_types] & ~rules.lexical[row[:n_types]])
+    negates = np.zeros(n_types + 1, bool)
+    negates[candidates] = np.fromiter(
+        map(lexicon.is_negator, map(lowered.__getitem__, candidates.tolist())),
+        bool, len(candidates),
+    )
+    for prev, damping in zip(before, _DISTANCE_DAMPING):
+        booster = shift_of[prev]
+        shift = np.where(valence < 0, -booster, booster)
+        caps_boost = (booster != 0) & upper[prev] & mixed_at
+        shift = np.where(caps_boost, shift + _caps_shift(valence), shift)
+        valence = np.where(shift != 0, valence + shift * damping, valence)
+        valence = np.where(negates[prev], valence * NEGATION_SCALAR, valence)
 
-def _modifier_shift(token: str, valence: float, mixed_case: bool, lexicon: Lexicon) -> float:
-    """Booster contribution of one preceding token, signed like the valence."""
-    shift = lexicon.boosters.get(token.lower(), 0.0)
-    if shift == 0.0:
-        return 0.0
-    if valence < 0:
-        shift = -shift
-    if token.isupper() and mixed_case:
-        shift += ALLCAPS_INCREMENT if valence > 0 else -ALLCAPS_INCREMENT
-    return shift
+    positive, negative = valence > 0, valence < 0
+    pos_mass = np.bincount(text[positive], weights=valence[positive] + 1.0, minlength=n_texts)
+    neg_mass = np.bincount(text[negative], weights=valence[negative] - 1.0, minlength=n_texts)
+    neutral = lengths - np.bincount(text[positive | negative], minlength=n_texts)
+    cuts = np.searchsorted(text, np.arange(n_texts + 1)).tolist()
+    valences = valence.tolist()
+    last = ids[np.maximum(ends - 1, 0)].tolist() if len(ids) else [0] * n_texts
 
-
-def token_valences(text: str, lexicon: Lexicon) -> list[float]:
-    """Per-token valence after negation/booster/caps rules; 0 for neutral tokens."""
-    tokens = tokenize(text)
-    mixed = _mixed_case(tokens)
-    lowered = [t.lower() for t in tokens]
-    valences: list[float] = []
-    for i, token in enumerate(tokens):
-        low = lowered[i]
-        if low in lexicon.boosters:
-            valences.append(0.0)
+    scores = []
+    for k, (n, pos, neg, neu) in enumerate(
+        zip(lengths.tolist(), pos_mass.tolist(), neg_mass.tolist(), neutral.tolist())
+    ):
+        if not n:
+            scores.append(EMPTY_SCORE)
             continue
-        if low not in lexicon.valences:
-            valences.append(0.0)
-            continue
-        valence = lexicon.valences[low]
-        if token.isupper() and mixed:
-            valence += ALLCAPS_INCREMENT if valence > 0 else -ALLCAPS_INCREMENT
-        for back in range(len(_DISTANCE_DAMPING)):
-            j = i - (back + 1)
-            if j < 0 or lowered[j] in lexicon.valences:
-                continue
-            shift = _modifier_shift(tokens[j], valence, mixed, lexicon)
-            if shift != 0.0:
-                valence += shift * _DISTANCE_DAMPING[back]
-            if lexicon.is_negator(lowered[j]):
-                valence *= NEGATION_SCALAR
-        valences.append(valence)
-    return valences
-
-
-def _trailing_exclaim_bonus(text: str) -> float:
-    count = 0
-    for ch in reversed(text.rstrip()):
-        if ch == "!":
-            count += 1
-        else:
-            break
-    return min(count, MAX_EXCLAIM) * EXCLAIM_INCREMENT
-
-
-def _signed_sum(valences: list[float], text: str) -> tuple[float, float]:
-    """Signed valence sum S of a text's token valences, and its `!` bonus.
-
-    The bonus is added away from zero; a zero sum stays zero.
-    """
-    total = math.fsum(valences)
-    bonus = _trailing_exclaim_bonus(text)
-    if total > 0:
-        total += bonus
-    elif total < 0:
-        total -= bonus
-    return total, bonus
+        word = types[last[k]]
+        bonus = min(len(word) - len(word.rstrip("!")), MAX_EXCLAIM) * EXCLAIM_INCREMENT
+        # S and the bonus added away from zero; a zero sum stays zero
+        total = math.fsum(valences[cuts[k] : cuts[k + 1]])
+        if total > 0:
+            total += bonus
+        elif total < 0:
+            total -= bonus
+        compound = total / math.sqrt(total * total + COMPOUND_ALPHA)
+        compound = max(-1.0, min(1.0, compound))
+        if pos > abs(neg):
+            pos += bonus
+        elif pos < abs(neg):
+            neg -= bonus
+        neu = float(neu)
+        mass = pos + abs(neg) + neu
+        scores.append(SentimentScore(
+            pos=abs(pos / mass), neg=abs(neg / mass), neu=abs(neu / mass), compound=compound
+        ))
+    return scores
 
 
 def score_text(text: str, lexicon: Lexicon) -> SentimentScore:
-    """Score one text; total and deterministic.
-
-    Empty (tokenless) text scores all zeros; text with tokens but no
-    lexicon hits scores as fully neutral.
-    """
-    valences = token_valences(text, lexicon)
-    if not valences:
-        return EMPTY_SCORE
-
-    total, bonus = _signed_sum(valences, text)
-    compound = total / math.sqrt(total * total + COMPOUND_ALPHA)
-    compound = max(-1.0, min(1.0, compound))
-
-    pos_mass = 0.0
-    neg_mass = 0.0
-    neu_mass = 0.0
-    for v in valences:
-        if v > 0:
-            pos_mass += v + 1.0
-        elif v < 0:
-            neg_mass += v - 1.0
-        else:
-            neu_mass += 1.0
-    if pos_mass > abs(neg_mass):
-        pos_mass += bonus
-    elif pos_mass < abs(neg_mass):
-        neg_mass -= bonus
-    mass = pos_mass + abs(neg_mass) + neu_mass
-    return SentimentScore(
-        pos=abs(pos_mass / mass),
-        neg=abs(neg_mass / mass),
-        neu=abs(neu_mass / mass),
-        compound=compound,
-    )
+    """Score one text; see `score_tokens`."""
+    return score_tokens(Tokens.split([text]), lexicon)[0]

@@ -476,18 +476,18 @@ def test_each_command_scores_only_the_day_texts_it_reads(tmp_path, monkeypatch):
     panels = [data.panel(t, sentiment=False) for t in ("AAA", "BBB")]
     validation_rows = sum(len(p) - data.row_split(p) for p in panels)
     last_date = panels[0].dates[-1].isoformat()
-    scored, score_text = [], daily.score_text
+    scored, score_tokens = [], daily.score_tokens
 
-    def counting(text, lexicon):
-        scored.append(text)
-        return score_text(text, lexicon)
+    def counting(tokens, lexicon):
+        scored.append(len(tokens.lengths))
+        return score_tokens(tokens, lexicon)
 
-    monkeypatch.setattr(daily, "score_text", counting)
+    monkeypatch.setattr(daily, "score_tokens", counting)
 
     def texts_scored_by(*args) -> int:
         scored.clear()
         assert run(*args, "--config", config, "--out", tmp_path / "out") == 0
-        return len(scored)
+        return sum(scored)
 
     # every day with news: 33 of AAA and 32 of BBB
     assert texts_scored_by("sentiment") == 65

@@ -4,6 +4,7 @@ from dataclasses import astuple
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,15 +16,18 @@ from stockcast.sentiment import (
     BUNDLED_STOPWORDS,
     EMPTY_SCORE,
     NEUTRAL_SCORE,
+    Lexicon,
     PreprocessConfig,
+    Tokens,
     aggregate_daily,
     parse_lexicon,
     parse_stopwords,
     preprocess_text,
+    preprocess_texts,
     score_text,
+    score_tokens,
 )
-from stockcast.sentiment.scorer import _signed_sum, token_valences
-
+from sentiment_oracle import oracle_preprocess, oracle_score, signed_sum, token_valences
 from vader_reference import ReferenceAnalyzer
 
 FIXTURES = Path(__file__).parent / "fixtures" / "sentiment_fixtures.json"
@@ -141,7 +145,7 @@ def test_mass_proportions_sum_to_one(words):
 
 def valence_sum(text: str, lexicon) -> float:
     """Signed valence sum S including punctuation emphasis (pre-normalization)."""
-    return _signed_sum(token_valences(text, lexicon), text)[0]
+    return signed_sum(token_valences(text, lexicon), text)[0]
 
 
 @settings(max_examples=80, derandomize=True)
@@ -156,6 +160,59 @@ def test_appending_positive_token_never_decreases_valence_sum(words):
     base = valence_sum(text, LEXICON)
     extended = valence_sum((text + " good").strip(), LEXICON)
     assert extended >= base - 1e-12
+
+
+# words whose tokens hit every rule: lexicon words in all cases, boosters,
+# negators and "n't" forms, stopwords, bang runs, punctuation-only tokens,
+# possessives and non-ASCII letters (final sigma, dotted I, math capitals)
+RULE_WORDS = [
+    "good", "GOOD", "Good", "bad", "BAD", "crash", "gain", "very", "VERY", "so", "Slightly",
+    "not", "NOT", "no", "never", "don't", "DON'T", "isnt", "xyzn't", "the", "a", "and", "is",
+    "!", "!!", "!!!!", "?!", "...", "--", "---", "'s", "ril's", "good!!", "!!good", "q4",
+    "\u03a3\u03c3", "\u03a3\u0391\u03a3", "\u0130stanbul", "\u00c9LAN", "stra\u00dfe",
+    "\U0001d400\U0001d401", "hi",
+]
+# glue between words: none, spaces, NBSP, the \x1c separator, a newline, a sentence end
+RULE_GLUE = ["", " ", "  ", "\u00a0", "\x1c", "\t\n", ". ", "!"]
+LEXICON_WORDS = ["good", "bad", "crash", "gain", "very", "so", "not", "no", "don't", "dont",
+                 "\u03c3\u03c3", "\u00e9lan", "stra\u00dfe", "hi", "!!", "q4"]
+BOOSTER_WORDS = ["very", "so", "slightly", "good", "not", "don't", "hi"]
+rule_texts = st.lists(
+    st.tuples(st.sampled_from(RULE_WORDS), st.sampled_from(RULE_GLUE)), max_size=12
+).map(lambda pairs: "".join(word + glue for word, glue in pairs))
+
+
+def bits(score) -> bytes:
+    return np.array(astuple(score)).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), texts=st.lists(rule_texts, max_size=6),
+       remove_stopwords=st.booleans(), remove_special_chars=st.booleans())
+def test_batch_scores_equal_the_per_token_oracle_bit_for_bit(
+    data, texts, remove_stopwords, remove_special_chars
+):
+    # the bundled lexicon never overlaps the booster and negator lists; a drawn one may
+    lexicon = data.draw(st.one_of(
+        st.just(LEXICON),
+        st.builds(
+            Lexicon,
+            st.dictionaries(st.sampled_from(LEXICON_WORDS),
+                            st.sampled_from([0.0, -0.0, 1.9, -2.5, 0.733, -0.733, 3.1])),
+            st.dictionaries(st.sampled_from(BOOSTER_WORDS),
+                            st.sampled_from([0.0, 0.293, -0.293, 0.733, -0.733])),
+        ),
+    ))
+    config = PreprocessConfig(remove_stopwords, remove_special_chars)
+    batch = score_tokens(preprocess_texts(texts, config, lexicon, STOPWORDS), lexicon)
+    raw = score_tokens(Tokens.split(texts), lexicon)
+    assert len(batch) == len(raw) == len(texts)
+    for text, score, raw_score in zip(texts, batch, raw):
+        preprocessed = oracle_preprocess(text, config, lexicon, STOPWORDS)
+        assert preprocess_text(text, config, lexicon, STOPWORDS) == preprocessed
+        assert bits(score) == bits(oracle_score(preprocessed, lexicon)), (text, config)
+        # unpreprocessed text keeps its case, so the ALL-CAPS rules fire
+        assert bits(raw_score) == bits(oracle_score(text, lexicon)), text
 
 
 def test_scoring_is_deterministic():
