@@ -185,12 +185,15 @@ def walk_forward(
     for a, b in zip(indices, indices[1:]):
         if b <= a:
             raise StockcastError("validation dates must be strictly increasing")
+    named = f"({panel.ticker}/{model.kind})"
     if indices[0] < 1:
-        raise StockcastError("first validation date has no history before it")
+        raise StockcastError(
+            f"first validation date {target_dates[0]} has no history before it {named}"
+        )
     train_end = model.train_end
     if enforce_train_boundary and train_end is not None and target_dates[0] <= train_end:
         raise StockcastError(
-            f"validation starts {target_dates[0]} but training ran through {train_end}"
+            f"validation starts {target_dates[0]} but training ran through {train_end} {named}"
         )
 
     history = History(panel, np.array(indices) - 1)

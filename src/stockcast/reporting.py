@@ -3,6 +3,11 @@
 Outputs are deterministic byte-for-byte given the same report: rows are
 sorted, floats formatted with fixed precision in tables and full repr
 precision in CSV data files.
+
+The long columns of a report, each entry's dates and prices, are written
+as joined text: the series CSV is one join over the values' `repr`s, and
+the saved report splices each column, joined once, into the JSON laid out
+around it.
 """
 
 from __future__ import annotations
@@ -10,7 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import fields, is_dataclass
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -22,6 +29,8 @@ from .models.artifacts import KINDS, _decode, _encode
 
 METRICS_HEADER = ["ticker", "model", "rmse", "mape", "n"]
 SERIES_HEADER = ["date", "split", "actual", "predicted"]
+_INDENT = "  "  # json.dumps(indent=2)
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def csv_text(header: list[str], rows: Iterable[list]) -> str:
@@ -42,12 +51,18 @@ def render_metrics_csv(report: ForecastReport) -> str:
     )
 
 
+def _reprs(values) -> map:
+    """The `repr` of each value as a float64, which is how a CSV data file writes it."""
+    return map(float.__repr__, np.asarray(values, np.float64).tolist())
+
+
 def render_series_csv(entry: ReportEntry) -> str:
-    rows = [[d.isoformat(), "train", repr(float(a)), ""]
-            for d, a in zip(entry.train_dates, entry.train_actual)]
-    rows += [[d.isoformat(), "validation", repr(float(a)), repr(float(p))]
-             for d, a, p in zip(entry.dates, entry.actual, entry.predicted)]
-    return csv_text(SERIES_HEADER, rows)
+    """A `train` row per training day, then a `validation` row per date; no cell needs quoting."""
+    train = map("{},train,{},\n".format, map(date.isoformat, entry.train_dates),
+                _reprs(entry.train_actual))
+    validation = map("{},validation,{},{}\n".format, map(date.isoformat, entry.dates),
+                     _reprs(entry.actual), _reprs(entry.predicted))
+    return "".join([",".join(SERIES_HEADER), "\n", *train, *validation])
 
 
 def _comparison_table(report: ForecastReport, ticker: str) -> list[str]:
@@ -194,8 +209,43 @@ def emit_report(report: ForecastReport, out_dir: str | Path, svg: bool = False) 
 # --- report round trip (drives the standalone `report` command) ---------
 
 
+def _json_block(opening: str, items: list[str], closing: str, level: int) -> str:
+    """Items one per line inside brackets, as json.dumps(indent=2) lays them out `level` deep."""
+    if not items:
+        return opening + closing
+    pad = "\n" + _INDENT * (level + 1)
+    return opening + pad + ("," + pad).join(items) + "\n" + _INDENT * level + closing
+
+
+def _json_text(value, level: int) -> str:
+    """`json.dumps(_encode(value), indent=2, sort_keys=True)`, nested `level` deep.
+
+    A dataclass or list is laid out here around its members. A float64
+    array or a tuple of dates, the long columns of a report, is spelt in
+    one join: a float as json spells it, by `float.__repr__` or as NaN,
+    Infinity or -Infinity. Any other value is dumped by json and indented
+    to its depth; json writes no raw newline inside a string.
+    """
+    if is_dataclass(value):
+        members = sorted(fields(value), key=attrgetter("name"))
+        items = [f"{json.dumps(f.name)}: {_json_text(getattr(value, f.name), level + 1)}"
+                 for f in members]
+        return _json_block("{", items, "}", level)
+    if isinstance(value, list):
+        return _json_block("[", [_json_text(v, level + 1) for v in value], "]", level)
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+        items = list(map(float.__repr__, value.tolist()))
+        for i in np.flatnonzero(~np.isfinite(value)).tolist():
+            items[i] = _JSON_NON_FINITE[items[i]]
+        return _json_block("[", items, "]", level)
+    if isinstance(value, tuple) and set(map(type, value)) == {date}:
+        return _json_block("[", list(map('"{}"'.format, map(date.isoformat, value))), "]", level)
+    text = json.dumps(_encode(value), indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + _INDENT * level)
+
+
 def report_to_json(report: ForecastReport) -> str:
-    return json.dumps(_encode(report), indent=2, sort_keys=True) + "\n"
+    return _json_text(report, 0) + "\n"
 
 
 def report_from_json(text: str) -> ForecastReport:

@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import ParseError
 from ..ingest import TickerNews
-from ..series import TradingDate
+from ..series import TradingDate, date_ordinals
 from .lexicon import Lexicon
 from .preprocess import PreprocessConfig, preprocess_texts
 from .scorer import NEUTRAL_SCORE, SentimentScore, score_tokens
@@ -66,9 +67,10 @@ def aggregate_daily(
     With `days`, only those calendar dates are scored. Any other date with
     news gets UNSCORED, which is NaN, so a model that reads it fails instead
     of seeing a made-up score. Every headline is still rolled forward and
-    checked, and every date still gets its record and headline count.
+    checked, and every date still gets its record and headline count, but
+    only the scored days' headlines are gathered and joined.
     """
-    ordinals = np.fromiter((d.toordinal() for d in calendar), np.int64, len(calendar))
+    ordinals = date_ordinals(calendar)
     day_of = np.searchsorted(ordinals, news.ordinals)  # side="left": on or after
     late = np.flatnonzero(day_of == len(calendar))
     if late.size:
@@ -76,42 +78,37 @@ def aggregate_daily(
         raise ParseError(int(news.lines[k]), "Date", f"{ticker}: news dated "
                          f"{date.fromordinal(int(news.ordinals[k]))} falls after the last "
                          "trading day of the calendar")
-    order = np.argsort(day_of, kind="stable")  # file order within each day
-    in_day_order = [news.headlines[k] for k in order.tolist()]
-    ends = np.cumsum(np.bincount(day_of, minlength=len(calendar))).tolist()
-
-    records: list[DailySentiment | None] = []
-    picked: list[tuple[int, TradingDate, list[str]]] = []  # scored below, in one batch
-    for day, start, end in zip(calendar, [0, *ends], ends):
-        headlines = in_day_order[start:end]
-        if not headlines:
-            records.append(DailySentiment(day, ticker, NEUTRAL_SCORE, 0))
-        elif days is not None and day not in days:
-            records.append(DailySentiment(day, ticker, UNSCORED, len(headlines)))
-        else:
-            picked.append((len(records), day, headlines))
-            records.append(None)
+    counts = np.bincount(day_of, minlength=len(calendar))
+    has_news = counts > 0
+    scores = list(map((NEUTRAL_SCORE, UNSCORED).__getitem__, has_news.tolist()))
+    picked = has_news  # the days scored below
+    if days is not None:
+        picked = has_news & np.isin(ordinals, date_ordinals(list(days)))
+    rows = np.flatnonzero(picked[day_of])
+    rows = rows[np.argsort(day_of[rows], kind="stable")]  # by day, in file order within one
+    in_day_order = [news.headlines[k] for k in rows.tolist()]
+    ends = np.cumsum(counts[picked]).tolist()
+    day_headlines = [in_day_order[start:end] for start, end in zip([0, *ends], ends)]
 
     def texts() -> Iterator[str]:
         # one at a time: the batch keeps only the token ids of a text
-        for _, _, headlines in picked:
+        for headlines in day_headlines:
             if per_headline_average:
                 yield from headlines
             else:
                 yield HEADLINE_JOINER.join(headlines)
 
-    scores = iter(score_tokens(preprocess_texts(texts(), config, lexicon, stopwords), lexicon))
-    for i, day, headlines in picked:
+    scored = iter(score_tokens(preprocess_texts(texts(), config, lexicon, stopwords), lexicon))
+    for i, headlines in zip(np.flatnonzero(picked).tolist(), day_headlines):
         if per_headline_average:
-            day_scores = [next(scores) for _ in headlines]
+            day_scores = [next(scored) for _ in headlines]
             n = len(day_scores)
-            score = SentimentScore(
+            scores[i] = SentimentScore(
                 pos=sum(s.pos for s in day_scores) / n,
                 neg=sum(s.neg for s in day_scores) / n,
                 neu=sum(s.neu for s in day_scores) / n,
                 compound=sum(s.compound for s in day_scores) / n,
             )
         else:
-            score = next(scores)
-        records[i] = DailySentiment(day, ticker, score, len(headlines))
-    return records
+            scores[i] = next(scored)
+    return list(map(DailySentiment, calendar, repeat(ticker), scores, counts.tolist()))

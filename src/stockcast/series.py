@@ -131,7 +131,8 @@ class AlignedPanel:
         raise KeyError(name)
 
 
-def _ordinals(dates: Sequence[TradingDate]) -> np.ndarray:
+def date_ordinals(dates: Sequence[TradingDate]) -> np.ndarray:
+    """Each date's `toordinal()`, as int64."""
     return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
@@ -154,12 +155,12 @@ def align_panel(
     if len(prices) == 0:
         raise ValueError("price series is empty")
     dates = prices.dates
-    days = _ordinals(dates)
+    days = date_ordinals(dates)
     columns: dict[str, np.ndarray] = {}
 
     for name in MACRO_COLUMNS:
         # index of the latest macro date at or before each trading date
-        source = np.searchsorted(_ordinals(macro[name].dates), days, side="right") - 1
+        source = np.searchsorted(date_ordinals(macro[name].dates), days, side="right") - 1
         if source[0] < 0:
             raise EmptyIntersection(name, dates[0])
         columns[name] = macro[name].values[source]

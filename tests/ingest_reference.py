@@ -1,9 +1,10 @@
 """Reference row loop of the price and macro parsers: every numeric cell through `_parse_number`.
 
-The production loop converts a row of plain finite numbers in one step and
-sends any other row here cell by cell; this module keeps the cell-by-cell
-loop for every row, so tests can require both to give the same series or
-the same error.
+The production parser reads a file in one whole-file pass when it can, and
+otherwise in a row loop that converts a row of plain finite numbers in one
+step and sends any other row here cell by cell. This module keeps the
+cell-by-cell loop for every row and no whole-file pass, so tests can
+require both to give the same series or the same error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from stockcast.ingest import ParsedSeries, _parse_date, _parse_number, _rows
 from stockcast.series import Series
 
 
-def per_cell_parse_series(data, header, name, what, value_of) -> ParsedSeries:
-    """`stockcast.ingest._parse_series` with every cell parsed by `_parse_number`."""
+def per_cell_parse_series(data, header, name, what, value_of, values_of=None) -> ParsedSeries:
+    """`stockcast.ingest._parse_series` as a row loop alone, every cell through `_parse_number`."""
     rows = {}
     skipped = 0
     for line, row in _rows(data, header):

@@ -370,6 +370,23 @@ def test_predict_date_gives_single_row(mini, tmp_path, capsys):
     assert len(doc["entries"][0]["dates"]) == 1
 
 
+def test_a_predict_date_without_a_walk_forward_names_its_ticker_and_kind(mini, tmp_path, capsys):
+    common = ["--config", mini, "--model", "linreg", "--ticker", "AAA", "--out", tmp_path]
+    assert run("train", *common) == 0
+    data = PipelineData(load_config(mini, out_override=tmp_path))
+    panel = data.panel("AAA", sentiment=False)
+    train_end = panel.dates[data.row_split(panel) - 1]
+    capsys.readouterr()
+    for day, message in [
+        (panel.dates[0], f"first validation date {panel.dates[0]} has no history before it"),
+        (panel.dates[1], f"validation starts {panel.dates[1]} but training ran through {train_end}"),
+    ]:
+        assert run("evaluate", *common, "--predict-date", day.isoformat()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"stockcast: [evaluate] error: {message} (AAA/linreg)\n"
+        assert captured.out == ""
+
+
 def test_evaluating_one_later_ticker_compares_that_ticker(mini, tmp_path):
     common = ["--config", mini, "--model", "additive", "--ticker", "BBB", "--out", tmp_path]
     assert run("train", *common) == 0

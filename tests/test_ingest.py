@@ -1,6 +1,7 @@
 import csv
 import io
 from datetime import date, timedelta
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from stockcast.series import MACRO_COLUMNS, Series
 from ingest_reference import per_cell_parse_series
 
 PRICE_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"
+SAMPLE_DATA = Path(__file__).resolve().parents[1] / "sample_data"
 
 
 def price_csv(*rows: str) -> str:
@@ -210,6 +212,125 @@ def test_the_one_step_row_conversion_equals_the_per_cell_loop(data, column, macr
     with mock.patch.object(ingest, "_parse_series", per_cell_parse_series):
         expected = outcome(parse, text)
     assert outcome(parse, text) == expected
+
+
+# rows take distinct dates from this pool, in drawn order, so often out of order
+FILE_DATES = st.permutations(["2021-06-01", "2021-06-02", "2021-06-03", "2021-06-04",
+                              "2021-06-07", "2021-06-08"])
+GOOD_CELLS = {
+    "price": st.sampled_from([("10", "11", "9", "10.5", "10.5", "100"),
+                              ("1e3", "1e3", "1e3", "1e3", "999.5", "0"),
+                              (" 2.5", "3", "2", "2.75 ", "2.75", "1e7")]).map(list),
+    "macro": st.sampled_from(["6.25", " 1e2", "0.0001", "71.3"]).map(lambda v: [v]),
+    "news": st.tuples(st.sampled_from(["AAA", "BBB"]),
+                      st.sampled_from(["Profits surge", "Shares slump, analysts say",
+                                       'a "quoted" headline', "café"])).map(list),
+}
+# (cell, bad text) pairs; cell 0 is the first after the date
+BAD_CELLS = {
+    "price": st.sampled_from([
+        (1, "8"), (2, "12"), (0, "1e9"), (3, "1e9"), (3, "1e-9"),  # outside [low, high]
+        (4, "0"), (4, "-0.0"), (0, "-1"), (5, "-1"),  # prices <= 0, volume < 0
+        (3, ""), (5, "null"), (0, " N/A"), (2, "ten"), (3, "inf"), (5, "inf"), (1, "nan"),
+    ]),
+    "macro": st.sampled_from([(0, "0"), (0, "-0.5"), (0, "null"), (0, "N/A"), (0, "x"),
+                              (0, "nan"), (0, "inf")]),
+    "news": st.sampled_from([(0, ""), (0, " AAA"), (0, "ZZZ"), (1, ""), (1, "   "),
+                             (1, "first line\nsecond line")]),
+}
+ROW_DEFECTS = st.sampled_from(["cell"] * 6 + ["repeated date", "bad date", "padded date", "short",
+                                              "long", "blank"])
+
+
+@st.composite
+def input_files(draw, family: str) -> bytes:
+    """A price, macro or news file as bytes: good rows with at most two defects.
+
+    A defect is a bad cell (an OHLC violation, a null, a non-finite value,
+    an unknown or empty ticker, a blank or two-line headline), a bad date,
+    a repeated date, a wrong width or a blank line. The file may start with
+    a BOM and end its lines with CRLF.
+    """
+    header = {"price": ingest.PRICE_HEADER, "macro": ingest.MACRO_HEADER,
+              "news": ingest.NEWS_HEADER}[family]
+    dates = draw(FILE_DATES)[:draw(st.integers(1, 6))]
+    rows = [[day, *draw(GOOD_CELLS[family])] for day in dates]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        defect = draw(ROW_DEFECTS)
+        if len(row) != len(header):  # a row that lost or gained cells takes no more
+            continue
+        if defect == "cell":
+            i, text = draw(BAD_CELLS[family])
+            row[1 + i] = text
+        elif defect == "repeated date":
+            row[0] = draw(st.sampled_from(dates))
+        elif defect == "bad date":
+            row[0] = draw(st.sampled_from(["2021-13-01", "2021-6-1", "06/01/2021", ""]))
+        elif defect == "padded date":
+            row[0] = f" {row[0]}"
+        elif defect == "short":
+            row.pop()
+        elif defect == "long":
+            row.append("1")
+        else:
+            row.clear()  # written as a blank line
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerows([header, *rows])
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + out.getvalue()).encode()
+
+
+def news_outcome(data: bytes, universe):
+    """What a news parse gives: every ticker's columns and the skip tally, or the error."""
+    try:
+        parsed = parse_news_file(data, universe)
+    except ParseError as exc:
+        return "ParseError", exc.line, exc.column, str(exc)
+    except StockcastError as exc:
+        return "StockcastError", str(exc)
+    columns = [(ticker, news.ordinals.tobytes(), news.lines.tobytes(), news.headlines)
+               for ticker, news in parsed.tickers.items()]
+    return columns, parsed.skipped
+
+
+def declined(*args):
+    return None
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=st.data(), family=st.sampled_from(["price", "macro", "news"]),
+       column=st.sampled_from(MACRO_COLUMNS), universe=st.sampled_from([None, ("AAA", "BBB")]))
+def test_the_whole_file_pass_equals_the_row_loop(data, family, column, universe):
+    blob = data.draw(input_files(family))
+    if family == "news":
+        run = lambda: news_outcome(blob, universe)  # noqa: E731
+    elif family == "macro":
+        run = lambda: outcome(lambda b: parse_macro_csv(b, column), blob)  # noqa: E731
+    else:
+        run = lambda: outcome(lambda b: parse_price_csv(b, "RIL"), blob)  # noqa: E731
+    with mock.patch.object(ingest, "_series_pass", declined), \
+            mock.patch.object(ingest, "_news_pass", declined):
+        expected = run()
+    assert run() == expected
+
+
+SAMPLE_PASSES = {
+    "prices_ALFA.csv": lambda data: ingest._series_pass(
+        data, ingest.PRICE_HEADER, "ALFA", ingest._bar_closes),
+    "macro_gsec.csv": lambda data: ingest._series_pass(data, ingest.MACRO_HEADER, "gsec",
+                                                       lambda values: values),
+    "news.csv": lambda data: ingest._news_pass(data, None),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLE_PASSES)
+def test_the_whole_file_pass_reads_the_sample_files_and_declines_a_blank_line(name):
+    data = (SAMPLE_DATA / name).read_bytes()
+    assert SAMPLE_PASSES[name](data) is not None
+    head, rest = data.split(b"\n", 1)
+    assert SAMPLE_PASSES[name](head + b"\n\n" + rest) is None
 
 
 @pytest.mark.parametrize("parse, text", [

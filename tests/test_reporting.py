@@ -1,7 +1,10 @@
+import math
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockcast.errors import StockcastError
 from stockcast.evaluation import ForecastReport, MetricSet, ReportEntry
@@ -10,10 +13,12 @@ from stockcast.reporting import (
     emit_report,
     render_metrics_csv,
     render_report_md,
+    render_series_csv,
     report_from_json,
     report_to_json,
 )
 
+import report_oracle
 from conftest import weekdays
 
 
@@ -121,3 +126,46 @@ def test_rows_follow_kinds_order_with_their_labels():
     md = render_report_md(report).splitlines()
     start = md.index("| Model | RMSE |") + 2
     assert md[start : start + len(KINDS)] == [f"| {s.label} | 5.00 |" for s in KINDS.values()]
+
+
+# floats whose json and repr spellings are easy to get wrong, and a few plain ones
+PRICES = st.one_of(st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 101.25]), st.floats())
+PREDICTIONS = st.one_of(PRICES, st.sampled_from([math.nan, math.inf, -math.inf]))
+METADATA = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def reports(draw) -> ForecastReport:
+    """Entries with no or a few training days and one or more dates, and nested metadata."""
+    def column(values, size: int) -> np.ndarray:
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64)
+
+    report = ForecastReport(metadata=draw(st.dictionaries(st.text(max_size=6), METADATA,
+                                                          max_size=4)))
+    for _ in range(draw(st.integers(0, 3))):
+        n_train, n = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        days = weekdays(date(2021, 6, 1), n_train + n)
+        report.add(ReportEntry(
+            ticker=draw(st.sampled_from(["RIL", "TCS"])),
+            model=draw(st.sampled_from(list(KINDS))),
+            dates=tuple(days[n_train:]),
+            actual=column(PRICES, n),
+            predicted=column(PREDICTIONS, n),
+            metrics=MetricSet(rmse=draw(st.floats(0, 1e300)), mape=draw(st.floats(0, 100)), n=n),
+            train_dates=tuple(days[:n_train]),
+            train_actual=column(PRICES, n_train),
+        ))
+    return report
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(report=reports())
+def test_the_joined_report_text_equals_the_element_by_element_oracle(report):
+    assert report_to_json(report) == report_oracle.report_to_json(report)
+    for entry in report.entries:
+        assert render_series_csv(entry) == report_oracle.render_series_csv(entry)
